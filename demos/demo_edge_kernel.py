@@ -1,99 +1,85 @@
-"""The edge kernel, its rank-1 structure, and the fixed-point refinement.
+"""Why the SMDS kernel minor reduces to the measured anchor-target edges.
 
-Demonstrates that the outer-product kernel of exact complex edges has
-exactly one nonzero eigenvalue, that the generating edge vector can be
-recovered from the kernel up to a phase fixed by the known anchor-anchor
-block, and that the ratio-combining iteration over the kernel minor
-converges in one step on exact data and within a few steps under noise.
+The complex edge kernel K = conj(v) v^T of one measurement snapshot is
+rank 1. Its minor (the blocks pairing the AT edges with the AA, AT and
+TT edges) maps each block back onto v_AT scaled by that block's squared
+norm, so the ratio-combined update over the minor returns v_AT itself.
+`solve_landmarks` therefore computes `smds_full` in closed form, as the
+anchored mean x_n = mean_m(a_m + d_mn exp(j theta_mn)). The kernel is
+built here with numpy only to show the reduction.
 """
 
 import numpy as np
 
-from rigidloc import (NoiseConfig, SceneConfig, SolverConfig, build_kernel,
-                      build_pair_index, coordinates_from_edges,
-                      edges_from_coordinates, edges_from_measurements,
-                      extract_minor, generate_measurements, random_scene,
-                      rank1_truncate, turbo_init, turbo_iterate)
+from rigidloc import (NoiseConfig, SceneConfig, SolverConfig, build_pair_index,
+                      coordinates_from_edges, edges_from_coordinates,
+                      generate_measurements, random_scene, solve_landmarks)
 
 
 def demo_rank_one():
     print("\n" + "=" * 70)
-    print("Demo 1: Rank-1 structure of the exact edge kernel")
+    print("Demo 1: The edge kernel of one snapshot is rank 1")
     print("=" * 70)
 
     scene = random_scene(SceneConfig(), seed=3)
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    edges = edges_from_coordinates(scene.complex_positions(), index)
-    kernel = build_kernel(edges).assemble()
+    v = edges_from_coordinates(scene.complex_positions(), index).values
+    kernel = np.outer(np.conj(v), v)
     sing = np.linalg.svd(kernel, compute_uv=False)
     print(f"\nkernel size {kernel.shape[0]}x{kernel.shape[1]} "
           f"({index.n_pairs} edges)")
     print(f"largest singular value  {sing[0]:.4f}")
     print(f"second singular value   {sing[1]:.3e}")
-    print(f"sum of squared edges    {np.sum(np.abs(edges.values) ** 2):.4f} "
+    print(f"sum of squared edges    {np.sum(np.abs(v) ** 2):.4f} "
           "(equals the largest singular value)")
 
-    v_hat, lam = rank1_truncate(kernel, v_aa=edges.aa)
-    print(f"\nedge vector recovered from the kernel, max error "
-          f"{np.max(np.abs(v_hat - edges.values)):.3e}")
-    print(f"dominant eigenvalue {lam:.4f}")
 
-
-def demo_turbo_exact():
+def demo_minor_returns_at_edges():
     print("\n" + "=" * 70)
-    print("Demo 2: One-step fixed point on exact data")
-    print("=" * 70)
-
-    scene = random_scene(SceneConfig(), seed=4)
-    index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    edges = edges_from_coordinates(scene.complex_positions(), index)
-    minor = extract_minor(build_kernel(edges))
-    init = turbo_init(minor.k1, minor.k4, edges.aa, edges.tt)
-    print(f"\ninitializer error vs true AT edges: "
-          f"{np.max(np.abs(init - edges.at)):.3e}")
-    result = turbo_iterate(minor, edges.aa, edges.tt, init, SolverConfig())
-    print(f"converged in {result.iterations} iteration(s), "
-          f"residual {result.residual:.3e}")
-
-
-def demo_turbo_noisy():
-    print("\n" + "=" * 70)
-    print("Demo 3: Noisy kernels and where the averaging happens")
+    print("Demo 2: Each minor block gives back the measured AT edges")
     print("=" * 70)
 
     scene = random_scene(SceneConfig(), seed=5)
     noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8.0))
     meas = generate_measurements(scene, noise, 42)
-    edges = edges_from_measurements(meas)
     index = meas.index
-    minor = extract_minor(build_kernel(edges))
-    true_at = (scene.complex_positions()[index.second]
-               - scene.complex_positions()[index.first])[index.at]
+    v = meas.distances * np.exp(1j * meas.angles)
+    v_aa, v_at, v_tt = v[index.aa], v[index.at], v[index.tt]
+    k1 = np.outer(np.conj(v_aa), v_at)   # AA x AT
+    k3 = np.outer(np.conj(v_at), v_at)   # AT x AT
+    k4 = np.outer(np.conj(v_at), v_tt)   # AT x TT
 
-    init = turbo_init(minor.k1, minor.k4, edges.aa, edges.tt)
-    result = turbo_iterate(minor, edges.aa, edges.tt, init, SolverConfig())
-    print(f"\nnoise: sigma = 0.5 m, zeta = 8 deg")
-    print(f"per-edge rms error of the measured AT block:  "
-          f"{np.sqrt(np.mean(np.abs(edges.at - true_at) ** 2)):.4f}")
-    print(f"initializer vs measured block (max diff):     "
-          f"{np.max(np.abs(init - edges.at)):.2e}")
-    print(f"fixed point reached after {result.iterations} iteration(s), "
-          f"residual {result.residual:.2e}")
-    print("\nA kernel built from one consistent measurement snapshot is")
-    print("exactly rank 1, so the measured AT block is already the fixed")
-    print("point. The noise suppression comes from the next stage, which")
-    print("averages the per-anchor position votes of each landmark:")
-    coords = coordinates_from_edges(result.v_at, scene.anchors, index)
-    pos_rms = np.linalg.norm(coords - scene.landmarks) / np.sqrt(scene.n_landmarks)
+    print("\nnoise: sigma = 0.5 m, zeta = 8 deg; blocks built from the measured edges")
+    for name, image, block in (("K1^T v_AA", k1.T @ v_aa, v_aa),
+                               ("K3^T v_AT", k3.T @ v_at, v_at),
+                               ("conj(K4) v_TT", np.conj(k4) @ v_tt, v_tt)):
+        scale = np.vdot(block, block).real
+        gap = np.max(np.abs(image - scale * v_at)) / np.max(np.abs(scale * v_at))
+        print(f"  {name:14s} = ||block||^2 v_AT   (relative gap {gap:.1e})")
+
+    num = k1.T @ v_aa + k3.T @ v_at + np.conj(k4) @ v_tt
+    den = np.vdot(v_aa, v_aa).real + np.vdot(v_at, v_at).real + np.vdot(v_tt, v_tt).real
+    update = num / den
+    print(f"ratio-combined update from v_AT moves it by "
+          f"{np.max(np.abs(update - v_at)):.1e}: the measured block is the fixed point")
+
+    closed = solve_landmarks(meas, scene.anchors, scene.conformation,
+                             SolverConfig(method="smds_full")).coordinates
+    reference = coordinates_from_edges(update, scene.anchors, index)
+    print(f"closed-form smds_full vs the kernel update's landmarks: "
+          f"{np.max(np.abs(closed - reference)):.1e} m")
+
+    print("\nThe noise suppression comes from averaging the per-anchor")
+    print("position votes a_m + v_mn of each landmark:")
     a = scene.anchors.positions[0] + 1j * scene.anchors.positions[1]
-    votes = a[:, None] + result.v_at.reshape(index.n_anchors, index.n_targets)
+    votes = a[:, None] + v_at.reshape(index.n_anchors, index.n_targets)
     truth = scene.landmarks[0] + 1j * scene.landmarks[1]
     vote_rms = np.sqrt(np.mean(np.abs(votes - truth) ** 2))
+    pos_rms = np.linalg.norm(closed - scene.landmarks) / np.sqrt(scene.n_landmarks)
     print(f"  single-edge position vote rms error:  {vote_rms:.4f}")
     print(f"  averaged landmark rms error:          {pos_rms:.4f}")
 
 
 if __name__ == "__main__":
     demo_rank_one()
-    demo_turbo_exact()
-    demo_turbo_noisy()
+    demo_minor_returns_at_edges()

@@ -2,16 +2,13 @@
 
 Estimates the landmark positions, rotation, and translation of a rigid
 body observed by fixed anchors, fusing pairwise distances and angles of
-arrival through a complex edge kernel, with classic MDS and a
+arrival into complex edges, with classic MDS and a
 distance-only bootstrap as baselines, plus Cramer-Rao bounds and a
 Monte Carlo benchmark harness.
 """
 
 from .crlb import FisherInformation, compute_fim, crlb_curve
-from .edges import (CoefficientMatrix, EdgeSet, KernelBlocks, MinorBlocks,
-                    PairIndex, build_coefficient_matrix, build_kernel,
-                    build_pair_index, edges_from_coordinates,
-                    edges_from_measurements, extract_minor)
+from .edges import EdgeSet, PairIndex, build_pair_index, edges_from_coordinates
 from .errors import (ConfigurationError, DegenerateGeometryError,
                      NumericalFailureError)
 from .geometry import (AnchorSet, Conformation, Pose, RotationMatrix, Scene,
@@ -28,27 +25,22 @@ from .procrustes import (PoseEstimate, estimate_pose, fit_alignment,
 from .scenario import load_scenario
 from .solvers import (METHODS, LandmarkEstimate, SolverConfig, classic_mds,
                       coordinates_from_edges, embed_distances,
-                      rank1_truncate, reconstruct_angles, solve_landmarks,
-                      turbo_init, turbo_iterate)
+                      reconstruct_angles, solve_landmarks)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet", "CoefficientMatrix", "Conformation", "ConfigurationError",
-    "CSV_HEADER", "DEFAULT_SIGMA_GRID", "DEFAULT_ZETA_THETA",
-    "DegenerateGeometryError", "EdgeSet", "ExperimentConfig",
-    "FisherInformation", "KernelBlocks", "LandmarkEstimate", "METHODS",
-    "MeasurementSet", "MinorBlocks", "NoiseConfig", "NumericalFailureError",
+    "AnchorSet", "Conformation", "ConfigurationError", "CSV_HEADER",
+    "DEFAULT_SIGMA_GRID", "DEFAULT_ZETA_THETA", "DegenerateGeometryError",
+    "EdgeSet", "ExperimentConfig", "FisherInformation", "LandmarkEstimate",
+    "METHODS", "MeasurementSet", "NoiseConfig", "NumericalFailureError",
     "PairIndex", "Pose", "PoseEstimate", "ResultRow", "RotationMatrix",
-    "Scene", "SceneConfig", "SolverConfig", "apply_pose",
-    "build_coefficient_matrix", "build_kernel", "build_pair_index",
+    "Scene", "SceneConfig", "SolverConfig", "apply_pose", "build_pair_index",
     "classic_mds", "compute_fim", "coordinates_from_edges", "crlb_curve",
-    "edges_from_coordinates", "edges_from_measurements", "embed_distances",
-    "estimate_pose", "extract_minor", "fit_alignment", "format_results",
-    "generate_measurements", "load_scenario", "random_scene",
-    "rank1_truncate", "reconstruct_angles", "reference_scene", "rho_to_zeta",
-    "rotation_from_angle", "rotation_mse", "run_experiment", "sample_angle",
-    "sample_distance", "solve_landmarks", "turbo_init", "turbo_iterate",
-    "weighted_means", "wrap_angle", "write_results", "zeta_to_rho",
-    "__version__",
+    "edges_from_coordinates", "embed_distances", "estimate_pose",
+    "fit_alignment", "format_results", "generate_measurements",
+    "load_scenario", "random_scene", "reconstruct_angles", "reference_scene",
+    "rho_to_zeta", "rotation_from_angle", "rotation_mse", "run_experiment",
+    "sample_angle", "sample_distance", "solve_landmarks", "weighted_means",
+    "wrap_angle", "write_results", "zeta_to_rho", "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Pair indexing, complex edge vectors, and edge kernel blocks.
+"""Pair indexing and complex edge vectors.
 
 Nodes are numbered 0..T-1 with the M anchors first and the N body
 landmarks after them. Every unordered node pair (i, j) with i < j owns
@@ -9,15 +9,13 @@ class sorted lexicographically. An edge carries the complex number
     v_p = x_j - x_i = d_p * exp(j theta_p)
 
 whose modulus is the pair distance and whose argument is the direction
-of the i -> j ray. The edge kernel is the rank-1 outer product
-K = conj(v) v^T; the solver only ever needs the AT column blocks of it,
-so the full P x P matrix is assembled on demand and never stored.
+of the i -> j ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +86,17 @@ def build_pair_index(n_anchors: int, n_targets: int) -> PairIndex:
     Returns
     -------
     PairIndex
-        T(T-1)/2 pairs, lexicographic within each class.
+        T(T-1)/2 pairs, lexicographic within each class. The index is
+        immutable, so one instance is shared per (M, N).
     """
     m, n = int(n_anchors), int(n_targets)
     if m < 0 or n < 0 or m + n < 2:
         raise ValueError("need at least two nodes to form pairs")
+    return _pair_index(m, n)
+
+
+@lru_cache(maxsize=32)
+def _pair_index(m: int, n: int) -> PairIndex:
     aa_i, aa_j = np.triu_indices(m, k=1)
     at_i = np.repeat(np.arange(m), n)
     at_j = np.tile(np.arange(m, m + n), m)
@@ -102,57 +106,6 @@ def build_pair_index(n_anchors: int, n_targets: int) -> PairIndex:
     first.flags.writeable = False
     second.flags.writeable = False
     return PairIndex(m, n, first, second)
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """Sparse P x T incidence matrix C with v = C x for true coordinates.
-
-    Stored as triplets. The row for pair (i, j) has -1 in column i and
-    +1 in column j, so that C x reproduces v_p = x_j - x_i.
-    """
-
-    index: PairIndex
-    rows: np.ndarray
-    cols: np.ndarray
-    data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.index.n_pairs, self.index.n_nodes)
-
-    @property
-    def nnz(self) -> int:
-        return self.data.size
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        dense[self.rows, self.cols] = self.data
-        return dense
-
-    def to_sparse(self):
-        from scipy.sparse import coo_matrix
-        return coo_matrix((self.data, (self.rows, self.cols)), shape=self.shape)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Multiply C by a coordinate vector of length T."""
-        x = np.asarray(x)
-        return x[self.index.second] - x[self.index.first]
-
-
-def build_coefficient_matrix(index: PairIndex) -> CoefficientMatrix:
-    """Build the incidence matrix mapping node coordinates to edges."""
-    p = index.n_pairs
-    rows = np.repeat(np.arange(p, dtype=np.intp), 2)
-    cols = np.empty(2 * p, dtype=np.intp)
-    cols[0::2] = index.first
-    cols[1::2] = index.second
-    data = np.empty(2 * p)
-    data[0::2] = -1.0
-    data[1::2] = 1.0
-    for arr in (rows, cols, data):
-        arr.flags.writeable = False
-    return CoefficientMatrix(index, rows, cols, data)
 
 
 @dataclass(frozen=True)
@@ -212,101 +165,3 @@ def edges_from_coordinates(x: np.ndarray, index: PairIndex) -> EdgeSet:
     if np.any(np.abs(v) == 0.0):
         raise DegenerateGeometryError("coincident nodes produce a zero edge")
     return EdgeSet(index, v)
-
-
-def edges_from_measurements(meas) -> EdgeSet:
-    """Assemble edges from measured distances and angles in polar form.
-
-    Parameters
-    ----------
-    meas : MeasurementSet
-        Provides `index`, `distances`, and `angles` arrays.
-
-    Raises
-    ------
-    ValueError
-        If any measured distance is not strictly positive.
-    """
-    d = np.asarray(meas.distances, dtype=float)
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ValueError("measured distances must be finite and positive")
-    theta = np.asarray(meas.angles, dtype=float)
-    return EdgeSet(meas.index, d * np.exp(1j * theta))
-
-
-@dataclass(frozen=True)
-class KernelBlocks:
-    """Blocks of the edge kernel K = conj(v) v^T, formed lazily.
-
-    Only the edge sub-vectors are stored; each block is an outer product
-    of two of them. Block naming follows the 3x3 class partition of the
-    kernel: K_A and K_T are the AA and TT diagonal blocks, K1, K2, K3,
-    K4 the mixed blocks (AAxAT, AAxTT, ATxAT, ATxTT).
-    """
-
-    v_aa: np.ndarray
-    v_at: np.ndarray
-    v_tt: np.ndarray
-
-    @classmethod
-    def from_edges(cls, edge_set: EdgeSet) -> "KernelBlocks":
-        return cls(edge_set.aa, edge_set.at, edge_set.tt)
-
-    @cached_property
-    def k_a(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_aa), self.v_aa)
-
-    @cached_property
-    def k1(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_aa), self.v_at)
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_aa), self.v_tt)
-
-    @cached_property
-    def k3(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_at), self.v_at)
-
-    @cached_property
-    def k4(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_at), self.v_tt)
-
-    @cached_property
-    def k_t(self) -> np.ndarray:
-        return np.outer(np.conj(self.v_tt), self.v_tt)
-
-    def full_edge_vector(self) -> np.ndarray:
-        return np.concatenate([self.v_aa, self.v_at, self.v_tt])
-
-    def assemble(self) -> np.ndarray:
-        """Materialize the full P x P kernel (tests and small scenes only)."""
-        v = self.full_edge_vector()
-        return np.outer(np.conj(v), v)
-
-
-def build_kernel(edge_set: EdgeSet) -> KernelBlocks:
-    """Build the kernel block container for an edge set."""
-    return KernelBlocks.from_edges(edge_set)
-
-
-@dataclass(frozen=True)
-class MinorBlocks:
-    """The AT column blocks of the kernel used by the turbo solver.
-
-    Stacked, [k1; k3; conj(k4)^T] equals conj(v) v_AT^T restricted to the
-    AT columns. The transpose of k4 must be conjugated for the stack to
-    be a consistent outer product; the third block is v_TT* v_AT^T.
-    """
-
-    k1: np.ndarray
-    k3: np.ndarray
-    k4: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.k1, self.k3, np.conj(self.k4).T])
-
-
-def extract_minor(kernel: KernelBlocks) -> MinorBlocks:
-    """Select the kernel blocks involving AT edges: (K1, K3, K4)."""
-    return MinorBlocks(kernel.k1, kernel.k3, kernel.k4)

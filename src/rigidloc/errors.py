@@ -9,9 +9,9 @@ class DegenerateGeometryError(ValueError):
     """Raised when node geometry admits no well-posed solution.
 
     Examples: coincident nodes, an all-collinear network handed to the
-    embedding step, or a kernel with no usable dominant eigenpair.
+    embedding step, or point sets that carry no orientation.
     """
 
 
 class NumericalFailureError(RuntimeError):
-    """Raised when an iterative routine diverges or produces non-finite values."""
+    """Raised when a computation produces non-finite values."""

@@ -12,6 +12,7 @@ a trial, all methods see the same scene and the same measurements.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -142,18 +143,21 @@ def _trial_block(config: ExperimentConfig, g: int, sigma: float, rho: float,
     return err_t, err_q, ok, crlb_t, crlb_q
 
 
-def _collect_grid_point(config: ExperimentConfig, g: int, sigma: float, rho: float):
+def _collect_grid_point(config: ExperimentConfig, g: int, sigma: float, rho: float,
+                        pool: ProcessPoolExecutor | None):
     k = config.trials
-    workers = min(config.workers, k)
-    if workers == 1:
+    if pool is None:
         return _trial_block(config, g, sigma, rho, 0, k)
-    bounds = np.linspace(0, k, workers + 1).astype(int)
+    bounds = np.linspace(0, k, _n_workers(config) + 1).astype(int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_trial_block,
-                              *zip(*((config, g, sigma, rho, a, b) for a, b in spans))))
+    parts = list(pool.map(_trial_block,
+                          *zip(*((config, g, sigma, rho, a, b) for a, b in spans))))
     # concatenation in span order keeps trial k at index k
     return tuple(np.concatenate([p[i] for p in parts], axis=-1) for i in range(5))
+
+
+def _n_workers(config: ExperimentConfig) -> int:
+    return min(config.workers, config.trials)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -173,9 +177,16 @@ def run_experiment(config: ExperimentConfig,
         Grouped by grid point, methods in configured order.
     """
     rho = config.resolve_rho()
+    workers = _n_workers(config)
+    # one pool for the whole sweep: starting one per grid point was most
+    # of the harness's own time per trial
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        parts = [_collect_grid_point(config, g, sigma, rho, pool)
+                 for g, sigma in enumerate(config.sigma_grid)]
     rows: list[ResultRow] = []
     for g, sigma in enumerate(config.sigma_grid):
-        err_t, err_q, ok, crlb_t, crlb_q = _collect_grid_point(config, g, sigma, rho)
+        err_t, err_q, ok, crlb_t, crlb_q = parts[g]
         mean_crlb_t = float(np.mean(crlb_t))
         mean_crlb_q = float(np.mean(crlb_q))
         for j, method in enumerate(config.methods):

@@ -48,9 +48,11 @@ def _as_weights(weights, n: int) -> np.ndarray:
 class PoseEstimate:
     """Fitted pose with the attained objective value.
 
-    `ambiguous` is set when the data leave the rotation sign decision
-    numerically degenerate (cross-covariance nearly rank 1), in which
-    case the returned pose is still the SVD solution.
+    `ambiguous` is set when every rotation fits equally well: in the
+    plane the objective depends on the angle only through the complex
+    cross term z = sum_n w_n conj(c_n) s_n of the centred points, so the
+    best proper rotation is unique unless z vanishes. The returned pose
+    is then still the SVD solution.
     """
 
     rotation: RotationMatrix
@@ -131,7 +133,10 @@ def _fit(source, target, weights, allow_reflection):
     else:
         d = np.sign(np.linalg.det(v @ u.T))
         r = v @ np.diag([1.0, d]) @ u.T
-        ambiguous = bool(sing[1] <= _AMBIGUITY_RATIO * sing[0])
+        # |z| <= ||sqrt(w) c_c|| ||sqrt(w) s_c|| by Cauchy-Schwarz
+        z = complex(h[0, 0] + h[1, 1], h[0, 1] - h[1, 0])
+        bound = np.sqrt(np.sum(w * c_c * c_c) * np.sum(w * s_c * s_c))
+        ambiguous = bool(abs(z) <= _AMBIGUITY_RATIO * bound)
     t = s_bar - r @ c_bar
     return r, t, ambiguous
 

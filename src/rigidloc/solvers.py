@@ -6,10 +6,13 @@ Three methods are provided behind one dispatch function:
     Classic multidimensional scaling on the measured distances, aligned
     to the known anchors. Ignores bearing measurements entirely.
 ``smds_full``
-    Edge-kernel estimator using both distances and bearings. The
-    anchor-target (AT) edge block is refined by a maximum-ratio style
-    fixed-point iteration over the kernel minor, then landmark positions
-    follow from the anchored least squares of the AT edges.
+    Edge-kernel estimator using both distances and bearings. With a
+    shared bearing reference and exact AA and TT edges, the AA and TT
+    blocks of the kernel minor enter the AT update only as
+    ``||v_AA||^2 v_AT`` and ``||v_TT||^2 v_AT``, and the normalisation
+    cancels them, so the minor's fixed point is the measured AT edge
+    block itself. Landmark positions are then the anchored least squares
+    of those edges: x_n = mean_m(a_m + d_mn exp(j theta_mn)).
 ``smds_distance_only``
     Bootstrap for bearing-free operation: run MDS first, reconstruct
     edge angles from the embedded coordinates, and feed those synthetic
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import (EdgeSet, KernelBlocks, MinorBlocks, PairIndex,
-                    build_kernel, edges_from_measurements, extract_minor)
+from .edges import PairIndex
 from .errors import (ConfigurationError, DegenerateGeometryError,
                      NumericalFailureError)
 from .geometry import AnchorSet, Conformation
@@ -33,25 +35,17 @@ from .procrustes import fit_alignment
 
 METHODS = ("mds", "smds_full", "smds_distance_only")
 
-_DIVERGENCE_FACTOR = 1e6
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Method selection and iteration control for `solve_landmarks`."""
+    """Method selection for `solve_landmarks`."""
 
     method: str = "smds_full"
-    max_iterations: int = 100
-    rel_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be at least 1")
-        if not (self.rel_tolerance > 0):
-            raise ConfigurationError("rel_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,61 +65,6 @@ class LandmarkEstimate:
         coords = coords.copy()
         coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
-
-
-@dataclass(frozen=True)
-class TurboResult:
-    """Outcome of the fixed-point refinement of the AT edge block."""
-
-    v_at: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
-
-
-def rank1_truncate(kernel: np.ndarray, v_aa: np.ndarray | None = None):
-    """Recover the generating edge vector of a rank-1 edge kernel.
-
-    The kernel K = conj(v) v^T has dominant eigenvector proportional to
-    conj(v) with eigenvalue ||v||^2, so the estimate is the conjugated,
-    eigenvalue-scaled dominant eigenvector. The remaining unit phase is
-    unobservable from K alone; when the exact anchor-anchor edges are
-    supplied, it is fixed by least-squares alignment of the AA block.
-
-    Parameters
-    ----------
-    kernel : ndarray
-        Square complex matrix (Hermitian for true edge kernels).
-    v_aa : ndarray, optional
-        Exact AA edge values matching the leading entries of v.
-
-    Returns
-    -------
-    (v_hat, eigenvalue) : (ndarray, float)
-    """
-    k = np.asarray(kernel, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("kernel must be a square matrix")
-    scale = np.linalg.norm(k)
-    if scale == 0.0:
-        raise DegenerateGeometryError("kernel is identically zero")
-    if np.allclose(k, k.conj().T, rtol=1e-8, atol=1e-12 * scale):
-        lam_all, vec_all = np.linalg.eigh(k)
-        lam, u = lam_all[-1], vec_all[:, -1]
-    else:
-        lam_all, vec_all = np.linalg.eig(k)
-        pick = int(np.argmax(np.abs(lam_all)))
-        lam, u = np.real(lam_all[pick]), vec_all[:, pick]
-    if lam <= 0:
-        raise DegenerateGeometryError("kernel has no positive dominant eigenvalue")
-    v_hat = np.conj(np.sqrt(lam) * u)
-    if v_aa is not None:
-        v_aa = np.asarray(v_aa, dtype=complex)
-        z = np.vdot(v_hat[: v_aa.size], v_aa)
-        if np.abs(z) == 0.0:
-            raise DegenerateGeometryError("AA block too weak to fix the phase")
-        v_hat = v_hat * np.exp(1j * np.angle(z))
-    return v_hat, float(lam)
 
 
 def coordinates_from_edges(v_at: np.ndarray, anchors, index: PairIndex) -> np.ndarray:
@@ -158,73 +97,6 @@ def coordinates_from_edges(v_at: np.ndarray, anchors, index: PairIndex) -> np.nd
     a = pos[0] + 1j * pos[1]
     x_hat = (a[:, None] + v_at.reshape(m, n)).mean(axis=0)
     return np.vstack([x_hat.real, x_hat.imag])
-
-
-def turbo_init(k1: np.ndarray, k4: np.ndarray, v_aa: np.ndarray,
-               v_tt: np.ndarray) -> np.ndarray:
-    """Initial AT edge estimate combining the AA and TT kernel blocks.
-
-    Both terms contribute the true v_AT scaled by the squared norm of
-    the exact block in the noiseless case, so their ratio-combined sum
-    reproduces v_AT exactly. The k4 block enters conjugated; its raw
-    form would contribute a conjugated edge and break that property.
-    """
-    v_aa = np.asarray(v_aa, dtype=complex)
-    v_tt = np.asarray(v_tt, dtype=complex)
-    den = np.vdot(v_aa, v_aa).real + np.vdot(v_tt, v_tt).real
-    if den <= 0.0:
-        raise DegenerateGeometryError("no anchor or target edges to combine")
-    num = k1.T @ v_aa
-    if v_tt.size:
-        num = num + np.conj(k4) @ v_tt
-    return num / den
-
-
-def turbo_iterate(minor: MinorBlocks, v_aa: np.ndarray, v_tt: np.ndarray,
-                  v_at_init: np.ndarray, config: SolverConfig | None = None) -> TurboResult:
-    """Fixed-point refinement of the AT edges over the kernel minor.
-
-    Iterates a ratio-combined update of the three minor blocks until the
-    relative change drops below `config.rel_tolerance` or the iteration
-    budget is spent.
-
-    Raises
-    ------
-    NumericalFailureError
-        If the iterate norm grows beyond 1e6 times the initial norm or
-        becomes non-finite.
-    """
-    cfg = config or SolverConfig()
-    v_aa = np.asarray(v_aa, dtype=complex)
-    v_tt = np.asarray(v_tt, dtype=complex)
-    v = np.asarray(v_at_init, dtype=complex).copy()
-    naa = np.vdot(v_aa, v_aa).real
-    ntt = np.vdot(v_tt, v_tt).real
-    base = minor.k1.T @ v_aa
-    if v_tt.size:
-        base = base + np.conj(minor.k4) @ v_tt
-    norm0 = max(np.linalg.norm(v), np.finfo(float).tiny)
-    limit = _DIVERGENCE_FACTOR * norm0
-    residual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        vnorm2 = np.vdot(v, v).real
-        den = naa + vnorm2 + ntt
-        if den <= 0.0:
-            raise DegenerateGeometryError("zero combining denominator")
-        v_new = (base + minor.k3.T @ v) / den
-        if not np.all(np.isfinite(v_new.view(float))):
-            raise NumericalFailureError("turbo iteration produced non-finite values")
-        step = np.linalg.norm(v_new - v)
-        residual = step / max(np.sqrt(vnorm2), np.finfo(float).tiny)
-        v = v_new
-        if np.linalg.norm(v) > limit:
-            raise NumericalFailureError("turbo iteration diverged")
-        if residual < cfg.rel_tolerance:
-            converged = True
-            break
-    return TurboResult(v, iterations, converged, float(residual))
 
 
 def embed_distances(dist_matrix: np.ndarray) -> np.ndarray:
@@ -316,16 +188,11 @@ def reconstruct_angles(coords: np.ndarray, index: PairIndex) -> np.ndarray:
 
 
 def _smds_from_polar(distances: np.ndarray, angles: np.ndarray,
-                     anchors: AnchorSet, index: PairIndex,
-                     config: SolverConfig):
-    """Kernel minor pipeline from per-pair polar edge data."""
-    edge_set = EdgeSet(index, np.asarray(distances) * np.exp(1j * np.asarray(angles)))
-    minor = extract_minor(build_kernel(edge_set))
-    v_aa, v_tt = edge_set.aa, edge_set.tt
-    init = turbo_init(minor.k1, minor.k4, v_aa, v_tt)
-    result = turbo_iterate(minor, v_aa, v_tt, init, config)
-    coords = coordinates_from_edges(result.v_at, anchors, index)
-    return coords, result
+                     anchors: AnchorSet, index: PairIndex) -> np.ndarray:
+    """Closed-form SMDS estimate from per-pair polar edge data."""
+    at = index.at
+    v_at = np.asarray(distances)[at] * np.exp(1j * np.asarray(angles)[at])
+    return coordinates_from_edges(v_at, anchors, index)
 
 
 def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
@@ -341,7 +208,7 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
     conformation : Conformation, optional
         Known body shape; used only to cross-check the target count.
     config : SolverConfig, optional
-        Defaults to the full estimator with standard iteration control.
+        Defaults to the full estimator.
 
     Returns
     -------
@@ -358,21 +225,11 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
 
     if cfg.method == "mds":
         coords = classic_mds(meas.distances, anchors, index)
-        return LandmarkEstimate(coords, 0, True, 0.0, cfg.method)
-
-    if cfg.method == "smds_full":
-        coords, result = _smds_from_polar(meas.distances, meas.angles,
-                                          anchors, index, cfg)
-        return LandmarkEstimate(coords, result.iterations, result.converged,
-                                result.residual, cfg.method)
-
-    # distance only: bootstrap bearings from an MDS embedding
-    targets = classic_mds(meas.distances, anchors, index)
-    all_coords = np.hstack([anchors.positions, targets])
-    angles = reconstruct_angles(all_coords, index)
-    angles[index.aa] = meas.angles[index.aa]
-    if meas.tt_exact:
-        angles[index.tt] = meas.angles[index.tt]
-    coords, result = _smds_from_polar(meas.distances, angles, anchors, index, cfg)
-    return LandmarkEstimate(coords, result.iterations, result.converged,
-                            result.residual, cfg.method)
+    elif cfg.method == "smds_full":
+        coords = _smds_from_polar(meas.distances, meas.angles, anchors, index)
+    else:
+        # distance only: bootstrap bearings from an MDS embedding
+        targets = classic_mds(meas.distances, anchors, index)
+        angles = reconstruct_angles(np.hstack([anchors.positions, targets]), index)
+        coords = _smds_from_polar(meas.distances, angles, anchors, index)
+    return LandmarkEstimate(coords, 0, True, 0.0, cfg.method)

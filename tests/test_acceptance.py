@@ -1,8 +1,13 @@
 """End-to-end acceptance checks.
 
-Each test prints one PASS/FAIL line with the measured quantity so a full
-run reads as a nine-line scorecard. The two Monte Carlo fixtures are
-module scoped; everything downstream reuses their per-trial errors.
+Each criterion test prints one PASS/FAIL line with the measured quantity
+so a full run reads as a nine-line scorecard. The two Monte Carlo
+fixtures are module scoped; everything downstream reuses their per-trial
+errors.
+
+The SMDS methods are computed in closed form. Criterion 2 and the noisy
+equivalence test pin them to the edge-kernel pipeline they replace,
+kept as a reference copy in `kernel_reference.py`.
 """
 
 import time
@@ -11,14 +16,18 @@ import numpy as np
 import pytest
 
 from rigidloc.crlb import bearing_intensity, compute_fim
-from rigidloc.edges import build_kernel, build_pair_index, edges_from_coordinates, extract_minor
 from rigidloc.geometry import Conformation, Pose, SceneConfig, apply_pose, random_scene
 from rigidloc.harness import ExperimentConfig, format_results, run_experiment, write_results
 from rigidloc.measurements import (NoiseConfig, generate_measurements,
                                    rho_to_zeta, sample_angle, sample_distance,
                                    wrap_angle, zeta_to_rho)
 from rigidloc.procrustes import estimate_pose
-from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks, turbo_iterate
+from rigidloc.solvers import (METHODS, SolverConfig, classic_mds,
+                              coordinates_from_edges, reconstruct_angles,
+                              solve_landmarks)
+
+from kernel_reference import (build_kernel, edges_from_measurements,
+                              extract_minor, reference_pipeline, turbo_iterate)
 
 
 def check(num, name, ok, detail):
@@ -63,17 +72,48 @@ def test_criterion_1_noiseless_exactness():
 
 
 def test_criterion_2_turbo_fixed_point():
+    noise = NoiseConfig(sigma=0.0, rho=np.inf)
     worst = 0.0
     for seed in range(100):
         scene = random_scene(SceneConfig(), seed=seed)
-        idx = build_pair_index(scene.n_anchors, scene.n_landmarks)
-        es = edges_from_coordinates(scene.complex_positions(), idx)
-        minor = extract_minor(build_kernel(es))
-        result = turbo_iterate(minor, es.aa, es.tt, es.at,
-                               SolverConfig(max_iterations=1))
-        worst = max(worst, result.residual)
+        meas = generate_measurements(scene, noise, seed)
+        idx = meas.index
+        es = edges_from_measurements(meas)
+        closed = es.at  # the AT edges the closed form averages
+        step = turbo_iterate(extract_minor(build_kernel(es)), es.aa, es.tt,
+                             closed, max_iterations=1)
+        worst = max(worst, step.residual)
+        est = solve_landmarks(meas, scene.anchors, scene.conformation,
+                              SolverConfig(method="smds_full"))
+        worst = max(worst, np.max(np.abs(
+            est.coordinates - coordinates_from_edges(step.v_at, scene.anchors, idx))))
     check(2, "turbo fixed point", worst < 1e-12,
-          f"max one-step residual {worst:.3g} from the true AT edges, 100 scenes")
+          f"max one-step residual {worst:.3g} of the kernel-minor update from "
+          "the closed-form AT edges, 100 scenes")
+
+
+def test_smds_closed_form_matches_reference_pipeline_under_noise():
+    worst = 0.0
+    for sigma, tt_noisy in ((0.1, False), (0.5, True), (2.0, False)):
+        noise = NoiseConfig(sigma=sigma, zeta_theta=np.deg2rad(8.0), tt_noisy=tt_noisy)
+        for k in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence(606, spawn_key=(k,)))
+            scene = random_scene(SceneConfig(), rng)
+            meas = generate_measurements(scene, noise, rng)
+            idx = meas.index
+            targets = classic_mds(meas.distances, scene.anchors, idx)
+            mds_angles = reconstruct_angles(
+                np.hstack([scene.anchors.positions, targets]), idx)
+            mds_angles[idx.aa] = meas.angles[idx.aa]
+            if meas.tt_exact:
+                mds_angles[idx.tt] = meas.angles[idx.tt]
+            for method, angles in (("smds_full", meas.angles),
+                                   ("smds_distance_only", mds_angles)):
+                est = solve_landmarks(meas, scene.anchors, scene.conformation,
+                                      SolverConfig(method=method))
+                ref = reference_pipeline(meas.distances, angles, scene.anchors, idx)
+                worst = max(worst, np.max(np.abs(est.coordinates - ref)))
+    assert worst < 1e-12, f"closed form differs from the kernel pipeline by {worst:.3g}"
 
 
 def _paired_margins(row_a, row_b):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from rigidloc.edges import (build_coefficient_matrix, build_kernel,
-                            build_pair_index, edges_from_coordinates,
-                            edges_from_measurements, extract_minor)
+from rigidloc.edges import EdgeSet, build_pair_index, edges_from_coordinates
 from rigidloc.errors import DegenerateGeometryError
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.measurements import MeasurementSet
-from rigidloc.solvers import rank1_truncate
+
+from kernel_reference import (build_kernel, edges_from_measurements,
+                              extract_minor, rank1_truncate)
 
 
 def random_coords(t, seed):
@@ -42,39 +42,13 @@ def test_pair_index_ascending():
     assert idx.n_pairs == 9 * 8 // 2
 
 
-def test_coefficient_matrix_tiny():
-    idx = build_pair_index(2, 1)
-    dense = build_coefficient_matrix(idx).to_dense()
-    expected = np.array([[-1.0, 1.0, 0.0],
-                         [-1.0, 0.0, 1.0],
-                         [0.0, -1.0, 1.0]])
-    assert np.array_equal(dense, expected)
-
-
-def test_coefficient_matrix_row_sums_and_nnz():
-    idx = build_pair_index(6, 5)
-    cm = build_coefficient_matrix(idx)
-    dense = cm.to_dense()
-    assert np.all(dense.sum(axis=1) == 0.0)
-    assert cm.nnz == 2 * idx.n_pairs
-    ones = np.ones(idx.n_nodes)
-    assert np.all(dense @ ones == 0.0)
-
-
-def test_coefficient_matrix_rank():
-    idx = build_pair_index(4, 3)
-    dense = build_coefficient_matrix(idx).to_dense()
-    assert np.linalg.matrix_rank(dense) == idx.n_nodes - 1
-
-
-def test_coefficient_matrix_matches_edges():
-    idx = build_pair_index(4, 3)
-    x = random_coords(7, seed=0)
-    cm = build_coefficient_matrix(idx)
-    v = edges_from_coordinates(x, idx).values
-    assert np.max(np.abs(cm.to_dense() @ x - v)) < 1e-12
-    assert np.max(np.abs(cm.apply(x) - v)) < 1e-12
-    assert np.max(np.abs(cm.to_sparse() @ x - v)) < 1e-12
+def test_pair_index_shared_per_size():
+    idx = build_pair_index(6, 4)
+    assert build_pair_index(np.int64(6), 4.0) is idx
+    assert build_pair_index(4, 6) is not idx
+    assert not idx.first.flags.writeable and not idx.second.flags.writeable
+    with pytest.raises(ValueError):
+        build_pair_index(1, 0)
 
 
 def test_edges_from_coordinates_simple():
@@ -127,7 +101,6 @@ def test_kernel_small_case():
 
     # v = (1, j) cannot come from real geometry with one pair; build the
     # kernel from the raw edge vector instead
-    from rigidloc.edges import EdgeSet
     es = EdgeSet(build_pair_index(3, 0), np.array([1.0, 1.0j, 1.0]))
     k = build_kernel(es).assemble()
     assert np.allclose(k[:2, :2], np.array([[1.0, 1.0j], [-1.0j, 1.0]]))

@@ -69,6 +69,21 @@ def test_worker_count_does_not_change_results():
     assert text1 == text2
 
 
+def test_one_process_pool_per_run(monkeypatch):
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    run_experiment(small_config(sigma_grid=(0.2, 0.5, 1.0), trials=6, workers=2))
+    assert opened == [2]
+    run_experiment(small_config(trials=6, workers=1))
+    assert opened == [2]
+
+
 def test_kept_trial_errors_reproduce_aggregates():
     rows = run_experiment(small_config(), keep_trial_errors=True)
     for r in rows:

@@ -130,16 +130,40 @@ def test_estimate_pose_two_point_segment():
     est = estimate_pose(s, c)
     assert np.max(np.abs(est.rotation.matrix - rot.matrix)) < 1e-10
     assert np.allclose(est.translation, [2.0, 1.0], atol=1e-10)
-    assert est.ambiguous
+    # a segment fixes the rotation: the optimum is unique
+    assert not est.ambiguous
 
 
-def test_estimate_pose_collinear_flagged():
+def test_estimate_pose_collinear_not_flagged():
+    # a rank-1 cross-covariance still has a unique best rotation
     c = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     rot = rotation_from_angle(-1.2)
     s = rot.matrix @ c
     est = estimate_pose(s, c)
-    assert est.ambiguous
+    assert not est.ambiguous
     assert np.max(np.abs(est.rotation.matrix - rot.matrix)) < 1e-9
+
+
+def test_estimate_pose_collinear_estimates_unique_optimum():
+    c = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    s = np.array([[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0]]) + np.array([[3.0], [1.0]])
+    est = estimate_pose(s, c)
+    assert not est.ambiguous
+    assert abs(est.rotation.angle) < 1e-12
+    objective = grid_objective(s, c, np.array([0.0, np.pi]))
+    assert np.allclose(objective, [2.0, 18.0])
+    assert est.objective == pytest.approx(2.0)
+
+
+def test_estimate_pose_mirror_image_flagged():
+    # the mirrored 8-gon fits every rotation equally: z = 0
+    conf = Conformation.regular_polygon(8, 1.0)
+    s = np.diag([1.0, -1.0]) @ conf.points
+    est = estimate_pose(s, conf)
+    assert est.ambiguous
+    objective = grid_objective(s, conf.points, np.linspace(-np.pi, np.pi, 37))
+    assert np.allclose(objective, 16.0)
+    assert est.objective == pytest.approx(16.0)
 
 
 def test_estimate_pose_noncollinear_not_flagged():
