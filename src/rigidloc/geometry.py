@@ -14,6 +14,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -301,11 +302,24 @@ class SceneConfig:
             raise ConfigurationError("wall clearance cannot be negative")
 
     def build_anchors(self) -> AnchorSet:
+        """The config's anchor set, built on first use and then shared."""
+        return self._anchors
+
+    def build_conformation(self) -> Conformation:
+        """The config's body shape, built on first use and then shared."""
+        return self._conformation
+
+    # Cached in the instance: the config is frozen, what it builds is
+    # immutable, and `dataclasses.replace` makes a new instance. A build
+    # that raises is not cached.
+    @cached_property
+    def _anchors(self) -> AnchorSet:
         if self.anchor_positions is not None:
             return AnchorSet(self.anchor_positions)
         return AnchorSet.perimeter(self.n_anchors, self.room_width, self.room_height)
 
-    def build_conformation(self) -> Conformation:
+    @cached_property
+    def _conformation(self) -> Conformation:
         if self.body_points is not None:
             return Conformation(self.body_points)
         return Conformation.regular_polygon(self.n_landmarks, self.body_radius)

@@ -22,7 +22,8 @@ import numpy as np
 from .crlb import compute_fim
 from .errors import ConfigurationError, DegenerateGeometryError, NumericalFailureError
 from .geometry import Scene, SceneConfig, random_scene
-from .measurements import NoiseConfig, generate_measurements, zeta_to_rho
+from .measurements import (ZETA_MAX, NoiseConfig, generate_measurements,
+                           zeta_to_rho)
 from .procrustes import estimate_pose, rotation_mse
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -69,6 +70,13 @@ class ExperimentConfig:
             raise ConfigurationError("need at least one worker")
         if self.rho is None and self.zeta_theta is None:
             raise ConfigurationError("specify bearing noise via zeta_theta or rho")
+        # checked here, not per trial: the FIM needs a finite rho, and
+        # zeta_to_rho accepts only (0, 0.9 pi]
+        if self.rho is not None:
+            if not np.isfinite(self.rho) or self.rho < 0:
+                raise ConfigurationError("rho must be finite and nonnegative")
+        elif not 0.0 < self.zeta_theta <= ZETA_MAX + 1e-12:
+            raise ConfigurationError("zeta_theta must lie in (0, 0.9*pi]")
 
     def resolve_rho(self) -> float:
         return float(self.rho) if self.rho is not None else zeta_to_rho(self.zeta_theta)

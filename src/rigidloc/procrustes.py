@@ -5,13 +5,18 @@ rotation and translation minimizing the weighted squared mismatch
 
     G(Q, t) = sum_i w_i || s_i - (Q c_i + t) ||^2
 
-have a closed form: center both point sets at their weighted means,
-take the SVD of the weighted cross-covariance, and correct the sign so
-the solution is a proper rotation (det +1).
+have a closed form. Centre both point sets at their weighted means and
+read them as complex numbers. A rotation by q = exp(j alpha) changes the
+objective only through Re(conj(q) z) with z = sum_i w_i conj(c_i) s_i,
+so the best rotation is the phase of z. A reflection c -> q conj(c)
+likewise depends only on z' = sum_i w_i c_i s_i; when reflections are
+allowed, the larger of |z| and |z'| wins. No SVD or determinant
+correction is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +56,9 @@ class PoseEstimate:
     `ambiguous` is set when every rotation fits equally well: in the
     plane the objective depends on the angle only through the complex
     cross term z = sum_n w_n conj(c_n) s_n of the centred points, so the
-    best proper rotation is unique unless z vanishes. The returned pose
-    is then still the SVD solution.
+    best proper rotation is unique unless z vanishes. The returned
+    rotation is then whatever phase rounding leaves in z, or the
+    identity when z is exactly zero.
     """
 
     rotation: RotationMatrix
@@ -103,42 +109,54 @@ def fit_alignment(source: np.ndarray, target: np.ndarray, weights=None,
     -------
     (R, t) : (ndarray (2, 2), ndarray (2,))
     """
-    r, t, _ = _fit(source, target, weights, allow_reflection)
+    c, s, w = _validated(source, target, weights, "source", "target")
+    r, t, _ = _fit(c, s, w, allow_reflection)
     return r, t
 
 
-def _fit(source, target, weights, allow_reflection):
-    c = _as_points(source, "source")
-    s = _as_points(target, "target")
+def _validated(source, target, weights, source_name: str, target_name: str):
+    c = _as_points(source, source_name)
+    s = _as_points(target, target_name)
     if s.shape != c.shape:
         raise ValueError("point sets must have matching shapes")
     n = s.shape[1]
     if n < 2:
         raise ValueError("need at least 2 points to fit an alignment")
-    w = _as_weights(weights, n)
-    wsum = w.sum()
-    s_bar = (s @ w) / wsum
-    c_bar = (c @ w) / wsum
-    s_c = s - s_bar[:, None]
-    c_c = c - c_bar[:, None]
-    h = (c_c * w) @ s_c.T
-    u, sing, vt = np.linalg.svd(h)
-    scale = np.linalg.norm(c_c) * np.linalg.norm(s_c)
-    if sing[0] <= 1e-14 * max(scale, np.finfo(float).tiny):
+    return c, s, _as_weights(weights, n)
+
+
+def _fit(c, s, w, allow_reflection):
+    """Closed-form fit on validated points; returns (R, t, ambiguous)."""
+    wsum = float(w.sum())
+    cz = c[0] + 1j * c[1]
+    sz = s[0] + 1j * s[1]
+    c_bar = complex(cz @ w) / wsum
+    s_bar = complex(sz @ w) / wsum
+    cz = cz - c_bar
+    sz = sz - s_bar
+    wc = w * cz
+    z = complex(np.vdot(wc, sz))      # sum w conj(c) s: rotations
+    z_ref = complex(wc @ sz)          # sum w c s: reflections c -> q conj(c)
+    # (|z| + |z'|) / 2 is the largest singular value of the 2x2
+    # cross-covariance, so this is its rank-0 test
+    scale = math.sqrt(np.vdot(cz, cz).real * np.vdot(sz, sz).real)
+    if 0.5 * (abs(z) + abs(z_ref)) <= 1e-14 * max(scale, np.finfo(float).tiny):
         raise DegenerateGeometryError("point sets carry no orientation information")
-    v = vt.T
-    if allow_reflection:
-        r = v @ u.T
-        ambiguous = False
+    ambiguous = False
+    if allow_reflection and abs(z_ref) > abs(z):
+        q = z_ref / abs(z_ref)
+        r = np.array([[q.real, q.imag], [q.imag, -q.real]])
+        shift = s_bar - q * c_bar.conjugate()
     else:
-        d = np.sign(np.linalg.det(v @ u.T))
-        r = v @ np.diag([1.0, d]) @ u.T
-        # |z| <= ||sqrt(w) c_c|| ||sqrt(w) s_c|| by Cauchy-Schwarz
-        z = complex(h[0, 0] + h[1, 1], h[0, 1] - h[1, 0])
-        bound = np.sqrt(np.sum(w * c_c * c_c) * np.sum(w * s_c * s_c))
-        ambiguous = bool(abs(z) <= _AMBIGUITY_RATIO * bound)
-    t = s_bar - r @ c_bar
-    return r, t, ambiguous
+        # z = 0 leaves every rotation optimal; keep the identity then
+        q = z / abs(z) if z else 1.0 + 0.0j
+        r = np.array([[q.real, -q.imag], [q.imag, q.real]])
+        shift = s_bar - q * c_bar
+        if not allow_reflection:
+            # |z| <= ||sqrt(w) c|| ||sqrt(w) s|| by Cauchy-Schwarz
+            bound = math.sqrt(np.vdot(wc, cz).real * np.vdot(w * sz, sz).real)
+            ambiguous = abs(z) <= _AMBIGUITY_RATIO * bound
+    return r, np.array([shift.real, shift.imag]), ambiguous
 
 
 def estimate_pose(landmarks: np.ndarray, conformation,
@@ -151,8 +169,7 @@ def estimate_pose(landmarks: np.ndarray, conformation,
         Estimated world positions (the fit target).
     conformation : Conformation or ndarray (2, N)
         Known body-frame shape. Two-point shapes are accepted: a segment
-        fixes the rotation once the sign is resolved by the determinant
-        correction.
+        fixes the rotation, since only a proper rotation is allowed.
     weights : array-like, optional
         Per-landmark nonnegative weights, default uniform.
 
@@ -167,10 +184,8 @@ def estimate_pose(landmarks: np.ndarray, conformation,
         If the weighted point sets are degenerate (rank-0 cross
         covariance, e.g. all points coincident).
     """
-    c = _as_points(conformation, "conformation")
-    s = _as_points(landmarks, "landmarks")
-    r, t, ambiguous = _fit(c, s, weights, allow_reflection=False)
-    w = _as_weights(weights, s.shape[1])
+    c, s, w = _validated(conformation, landmarks, weights, "conformation", "landmarks")
+    r, t, ambiguous = _fit(c, s, w, allow_reflection=False)
     resid = s - (r @ c + t[:, None])
     objective = float(np.sum(w * np.sum(resid * resid, axis=0)))
     return PoseEstimate(RotationMatrix.from_matrix(r), t, objective, ambiguous)

@@ -18,7 +18,9 @@ Three methods are provided behind one dispatch function:
     edge angles from the embedded coordinates, and feed those synthetic
     bearings through the ``smds_full`` path.
 
-All routines are pure functions of their inputs.
+All routines are pure functions of their inputs. ``solve_landmarks``
+keeps the MDS embedding of the last measurement set it saw, so ``mds``
+and ``smds_distance_only`` on one set share one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -152,16 +154,42 @@ def classic_mds(distances: np.ndarray, anchors: AnchorSet,
     distances = np.asarray(distances, dtype=float)
     if distances.shape != (index.n_pairs,):
         raise ValueError("expected one distance per pair")
+    return _aligned_targets(embed_distances(_distance_matrix(distances, index)),
+                            anchors, index.n_anchors)
+
+
+def _distance_matrix(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     t = index.n_nodes
     dmat = np.zeros((t, t))
     dmat[index.first, index.second] = distances
-    dmat = dmat + dmat.T
-    coords = embed_distances(dmat)
-    m = index.n_anchors
+    return dmat + dmat.T
+
+
+def _aligned_targets(coords: np.ndarray, anchors: AnchorSet, m: int) -> np.ndarray:
+    """Map an embedding onto the anchors; returns its target columns."""
     rot, shift = fit_alignment(coords[:, :m], anchors.positions,
                                allow_reflection=True)
     aligned = rot @ coords + shift[:, None]
     return aligned[:, m:]
+
+
+# The last MeasurementSet embedded and its (2, T) embedding. `mds` and
+# `smds_distance_only` of one trial embed the same set, so the second
+# reuses the first's eigendecomposition. Matching by identity is sound:
+# a MeasurementSet is frozen and its arrays are read-only, and the strong
+# reference keeps its id from being reused.
+_last_embedding = (None, None)
+
+
+def _embedding(meas) -> np.ndarray:
+    global _last_embedding
+    cached_meas, cached = _last_embedding
+    if cached_meas is meas:
+        return cached
+    coords = embed_distances(_distance_matrix(meas.distances, meas.index))
+    coords.flags.writeable = False
+    _last_embedding = (meas, coords)
+    return coords
 
 
 def reconstruct_angles(coords: np.ndarray, index: PairIndex) -> np.ndarray:
@@ -223,13 +251,12 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
     if conformation is not None and conformation.n_points != index.n_targets:
         raise ValueError("conformation size does not match the measurement index")
 
-    if cfg.method == "mds":
-        coords = classic_mds(meas.distances, anchors, index)
-    elif cfg.method == "smds_full":
+    if cfg.method == "smds_full":
         coords = _smds_from_polar(meas.distances, meas.angles, anchors, index)
     else:
-        # distance only: bootstrap bearings from an MDS embedding
-        targets = classic_mds(meas.distances, anchors, index)
-        angles = reconstruct_angles(np.hstack([anchors.positions, targets]), index)
-        coords = _smds_from_polar(meas.distances, angles, anchors, index)
+        coords = _aligned_targets(_embedding(meas), anchors, index.n_anchors)
+        if cfg.method == "smds_distance_only":
+            # bootstrap bearings from the MDS estimate
+            angles = reconstruct_angles(np.hstack([anchors.positions, coords]), index)
+            coords = _smds_from_polar(meas.distances, angles, anchors, index)
     return LandmarkEstimate(coords, 0, True, 0.0, cfg.method)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,26 @@ def test_scene_positions_order():
     z = scene.complex_positions()
     assert np.allclose(z.real, allpos[0])
     assert np.allclose(z.imag, allpos[1])
+
+
+def test_scene_config_builds_once():
+    cfg = SceneConfig()
+    assert cfg.build_anchors() is cfg.build_anchors()
+    assert cfg.build_conformation() is cfg.build_conformation()
+    scene = random_scene(cfg, seed=1)
+    assert scene.anchors is cfg.build_anchors()
+    assert scene.conformation is cfg.build_conformation()
+    # replace() gives a new config, which builds its own objects
+    other = replace(cfg, n_anchors=6)
+    assert other.build_anchors() is not cfg.build_anchors()
+    assert other.build_anchors().n_anchors == 6
+    assert cfg.build_anchors().n_anchors == 8
+
+
+def test_scene_config_failed_build_raises_every_call():
+    cfg = SceneConfig(anchor_positions=np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))
+    for _ in range(2):
+        with pytest.raises(DegenerateGeometryError):
+            cfg.build_anchors()
+        with pytest.raises(DegenerateGeometryError):
+            random_scene(cfg, seed=0)

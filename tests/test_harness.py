@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rigidloc.harness as harness
+import rigidloc.solvers as solvers
 from rigidloc.crlb import compute_fim
 from rigidloc.errors import ConfigurationError, NumericalFailureError
 from rigidloc.geometry import SceneConfig
@@ -11,6 +12,7 @@ from rigidloc.harness import (CSV_HEADER, ExperimentConfig, ResultRow,
                               format_results, reference_scene, run_experiment,
                               write_results)
 from rigidloc.measurements import NoiseConfig
+from rigidloc.solvers import METHODS
 
 
 def small_config(**kw):
@@ -33,6 +35,15 @@ def test_config_validation():
         ExperimentConfig(workers=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(zeta_theta=None, rho=None)
+    # bearing noise is checked when the config is built, not per trial
+    for rho in (np.inf, -1.0, np.nan):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(rho=rho)
+    for zeta in (0.0, -0.1, 4.0, np.nan):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(zeta_theta=zeta)
+    assert ExperimentConfig(rho=0.0).resolve_rho() == 0.0
+    assert ExperimentConfig(zeta_theta=0.9 * np.pi).resolve_rho() == 0.0
 
 
 def test_row_layout_and_rmse():
@@ -82,6 +93,22 @@ def test_one_process_pool_per_run(monkeypatch):
     assert opened == [2]
     run_experiment(small_config(trials=6, workers=1))
     assert opened == [2]
+
+
+def test_one_embedding_per_trial(monkeypatch):
+    calls = []
+    real = solvers.embed_distances
+
+    def counting(dmat):
+        calls.append(dmat.shape)
+        return real(dmat)
+
+    monkeypatch.setattr(solvers, "embed_distances", counting)
+    run_experiment(small_config(sigma_grid=(0.2, 0.7), trials=5, methods=METHODS))
+    assert len(calls) == 2 * 5
+    calls.clear()
+    run_experiment(small_config(sigma_grid=(0.2, 0.7), trials=5, methods=("smds_full",)))
+    assert calls == []
 
 
 def test_kept_trial_errors_reproduce_aggregates():

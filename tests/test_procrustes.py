@@ -6,6 +6,8 @@ from rigidloc.geometry import Conformation, Pose, apply_pose, rotation_from_angl
 from rigidloc.procrustes import (estimate_pose, fit_alignment, rotation_mse,
                                  weighted_means)
 
+from procrustes_reference import svd_fit
+
 
 def noisy_instance(seed, noise=0.05, n=6):
     rng = np.random.default_rng(seed)
@@ -190,3 +192,63 @@ def test_rotation_mse_values():
         expected = 2.0 * (2.0 - 2.0 * np.cos(delta))
         assert rotation_mse(q1, q0) == pytest.approx(expected, abs=1e-12)
     assert rotation_mse(rotation_from_angle(np.pi).matrix, np.eye(2)) == pytest.approx(8.0)
+
+
+def _objective(r, t, c, s, w):
+    resid = s - (r @ c + t[:, None])
+    return float(np.sum(w * np.sum(resid * resid, axis=0)))
+
+
+def test_complex_fit_matches_svd_reference():
+    # 200 seeded sets: the closed form agrees with the SVD fit it replaced
+    checked = ties = degenerate = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = (2, 3, 8, 48)[seed % 4]
+        c = rng.uniform(-3.0, 3.0, size=(2, n))
+        flip = np.diag([1.0, -1.0]) if seed % 3 == 0 else np.eye(2)
+        q = rotation_from_angle(rng.uniform(-np.pi, np.pi)).matrix
+        noise = (0.01, 0.3, 3.0)[seed % 5 % 3]
+        s = q @ flip @ c + rng.uniform(-5.0, 5.0, size=(2, 1)) \
+            + noise * rng.standard_normal((2, n))
+        w = None
+        if seed % 7:
+            w = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) > 0.3)
+            if not w.any():
+                w[rng.integers(n)] = 1.0
+        weights = np.ones(n) if w is None else w
+        c_c = c - ((c @ weights) / weights.sum())[:, None]
+        s_c = s - ((s @ weights) / weights.sum())[:, None]
+        h = (c_c * weights) @ s_c.T
+        z = abs(complex(h[0, 0] + h[1, 1], h[0, 1] - h[1, 0]))
+        z_ref = abs(complex(h[0, 0] - h[1, 1], h[0, 1] + h[1, 0]))
+        for allow_reflection in (False, True):
+            try:
+                r_ref, t_ref, amb_ref = svd_fit(c, s, w, allow_reflection)
+            except DegenerateGeometryError:
+                with pytest.raises(DegenerateGeometryError):
+                    fit_alignment(c, s, w, allow_reflection=allow_reflection)
+                degenerate += 1
+                continue
+            r, t = fit_alignment(c, s, w, allow_reflection=allow_reflection)
+            fits = [(r, t, None)]
+            if not allow_reflection:
+                est = estimate_pose(s, c, w)
+                assert est.ambiguous == amb_ref
+                assert est.objective == pytest.approx(
+                    _objective(est.rotation.matrix, est.translation, c, s, weights),
+                    rel=1e-12, abs=1e-12)
+                fits.append((est.rotation.matrix, est.translation, est.ambiguous))
+            tie = z <= 1e-12 * (z + z_ref) or (
+                allow_reflection and abs(z - z_ref) <= 1e-9 * (z + z_ref))
+            for r_got, t_got, _ in fits:
+                if tie:
+                    assert _objective(r_got, t_got, c, s, weights) == pytest.approx(
+                        _objective(r_ref, t_ref, c, s, weights), rel=1e-9, abs=1e-12)
+                else:
+                    assert np.max(np.abs(r_got - r_ref)) < 1e-12
+                    assert np.max(np.abs(t_got - t_ref)) < 1e-12
+            ties += tie
+            checked += 1
+    # every regime is exercised: unique optima, ties and rank-0 sets
+    assert checked > 300 and ties > 20 and degenerate > 0

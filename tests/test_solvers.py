@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import orthogonal_procrustes
@@ -274,3 +276,35 @@ def test_median_rmse_improves_with_bearing_accuracy():
                         / np.sqrt(scene.n_landmarks))
         medians.append(np.median(errs))
     assert medians[0] >= medians[1] >= medians[2]
+
+
+def test_mds_methods_share_one_embedding_bitwise():
+    scene = random_scene(SceneConfig(n_anchors=10, n_landmarks=9), seed=21)
+    meas = generate_measurements(scene, NoiseConfig(sigma=0.4, rho=60.0), 5)
+
+    def solve(m, method):
+        return solve_landmarks(m, scene.anchors, scene.conformation,
+                               SolverConfig(method=method)).coordinates
+
+    mds_cold = solve(meas, "mds")
+    dist_only_warm = solve(meas, "smds_distance_only")
+    fresh = replace(meas)  # an equal set that the memo has not seen
+    assert fresh is not meas
+    dist_only_cold = solve(fresh, "smds_distance_only")
+    mds_warm = solve(fresh, "mds")
+    assert np.array_equal(mds_warm, mds_cold)
+    assert np.array_equal(dist_only_warm, dist_only_cold)
+    assert np.array_equal(mds_cold, classic_mds(meas.distances, scene.anchors, meas.index))
+
+
+def test_alternating_measurement_sets_keep_their_embeddings():
+    scene = random_scene(SceneConfig(), seed=22)
+    noise = NoiseConfig(sigma=0.5, rho=40.0)
+    sets = [generate_measurements(scene, noise, seed) for seed in (1, 2)]
+    expected = [classic_mds(m.distances, scene.anchors, m.index) for m in sets]
+    assert not np.array_equal(expected[0], expected[1])
+    for _ in range(2):
+        for m, want in zip(sets, expected):
+            est = solve_landmarks(m, scene.anchors, scene.conformation,
+                                  SolverConfig(method="mds"))
+            assert np.array_equal(est.coordinates, want)
