@@ -9,7 +9,9 @@ known shape.
 Measurement intensities follow the simulated models: 1/sigma^2 for
 ranges (Gaussian approximation of the gamma model, valid for
 d/sigma >> 1) and rho * I1(rho)/I0(rho) for von Mises bearings (the
-exact Fisher information for the mean direction).
+exact Fisher information for the mean direction). The Bessel ratio comes
+from `measurements.bessel_ratio`, the same von Mises quadrature that
+converts zeta to rho, and is computed once per rho.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .geometry import Scene
-from .measurements import NoiseConfig, zeta_to_rho
+from .measurements import NoiseConfig, bessel_ratio, zeta_to_rho
 
 _SINGULAR_RTOL = 1e-12
 
@@ -58,14 +59,12 @@ class FisherInformation:
 
 def bearing_intensity(rho: float) -> float:
     """Fisher information of a von Mises bearing about its mean direction."""
-    if rho < 0 or np.isnan(rho):
+    rho = float(rho)
+    if not rho >= 0.0:
         raise ValueError("rho must be nonnegative")
     if np.isinf(rho):
         raise ValueError("exact bearings carry unbounded information")
-    if rho == 0.0:
-        return 0.0
-    # exponentially scaled Bessel functions keep the ratio stable for large rho
-    return float(rho * i1e(rho) / i0e(rho))
+    return rho * bessel_ratio(rho)
 
 
 def _pose_gradients(scene: Scene):

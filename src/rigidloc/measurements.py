@@ -9,7 +9,10 @@ so a measured angle is directly the argument of the complex edge.
 Bearing accuracy can alternatively be stated as the half-width zeta of
 the interval around the true angle that captures 90 percent of the
 probability mass; `zeta_to_rho` and `rho_to_zeta` convert between the
-two parameterizations.
+two parameterizations. Both, and the Bessel ratio I1(rho)/I0(rho) that
+the bearing Fisher information needs (`bessel_ratio`), come from one
+exact quadrature of the von Mises density in numpy; `zeta_to_rho` and
+`bessel_ratio` compute each distinct argument once per process.
 
 Anchor-anchor measurements are always exact (anchor positions are
 known), anchor-target always noisy, target-target exact by default with
@@ -18,11 +21,11 @@ an optional noisy mode.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import vonmises as _vonmises_dist
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
@@ -30,17 +33,67 @@ from .geometry import Scene
 
 ZETA_MAX = 0.9 * np.pi
 
+# Von Mises integrals use a 20-point Gauss-Legendre rule on each of 12
+# equal panels of the density's effective support. Against adaptive
+# quadrature and reference Bessel functions the mass and I1/I0 agree to
+# about 2e-15 for rho in [1e-3, 1e7] and zeta in (0, pi]; 16 nodes on 8
+# panels reach only about 1e-12.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANELS = 12
+# the support ends where the scaled density falls below exp(-2 * _TAIL)
+_TAIL = 350.0
+
 
 def wrap_angle(theta):
     """Wrap angles to the interval [-pi, pi)."""
     return (np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _support(rho: float) -> float:
+    """Half-width beyond which the scaled density is below exp(-700)."""
+    return math.pi if rho <= _TAIL else 2.0 * math.asin(math.sqrt(_TAIL / rho))
+
+
+def _panel_rule(b: float):
+    """Composite Gauss-Legendre nodes and weights on [0, b]."""
+    h = b / _PANELS
+    theta = h * (np.arange(_PANELS)[:, None] + 0.5 * (_GL_NODES + 1.0))
+    return theta.ravel(), np.tile(0.5 * h * _GL_WEIGHTS, _PANELS)
+
+
+def _scaled_density(theta, rho: float):
+    """exp(rho * (cos(theta) - 1)), the von Mises density up to a constant.
+
+    Written with 2 sin^2(theta/2) = 1 - cos(theta), which keeps its
+    relative precision at small theta and large rho.
+    """
+    return np.exp(-rho * (2.0 * np.sin(0.5 * theta) ** 2))
+
+
+def _half_mass(b: float, rho: float) -> float:
+    """Integral of the scaled density over [0, b]."""
+    theta, weights = _panel_rule(b)
+    return float(weights @ _scaled_density(theta, rho))
+
+
 def _percentile_mass(zeta: float, rho: float) -> float:
     """Probability mass of a centered von Mises within [-zeta, zeta]."""
     if rho == 0.0:
         return zeta / np.pi
-    return float(_vonmises_dist.cdf(zeta, rho) - _vonmises_dist.cdf(-zeta, rho))
+    top = _support(rho)
+    return _half_mass(min(zeta, top), rho) / _half_mass(top, rho)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of an increasing f with f(lo) < 0 <= f(hi), to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def zeta_to_rho(zeta: float) -> float:
@@ -57,33 +110,53 @@ def zeta_to_rho(zeta: float) -> float:
     -------
     float
         rho >= 0 such that the von Mises mass on [-zeta, zeta] is 0.9.
+        Each zeta is solved once per process and then looked up.
     """
     zeta = float(zeta)
     if not (0.0 < zeta <= ZETA_MAX + 1e-12):
         raise ValueError("zeta must lie in (0, 0.9*pi]")
+    return _solve_rho(zeta)
+
+
+@functools.lru_cache(maxsize=64)
+def _solve_rho(zeta: float) -> float:
     if _percentile_mass(zeta, 0.0) >= 0.9:
         return 0.0
-    # normal approximation rho ~ (z_0.95 / zeta)^2 seeds the bracket
+    # twice the normal-limit root (z_0.95 / zeta)^2 brackets it: there the
+    # mass is 0.98 as zeta -> 0, and at least 0.96 anywhere in (0, 0.9*pi)
     hi = max(4.0, 2.0 * (1.6449 / zeta) ** 2)
-    while _percentile_mass(zeta, hi) < 0.9:
-        hi *= 4.0
-        if hi > 1e14:
-            raise ValueError("no concentration satisfies the requested zeta")
-    return float(brentq(lambda r: _percentile_mass(zeta, r) - 0.9,
-                        0.0, hi, xtol=1e-12, rtol=1e-14))
+    return _bisect(lambda r: _percentile_mass(zeta, r) - 0.9, 0.0, hi)
 
 
 def rho_to_zeta(rho: float) -> float:
     """Half-width of the 90th centered percentile for concentration rho."""
     rho = float(rho)
-    if rho < 0:
+    if not rho >= 0.0:
         raise ValueError("rho must be nonnegative")
     if rho == 0.0:
         return ZETA_MAX
     if np.isinf(rho):
         return 0.0
-    return float(brentq(lambda z: _percentile_mass(z, rho) - 0.9,
-                        1e-12, np.pi, xtol=1e-14, rtol=1e-14))
+    top = _support(rho)
+    target = 0.9 * _half_mass(top, rho)
+    return _bisect(lambda z: _half_mass(z, rho) - target, 0.0, top)
+
+
+@functools.lru_cache(maxsize=64)
+def bessel_ratio(rho: float) -> float:
+    """I1(rho)/I0(rho), the mean resultant length of a von Mises(rho) angle.
+
+    Folding [0, pi] onto [0, pi/2] turns the numerator, the integral of
+    cos(theta) times the density, into one with a nonnegative integrand,
+    so the ratio keeps full relative precision as rho -> 0. Takes a
+    finite float rho >= 0; each rho is computed once per process.
+    """
+    top = _support(rho)
+    theta, weights = _panel_rule(min(0.5 * math.pi, top))
+    c = np.cos(theta)
+    # density(theta) - density(pi - theta) = density(theta) * (1 - exp(-2 rho c))
+    folded = c * _scaled_density(theta, rho) * -np.expm1(-2.0 * rho * c)
+    return float(weights @ folded) / _half_mass(top, rho)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import iv
+from scipy.special import i0e, i1e, iv
 
 from rigidloc.crlb import bearing_intensity, compute_fim, crlb_curve
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, Scene,
@@ -50,8 +50,11 @@ def ring_scene(n_anchors, pose_angle=0.37):
 
 def test_bearing_intensity_values():
     assert bearing_intensity(0.0) == 0.0
-    for rho in (0.5, 2.0, 10.0):
-        expected = rho * iv(1, rho) / iv(0, rho)
+    for rho in np.logspace(-3, 6, 40):
+        if np.isfinite(iv(0, rho)):
+            expected = rho * iv(1, rho) / iv(0, rho)
+        else:  # iv overflows; the scaled functions share the factor exp(rho)
+            expected = rho * i1e(rho) / i0e(rho)
         assert bearing_intensity(rho) == pytest.approx(expected, rel=1e-12)
     # large-rho asymptote rho - 1/2
     assert bearing_intensity(1e6) == pytest.approx(1e6 - 0.5, abs=1.0)

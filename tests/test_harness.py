@@ -1,9 +1,15 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import rigidloc
 import rigidloc.harness as harness
+import rigidloc.measurements as measurements
 import rigidloc.solvers as solvers
 from rigidloc.crlb import compute_fim
 from rigidloc.errors import ConfigurationError, NumericalFailureError
@@ -109,6 +115,26 @@ def test_one_embedding_per_trial(monkeypatch):
     calls.clear()
     run_experiment(small_config(sigma_grid=(0.2, 0.7), trials=5, methods=("smds_full",)))
     assert calls == []
+
+
+def test_bearing_scalars_computed_once(monkeypatch):
+    solves = []
+    real = measurements._bisect
+
+    def counting(f, lo, hi):
+        solves.append((lo, hi))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(measurements, "_bisect", counting)
+    # a zeta no other test uses, so the first run has to solve for it
+    cfg = small_config(zeta_theta=0.1234567, trials=5)
+    misses = measurements.bessel_ratio.cache_info().misses
+    first = format_results(run_experiment(cfg))
+    assert len(solves) == 1
+    assert measurements.bessel_ratio.cache_info().misses == misses + 1
+    assert format_results(run_experiment(cfg)) == first
+    assert len(solves) == 1
+    assert measurements.bessel_ratio.cache_info().misses == misses + 1
 
 
 def test_kept_trial_errors_reproduce_aggregates():
@@ -217,3 +243,28 @@ def test_format_results_matches_header():
     first = text.splitlines()[0]
     assert first == "method,sigma,mse_t,rmse_t,mse_Q,conv_rate,crlb_t,crlb_Q,trials"
     assert text.endswith("\n")
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: with every scipy import made to
+    # fail, the package imports and a whole default sweep still runs
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import rigidloc as rl
+        rows = rl.run_experiment(rl.ExperimentConfig(trials=2))
+        assert len(rows) == 24 and all(np.isfinite(r.crlb_t) for r in rows)
+        scene = rl.random_scene(rl.SceneConfig(), seed=3)
+        curve = rl.crlb_curve(scene, [0.2, 0.5], np.deg2rad(8.0))
+        assert curve[0].crlb_t < curve[1].crlb_t
+        assert 0.0 < rl.rho_to_zeta(100.0) < rl.rho_to_zeta(10.0)
+        assert not [m for m in sys.modules if m.startswith("scipy.")]
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rigidloc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -13,9 +13,10 @@ from rigidloc.measurements import (ZETA_MAX, MeasurementSet, NoiseConfig,
 
 
 def vonmises_mass_oracle(zeta, rho):
-    # direct quadrature of the density, scaled to avoid overflow at large rho
+    # direct quadrature of the density, scaled to avoid overflow at large
+    # rho; 2 sin^2(t/2) = 1 - cos(t) keeps the exponent exact at small t
     def dens(t):
-        return np.exp(rho * (np.cos(t) - 1.0)) / (2.0 * np.pi * i0e(rho))
+        return np.exp(-2.0 * rho * np.sin(0.5 * t) ** 2) / (2.0 * np.pi * i0e(rho))
     val, _ = quad(dens, -zeta, zeta, epsabs=1e-12, epsrel=1e-12)
     return val
 
@@ -97,9 +98,29 @@ def test_zeta_rho_round_trips():
 
 
 def test_zeta_to_rho_quadrature_oracle():
-    zeta = np.deg2rad(5.0)
+    for zeta in (1e-3, 0.05, np.deg2rad(5.0), np.deg2rad(8.0), 0.5, 1.0, 2.0, 2.5):
+        rho = zeta_to_rho(zeta)
+        assert abs(vonmises_mass_oracle(zeta, rho) - 0.9) < 1e-12
+
+
+def test_zeta_to_rho_tiny_zeta_is_normal_limit():
+    # for rho -> inf the von Mises tends to a normal with variance 1/rho
+    z95 = 1.6448536269514722
+    zeta = 1e-8
     rho = zeta_to_rho(zeta)
-    assert abs(vonmises_mass_oracle(zeta, rho) - 0.9) < 1e-6
+    assert np.isfinite(rho)
+    assert rho == pytest.approx((z95 / zeta) ** 2, rel=1e-6)
+
+
+def test_rho_to_zeta_edges():
+    z95 = 1.6448536269514722
+    for rho in (1e12, 1e300):
+        assert rho_to_zeta(rho) == pytest.approx(z95 / np.sqrt(rho), rel=1e-6)
+    assert rho_to_zeta(np.inf) == 0.0
+    assert rho_to_zeta(0.0) == ZETA_MAX
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            rho_to_zeta(bad)
 
 
 def test_zeta_to_rho_strictly_decreasing():
@@ -109,10 +130,12 @@ def test_zeta_to_rho_strictly_decreasing():
 
 
 def test_zeta_to_rho_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        zeta_to_rho(0.0)
-    with pytest.raises(ValueError):
-        zeta_to_rho(0.95 * np.pi)
+    # repeated, because solved values are cached and errors must not be
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            zeta_to_rho(0.0)
+        with pytest.raises(ValueError):
+            zeta_to_rho(0.95 * np.pi)
 
 
 def test_noise_config_validation():
