@@ -12,6 +12,9 @@ d/sigma >> 1) and rho * I1(rho)/I0(rho) for von Mises bearings (the
 exact Fisher information for the mean direction). The Bessel ratio comes
 from `measurements.bessel_ratio`, the same von Mises quadrature that
 converts zeta to rho, and is computed once per rho.
+
+`compute_fim` of a `SceneBatch` bounds K scenes at once, on arrays with
+a leading trial axis; one `Scene` is the K = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene
+from .geometry import Scene, SceneBatch
 from .measurements import NoiseConfig, bessel_ratio, zeta_to_rho
 
 _SINGULAR_RTOL = 1e-12
@@ -33,7 +36,8 @@ class FisherInformation:
     Attributes
     ----------
     matrix : ndarray, shape (3, 3)
-        Symmetric positive semi-definite information matrix.
+        Symmetric positive semi-definite information matrix. For a
+        `SceneBatch` it is (K, 3, 3) and each bound a (K,) array.
     crlb_t : float
         Lower bound on E||t_hat - t||^2, the trace of the translation
         block of the inverse FIM. Infinite when the FIM is singular.
@@ -51,7 +55,7 @@ class FisherInformation:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float).copy()
-        if m.shape != (3, 3):
+        if m.shape[-2:] != (3, 3) or m.ndim > 3:
             raise ValueError("FIM must be 3x3")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -67,44 +71,73 @@ def bearing_intensity(rho: float) -> float:
     return rho * bessel_ratio(rho)
 
 
-def _pose_gradients(scene: Scene):
-    """Stack d/d(t_x, t_y, alpha) of every AT range and bearing."""
-    a = scene.anchors.positions
-    s = scene.landmarks
-    alpha = scene.pose.rotation.angle
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    qprime = np.array([[-sa, -ca], [ca, -sa]])
-    # ds_n/dalpha, one column per landmark
-    dsda = qprime @ scene.conformation.points
+def _pose_gradients(anchors, points, landmarks, angles):
+    """d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
 
-    e = s[:, None, :] - a[:, :, None]
-    d = np.linalg.norm(e, axis=0)
-    u = e / d
-    uperp = np.stack([-u[1], u[0]])
-    proj_d = np.einsum("kmn,kn->mn", u, dsda)
-    proj_psi = np.einsum("kmn,kn->mn", uperp, dsda)
-    g_d = np.stack([u[0], u[1], proj_d])
-    g_psi = np.stack([uperp[0] / d, uperp[1] / d, proj_psi / d])
+    Returns two (K, 3, M, N) arrays, for ranges and for bearings.
+    """
+    ca, sa = np.cos(angles), np.sin(angles)
+    qprime = np.empty(ca.shape + (2, 2))
+    qprime[:, 0, 0] = -sa
+    qprime[:, 0, 1] = -ca
+    qprime[:, 1, 0] = ca
+    qprime[:, 1, 1] = -sa
+    # ds_n/dalpha, one column per landmark
+    dsda = qprime @ points
+
+    e = landmarks[:, :, None, :] - anchors[None, :, :, None]
+    d = np.linalg.norm(e, axis=1)
+    u = e / d[:, None]
+    uperp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    proj_d = np.einsum("Kkmn,Kkn->Kmn", u, dsda)
+    proj_psi = np.einsum("Kkmn,Kkn->Kmn", uperp, dsda)
+    g_d = np.stack([u[:, 0], u[:, 1], proj_d], axis=1)
+    g_psi = np.stack([uperp[:, 0] / d, uperp[:, 1] / d, proj_psi / d], axis=1)
     return g_d, g_psi
 
 
-def _bounds(matrix: np.ndarray):
-    w = np.linalg.eigvalsh(matrix)
-    if w[0] <= _SINGULAR_RTOL * max(w[-1], np.finfo(float).tiny):
-        return np.inf, np.inf, np.inf
-    inv = np.linalg.inv(matrix)
-    crlb_t = float(inv[0, 0] + inv[1, 1])
-    crlb_alpha = float(inv[2, 2])
-    return crlb_t, crlb_alpha, 2.0 * crlb_alpha
+def _pose_fims(anchors: np.ndarray, points: np.ndarray, landmarks: np.ndarray,
+              angles: np.ndarray, noise: NoiseConfig, use_distances: bool = True,
+              use_bearings: bool = True) -> np.ndarray:
+    """Pose Fisher information of K scenes with one anchor set and body.
+
+    `landmarks` is (K, 2, N) and `angles` (K,), the rotation angle of
+    each pose. Returns the (K, 3, 3) matrices; see `compute_fim`.
+    """
+    g_d, g_psi = _pose_gradients(anchors, points, landmarks, angles)
+    fim = np.zeros((len(angles), 3, 3))
+    if use_distances:
+        if noise.sigma <= 0:
+            raise ValueError("distance terms require sigma > 0")
+        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / noise.sigma ** 2
+    if use_bearings:
+        lam = bearing_intensity(noise.rho)
+        if lam > 0:
+            fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
+    return 0.5 * (fim + fim.transpose(0, 2, 1))
 
 
-def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
+def _pose_bounds(fims: np.ndarray):
+    """(crlb_t, crlb_alpha, crlb_q) of each (3, 3) FIM in a (K, 3, 3) stack.
+
+    A singular FIM yields infinite bounds.
+    """
+    w = np.linalg.eigvalsh(fims)
+    singular = w[:, 0] <= _SINGULAR_RTOL * np.maximum(w[:, -1], np.finfo(float).tiny)
+    inv = np.full(fims.shape, np.inf)
+    if not singular.all():
+        inv[~singular] = np.linalg.inv(fims[~singular])
+    crlb_alpha = inv[:, 2, 2]
+    return inv[:, 0, 0] + inv[:, 1, 1], crlb_alpha, 2.0 * crlb_alpha
+
+
+def compute_fim(scene: Scene | SceneBatch, noise: NoiseConfig, use_distances: bool = True,
                 use_bearings: bool = True) -> FisherInformation:
     """Fisher information of the pose from all anchor-target measurements.
 
     Parameters
     ----------
-    scene : Scene
+    scene : Scene, or SceneBatch for one FIM per trial
     noise : NoiseConfig
         sigma must be positive when distances are used, rho finite when
         bearings are used (exact channels make the bound trivial).
@@ -117,19 +150,13 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     FisherInformation
         A singular FIM yields infinite bounds rather than an exception.
     """
-    g_d, g_psi = _pose_gradients(scene)
-    fim = np.zeros((3, 3))
-    if use_distances:
-        if noise.sigma <= 0:
-            raise ValueError("distance terms require sigma > 0")
-        fim += np.einsum("imn,jmn->ij", g_d, g_d) / noise.sigma ** 2
-    if use_bearings:
-        lam = bearing_intensity(noise.rho)
-        if lam > 0:
-            fim += lam * np.einsum("imn,jmn->ij", g_psi, g_psi)
-    fim = 0.5 * (fim + fim.T)
-    crlb_t, crlb_alpha, crlb_q = _bounds(fim)
-    return FisherInformation(fim, crlb_t, crlb_alpha, crlb_q)
+    batch = scene if isinstance(scene, SceneBatch) else SceneBatch.of_scene(scene)
+    fim = _pose_fims(batch.anchors.positions, batch.conformation.points, batch.landmarks,
+                     batch.angles, noise, use_distances, use_bearings)
+    bounds = _pose_bounds(fim)
+    if batch is scene:
+        return FisherInformation(fim, *bounds)
+    return FisherInformation(fim[0], *(float(b[0]) for b in bounds))
 
 
 def crlb_curve(scene: Scene, sigma_grid, zeta: float) -> list[FisherInformation]:

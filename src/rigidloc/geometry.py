@@ -9,19 +9,26 @@ follow from a pose (rotation Q in SO(2) plus translation t):
 
 All positions are 2D, in meters. Every type in this module is immutable
 after construction and safe to share across threads.
+
+`random_scene` given a list of generators poses the body once per
+generator and returns a `SceneBatch`, whose pose arrays lead with a
+trial axis; given one seed it returns the one `Scene`, through the same
+placement code (`place_bodies`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError
 
 _ORTHO_TOL = 1e-12
+# nodes closer than this count as coincident
+_MIN_SEPARATION = 1e-9
 
 
 def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
@@ -69,8 +76,7 @@ class RotationMatrix:
     def from_angle(cls, angle: float) -> "RotationMatrix":
         if not np.isfinite(angle):
             raise ValueError("rotation angle must be finite")
-        c, s = np.cos(angle), np.sin(angle)
-        return cls(np.array([[c, -s], [s, c]]), float(angle))
+        return cls(_rotation_matrices(np.float64(angle)), float(angle))
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "RotationMatrix":
@@ -79,6 +85,17 @@ class RotationMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)
+
+
+def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
+    """[[cos a, -sin a], [sin a, cos a]] for each angle, shape (..., 2, 2)."""
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(np.shape(angles) + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
 
 
 def rotation_from_angle(angle: float) -> RotationMatrix:
@@ -130,6 +147,7 @@ class Conformation:
             raise ValueError("conformation points must form a 2xN matrix")
         if pts.shape[1] < 3:
             raise ValueError("conformation needs at least 3 points")
+        _check_pairwise_distinct(pts, "conformation points")
         centered = pts - pts.mean(axis=1, keepdims=True)
         if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
             raise DegenerateGeometryError("conformation points are collinear")
@@ -200,13 +218,27 @@ class AnchorSet:
         return cls(pos)
 
 
-def _check_pairwise_distinct(points: np.ndarray, label: str, tol: float = 1e-9):
+def _check_pairwise_distinct(points: np.ndarray, label: str):
     diff = points[:, :, None] - points[:, None, :]
     dist = np.linalg.norm(diff, axis=0)
     n = points.shape[1]
     dist[np.diag_indices(n)] = np.inf
-    if np.min(dist) <= tol:
+    if np.min(dist) <= _MIN_SEPARATION:
         raise DegenerateGeometryError(f"{label} contain coincident points")
+
+
+def _place(anchors: np.ndarray, points: np.ndarray, rotations: np.ndarray,
+           translations: np.ndarray):
+    """World landmarks of K poses of one body, and which poses are degenerate.
+
+    Returns the (K, 2, N) landmarks Q_k C + t_k and a (K,) mask of the
+    poses that put a landmark on an anchor. Only anchor-landmark pairs
+    need checking: `AnchorSet` and `Conformation` reject coincident
+    anchors and coincident body points when they are built.
+    """
+    landmarks = rotations @ points + translations[:, :, None]
+    gaps = np.linalg.norm(landmarks[:, :, None, :] - anchors[None, :, :, None], axis=1)
+    return landmarks, np.any(gaps <= _MIN_SEPARATION, axis=(1, 2))
 
 
 def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
@@ -238,10 +270,11 @@ class Scene:
     landmarks: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        lm = apply_pose(self.conformation, self.pose)
-        allpos = np.hstack([self.anchors.positions, lm])
-        _check_pairwise_distinct(allpos, "scene nodes")
-        object.__setattr__(self, "landmarks", _frozen_array(lm))
+        lm, clash = _place(self.anchors.positions, self.conformation.points,
+                           self.pose.rotation.matrix[None], self.pose.translation[None])
+        if clash[0]:
+            raise DegenerateGeometryError("scene nodes contain coincident points")
+        object.__setattr__(self, "landmarks", _frozen_array(lm[0]))
 
     @property
     def n_anchors(self) -> int:
@@ -325,24 +358,94 @@ class SceneConfig:
         return Conformation.regular_polygon(self.n_landmarks, self.body_radius)
 
 
-def sample_pose(config: SceneConfig, conformation: Conformation,
-                rng: np.random.Generator) -> Pose:
-    """Draw a uniform feasible pose: angle on [-pi, pi), centroid in the box."""
+class SceneBatch(NamedTuple):
+    """K scenes of one anchor set and one body, each posed independently.
+
+    The pose arrays lead with the trial axis; a `Scene` is the K = 1 case.
+    """
+
+    anchors: AnchorSet
+    conformation: Conformation
+    angles: np.ndarray        # (K,) rotation angles
+    rotations: np.ndarray     # (K, 2, 2)
+    translations: np.ndarray  # (K, 2)
+    landmarks: np.ndarray     # (K, 2, N) world positions
+
+    @classmethod
+    def of_scene(cls, scene: Scene) -> "SceneBatch":
+        pose = scene.pose
+        return cls(scene.anchors, scene.conformation, np.array([pose.rotation.angle]),
+                   pose.rotation.matrix[None], pose.translation[None], scene.landmarks[None])
+
+    @property
+    def n_anchors(self) -> int:
+        return self.anchors.n_anchors
+
+    @property
+    def n_landmarks(self) -> int:
+        return self.conformation.n_points
+
+    def complex_positions(self) -> np.ndarray:
+        """(K, T) node positions x + jy of each scene, anchors first."""
+        a = self.anchors.positions
+        lm = self.landmarks
+        x = np.empty((len(lm), a.shape[1] + lm.shape[2]), dtype=complex)
+        x[:, :a.shape[1]] = a[0] + 1j * a[1]
+        x[:, a.shape[1]:] = lm[:, 0] + 1j * lm[:, 1]
+        return x
+
+
+def _draw_pose(rng: np.random.Generator, box) -> tuple:
+    """Uniform angle on [-pi, pi), then the centroid's x and y in the box."""
+    lo_x, hi_x, lo_y, hi_y = box
+    return (rng.uniform(-np.pi, np.pi), rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+
+
+def place_bodies(config: SceneConfig, rngs: Sequence[np.random.Generator]) -> SceneBatch:
+    """Draw one feasible pose of the config's body per generator.
+
+    Trial k draws from `rngs[k]` alone: an angle and a centroid, redrawn
+    (at most 100 draws in all) while a landmark lands on an anchor. The
+    body centroid stays at least `body radius + wall_clearance` from
+    every wall.
+
+    Raises
+    ------
+    ConfigurationError
+        If the body does not fit in the room, or some trial finds no
+        non-degenerate placement within 100 draws.
+    """
+    anchors = config.build_anchors()
+    conformation = config.build_conformation()
+    points = conformation.points
     margin = conformation.radius + config.wall_clearance
-    lo_x, hi_x = margin, config.room_width - margin
-    lo_y, hi_y = margin, config.room_height - margin
-    if lo_x > hi_x or lo_y > hi_y:
+    box = (margin, config.room_width - margin, margin, config.room_height - margin)
+    if box[0] > box[1] or box[2] > box[3]:
         raise ConfigurationError(
             "body does not fit in the room with the requested wall clearance")
-    angle = rng.uniform(-np.pi, np.pi)
-    center = conformation.points.mean(axis=1)
-    rot = RotationMatrix.from_angle(angle)
-    centroid = np.array([rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y)])
-    # translation places the shape centroid at the sampled point
-    return Pose(rot, centroid - rot.matrix @ center)
+    center = points.mean(axis=1)
+
+    def place(draws):
+        rotations = _rotation_matrices(draws[:, 0])
+        # the translation puts the shape centroid at the drawn point
+        translations = draws[:, 1:] - rotations @ center
+        landmarks, clash = _place(anchors.positions, points, rotations, translations)
+        return (draws[:, 0], rotations, translations, landmarks), clash
+
+    poses, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
+    for k in np.flatnonzero(clash):
+        for _ in range(99):
+            redraw, clash_k = place(np.array([_draw_pose(rngs[k], box)]))
+            if not clash_k[0]:
+                for part, new in zip(poses, redraw):
+                    part[k] = new[0]
+                break
+        else:
+            raise ConfigurationError("could not place the body after 100 attempts")
+    return SceneBatch(anchors, conformation, *poses)
 
 
-def random_scene(config: SceneConfig, seed) -> Scene:
+def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
     """Generate a scene with a randomly posed body.
 
     Parameters
@@ -350,25 +453,23 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     config : SceneConfig
         Layout parameters; defaults describe a 10m x 10m room with 8
         perimeter anchors and an 8-point polygon body.
-    seed : int or numpy.random.Generator
+    seed : int, numpy.random.Generator, or list of Generator
         Source of randomness. The same seed yields an identical scene.
+        A list of generators poses the body once per generator, each
+        drawing from its own generator only.
 
     Returns
     -------
-    Scene
+    Scene, or SceneBatch for a list of generators
 
     Raises
     ------
     ConfigurationError
         If no non-degenerate placement is found within bounded retries.
     """
-    rng = np.random.default_rng(seed)
-    anchors = config.build_anchors()
-    conformation = config.build_conformation()
-    for _ in range(100):
-        pose = sample_pose(config, conformation, rng)
-        try:
-            return Scene(anchors, conformation, pose)
-        except DegenerateGeometryError:
-            continue
-    raise ConfigurationError("could not place the body after 100 attempts")
+    if isinstance(seed, list) and seed and all(isinstance(r, np.random.Generator)
+                                                for r in seed):
+        return place_bodies(config, seed)
+    batch = place_bodies(config, [np.random.default_rng(seed)])
+    pose = Pose(RotationMatrix(batch.rotations[0], batch.angles[0]), batch.translations[0])
+    return Scene(batch.anchors, batch.conformation, pose)

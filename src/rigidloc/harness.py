@@ -8,23 +8,30 @@ Every trial k of grid point g draws its randomness from an independent
 stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
+
+The trials of a grid point (or of a worker's share of them) run as one
+batch on stacked arrays, through the same public functions a single
+trial uses: `random_scene`, `generate_measurements`, `compute_fim`,
+`solve_landmarks` and `estimate_pose` each take one pass over the
+batch. Only the draws loop over trials, each from its own stream and in
+the order of a single trial, so the batch reproduces the one-trial
+results bit for bit and no trial depends on which others share its
+batch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crlb import compute_fim
-from .errors import ConfigurationError, DegenerateGeometryError, NumericalFailureError
-from .geometry import Scene, SceneConfig, random_scene
-from .measurements import (ZETA_MAX, NoiseConfig, generate_measurements,
-                           zeta_to_rho)
-from .procrustes import estimate_pose, rotation_mse
+from .errors import ConfigurationError
+from .geometry import Scene, SceneBatch, SceneConfig, random_scene
+from .measurements import ZETA_MAX, NoiseConfig, generate_measurements, zeta_to_rho
+from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
 log = logging.getLogger(__name__)
@@ -113,46 +120,61 @@ def reference_scene(config: ExperimentConfig) -> Scene:
     return random_scene(config.scene, np.random.default_rng(seq))
 
 
+# Trials of a grid point run as one batch on stacked arrays, split into
+# chunks whose largest work arrays, the (chunk, T, T) MDS matrices, stay
+# within this many bytes
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_size(n_nodes: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * n_nodes * n_nodes))
+
+
 def _trial_block(config: ExperimentConfig, g: int, sigma: float, rho: float,
                  start: int, stop: int):
     """Run trials [start, stop) of grid point g; returns per-trial arrays."""
     noise = NoiseConfig(sigma=sigma, rho=rho, tt_noisy=config.tt_noisy)
-    n = stop - start
-    n_methods = len(config.methods)
-    err_t = np.full((n_methods, n), np.nan)
-    err_q = np.full((n_methods, n), np.nan)
-    ok = np.zeros((n_methods, n), dtype=bool)
-    crlb_t = np.empty(n)
-    crlb_q = np.empty(n)
-    solver_cfgs = [SolverConfig(method=m) for m in config.methods]
-    fixed = reference_scene(config) if config.fixed_pose else None
+    fixed = SceneBatch.of_scene(reference_scene(config)) if config.fixed_pose else None
+    chunk = _chunk_size(config.scene.n_anchors + config.scene.n_landmarks)
+    parts = [_trial_chunk(config, g, noise, a, min(a + chunk, stop), fixed)
+             for a in range(start, stop, chunk)]
+    # concatenation in chunk order keeps trial k at index k - start
+    return tuple(np.concatenate([p[i] for p in parts], axis=-1) for i in range(5))
 
-    for k in range(start, stop):
-        seq = np.random.SeedSequence(config.master_seed, spawn_key=(g, k))
-        rng = np.random.default_rng(seq)
-        scene = fixed if fixed is not None else random_scene(config.scene, rng)
-        meas = generate_measurements(scene, noise, rng)
-        fim = compute_fim(scene, noise)
-        i = k - start
-        crlb_t[i] = fim.crlb_t
-        crlb_q[i] = fim.crlb_q
-        for j, cfg in enumerate(solver_cfgs):
-            try:
-                est = solve_landmarks(meas, scene.anchors, scene.conformation, cfg)
-                if not est.converged:
-                    continue
-                pose = estimate_pose(est.coordinates, scene.conformation)
-            except (DegenerateGeometryError, NumericalFailureError):
-                continue
-            dt = pose.translation - scene.pose.translation
-            err_t[j, i] = dt @ dt
-            err_q[j, i] = rotation_mse(pose.rotation, scene.pose.rotation)
-            ok[j, i] = True
+
+def _trial_chunk(config: ExperimentConfig, g: int, noise: NoiseConfig, start: int,
+                 stop: int, fixed: SceneBatch | None):
+    """Trials [start, stop) of grid point g as one batch.
+
+    Trial k draws only from its own stream, seeded by (master_seed, g, k),
+    in the order of a single trial (pose, then measurements), so no trial
+    depends on which others share its chunk.
+    """
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(g, k)))
+            for k in range(start, stop)]
+    n = stop - start
+    scenes = fixed if fixed is not None else random_scene(config.scene, rngs)
+    meas = generate_measurements(scenes, noise, rngs)
+    # a fixed pose has one FIM, shared by all trials
+    fim = compute_fim(scenes, noise)
+    crlb_t, crlb_q = np.broadcast_to(fim.crlb_t, (n,)), np.broadcast_to(fim.crlb_q, (n,))
+
+    err_t = np.full((len(config.methods), n), np.nan)
+    err_q = np.full((len(config.methods), n), np.nan)
+    ok = np.zeros((len(config.methods), n), dtype=bool)
+    for j, method in enumerate(config.methods):
+        est = solve_landmarks(meas, scenes.anchors, scenes.conformation, SolverConfig(method))
+        with np.errstate(invalid="ignore"):  # failed trials may carry NaN
+            pose = estimate_pose(est.coordinates, scenes.conformation)
+            e_t, e_q = pose_errors(pose, scenes.rotations, scenes.translations)
+        # a trial counts when its solver succeeded and its pose fit is not NaN
+        ok[j] = (est.status == 0) & ~np.isnan(pose.translations[:, 0])
+        err_t[j, ok[j]] = e_t[ok[j]]
+        err_q[j, ok[j]] = e_q[ok[j]]
     return err_t, err_q, ok, crlb_t, crlb_q
 
 
-def _collect_grid_point(config: ExperimentConfig, g: int, sigma: float, rho: float,
-                        pool: ProcessPoolExecutor | None):
+def _collect_grid_point(config: ExperimentConfig, g: int, sigma: float, rho: float, pool):
     k = config.trials
     if pool is None:
         return _trial_block(config, g, sigma, rho, 0, k)
@@ -186,6 +208,10 @@ def run_experiment(config: ExperimentConfig,
     """
     rho = config.resolve_rho()
     workers = _n_workers(config)
+    if workers > 1:
+        # imported here: the pool's modules cost a one-worker run start-up
+        # time and memory for nothing
+        from concurrent.futures import ProcessPoolExecutor
     # one pool for the whole sweep: starting one per grid point was most
     # of the harness's own time per trial
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

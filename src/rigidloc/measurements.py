@@ -16,20 +16,24 @@ exact quadrature of the von Mises density in numpy; `zeta_to_rho` and
 
 Anchor-anchor measurements are always exact (anchor positions are
 known), anchor-target always noisy, target-target exact by default with
-an optional noisy mode.
+an optional noisy mode. `generate_measurements` of a `SceneBatch`
+simulates K trials at once, each from its own generator, and returns a
+`MeasurementBatch`; one `Scene` is the K = 1 case of the same code
+(`measure`). Every draw goes through `sample_distance` and
+`sample_angle`'s noise model.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
-from .geometry import Scene
+from .geometry import Scene, SceneBatch
 
 ZETA_MAX = 0.9 * np.pi
 
@@ -225,12 +229,28 @@ class MeasurementSet:
         p = self.index.n_pairs
         if d.shape != (p,) or th.shape != (p,):
             raise ValueError("measurement arrays must have one entry per pair")
-        if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise ValueError("distances must be finite and positive")
+        _check_distances(d)
         d.flags.writeable = False
         th.flags.writeable = False
         object.__setattr__(self, "distances", d)
         object.__setattr__(self, "angles", th)
+
+
+@dataclass(eq=False)
+class MeasurementBatch:
+    """Measurements of K trials on one pair index, stacked for the solvers.
+
+    `distances` and `angles` are (K, P) arrays in canonical pair order,
+    row k holding what a `MeasurementSet` of trial k would. The solvers
+    keep the MDS embedding of the distances in `embedding` once they
+    have computed it, so every method solved on one batch shares one
+    eigendecomposition per trial.
+    """
+
+    index: PairIndex
+    distances: np.ndarray
+    angles: np.ndarray
+    embedding: tuple | None = field(default=None, repr=False)
 
 
 def sample_distance(true_d, sigma: float, rng: np.random.Generator):
@@ -247,10 +267,13 @@ def sample_distance(true_d, sigma: float, rng: np.random.Generator):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return d.copy() if d.ndim else float(d)
-    shape = (d / sigma) ** 2
-    scale = sigma ** 2 / d
-    out = rng.gamma(shape, scale)
+    out = _draw_distances(d, sigma, rng)
     return out if d.ndim else float(out)
+
+
+def _draw_distances(d: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma
+    return rng.gamma((d / sigma) ** 2, sigma ** 2 / d)
 
 
 def sample_angle(true_theta, rho: float, rng: np.random.Generator):
@@ -261,15 +284,71 @@ def sample_angle(true_theta, rho: float, rng: np.random.Generator):
     th = np.asarray(true_theta, dtype=float)
     if rho < 0 or np.isnan(rho):
         raise ValueError("rho must be nonnegative")
-    if np.isinf(rho):
-        out = wrap_angle(th)
-    else:
-        out = wrap_angle(rng.vonmises(th, rho))
+    out = wrap_angle(th) if np.isinf(rho) else _draw_angles(th, rho, rng)
     return out if th.ndim else float(out)
 
 
-def generate_measurements(scene: Scene, noise: NoiseConfig,
-                          rng) -> MeasurementSet:
+def _draw_angles(th: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+    return wrap_angle(rng.vonmises(th, rho))
+
+
+def _check_distances(d: np.ndarray) -> None:
+    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite and positive")
+
+
+def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
+    """One noisy measurement of every node pair for each of K trials.
+
+    Parameters
+    ----------
+    x : ndarray of complex, shape (K, T) or (1, T)
+        Node positions, anchors first; one row is shared by all trials.
+    index : PairIndex
+    noise : NoiseConfig
+    rngs : sequence of K numpy.random.Generator
+        Trial k draws from `rngs[k]` alone, in a fixed order: AT
+        distances, AT angles, then TT distances and angles if noisy.
+
+    Returns
+    -------
+    (distances, angles) : two ndarray of shape (K, P)
+        AA pairs exact, AT noisy, TT exact unless `noise.tt_noisy`;
+        angles wrapped to [-pi, pi), as `MeasurementSet` stores them.
+
+    Raises
+    ------
+    DegenerateGeometryError
+        If two nodes coincide (a zero edge).
+    """
+    v = x[:, index.second] - x[:, index.first]
+    d = np.abs(v)
+    if np.any(d == 0.0):
+        raise DegenerateGeometryError("scene contains coincident nodes")
+    # wrap_angle is idempotent, so wrapping the exact angles once gives
+    # what MeasurementSet keeps after wrapping them again
+    theta = wrap_angle(np.angle(v))
+    shape = (len(rngs), index.n_pairs)
+    d_out = np.array(np.broadcast_to(d, shape))
+    th_out = np.array(np.broadcast_to(theta, shape))
+    blocks = [index.at]
+    if noise.tt_noisy and index.n_tt:
+        blocks.append(index.tt)
+    sigma, rho = noise.sigma, noise.rho
+    noisy_bearings = not math.isinf(rho)
+    for k, rng in enumerate(rngs):
+        row = k if len(d) > 1 else 0
+        for b in blocks:
+            if sigma:
+                d_out[k, b] = _draw_distances(d[row, b], sigma, rng)
+            if noisy_bearings:
+                th_out[k, b] = _draw_angles(theta[row, b], rho, rng)
+    _check_distances(d_out)
+    return d_out, th_out
+
+
+def generate_measurements(scene: Scene | SceneBatch, noise: NoiseConfig,
+                          rng) -> MeasurementSet | MeasurementBatch:
     """Simulate one measurement of every node pair in a scene.
 
     AA pairs are exact, AT pairs noisy, TT pairs exact unless
@@ -278,26 +357,19 @@ def generate_measurements(scene: Scene, noise: NoiseConfig,
 
     Parameters
     ----------
-    scene : Scene
+    scene : Scene or SceneBatch
     noise : NoiseConfig
-    rng : int, seed sequence, or numpy.random.Generator
-    """
-    rng = np.random.default_rng(rng)
-    index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    x = scene.complex_positions()
-    v = x[index.second] - x[index.first]
-    if np.any(np.abs(v) == 0.0):
-        raise DegenerateGeometryError("scene contains coincident nodes")
-    d = np.abs(v)
-    theta = wrap_angle(np.angle(v))
+    rng : int, seed sequence, or numpy.random.Generator; for a
+        SceneBatch, a list of Generator, one per trial (a batch of one
+        scene shares it across all of them)
 
-    d_out = d.copy()
-    th_out = theta.copy()
-    at = index.at
-    d_out[at] = sample_distance(d[at], noise.sigma, rng)
-    th_out[at] = sample_angle(theta[at], noise.rho, rng)
-    if noise.tt_noisy and index.n_tt:
-        tt = index.tt
-        d_out[tt] = sample_distance(d[tt], noise.sigma, rng)
-        th_out[tt] = sample_angle(theta[tt], noise.rho, rng)
-    return MeasurementSet(index, d_out, th_out, tt_exact=not noise.tt_noisy)
+    Returns
+    -------
+    MeasurementSet, or MeasurementBatch for a SceneBatch
+    """
+    index = build_pair_index(scene.n_anchors, scene.n_landmarks)
+    if isinstance(scene, SceneBatch):
+        return MeasurementBatch(index, *measure(scene.complex_positions(), index, noise, rng))
+    d, theta = measure(scene.complex_positions()[None], index, noise,
+                       [np.random.default_rng(rng)])
+    return MeasurementSet(index, d[0], theta[0], tt_exact=not noise.tt_noisy)

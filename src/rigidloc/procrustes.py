@@ -12,16 +12,20 @@ so the best rotation is the phase of z. A reflection c -> q conj(c)
 likewise depends only on z' = sum_i w_i c_i s_i; when reflections are
 allowed, the larger of |z| and |z'| wins. No SVD or determinant
 correction is needed.
+
+`fit_alignment` and `estimate_pose` also take stacks of point sets with
+a leading trial axis and fit every trial at once; one pair of point
+sets is the K = 1 case of the same fit (`_fit`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import NO_ORIENTATION, raise_failure
 from .geometry import Conformation, RotationMatrix
 
 _AMBIGUITY_RATIO = 1e-8
@@ -74,6 +78,13 @@ class PoseEstimate:
         object.__setattr__(self, "translation", t)
 
 
+class PoseBatch(NamedTuple):
+    """Poses fitted to K landmark sets; a trial whose fit failed is NaN."""
+
+    rotations: np.ndarray     # (K, 2, 2)
+    translations: np.ndarray  # (K, 2)
+
+
 def weighted_means(points_s: np.ndarray, points_c: np.ndarray,
                    weights=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted centroids of two paired point sets.
@@ -105,12 +116,38 @@ def fit_alignment(source: np.ndarray, target: np.ndarray, weights=None,
     is the mode used to align an MDS embedding, whose chirality is
     arbitrary. Otherwise R is constrained to a proper rotation.
 
+    Either point set may be a (K, 2, N) stack, the other then shared by
+    all K fits; a stacked fit returns (K, 2, 2) maps and (K, 2) shifts,
+    NaN for each trial whose points are not finite or carry no
+    orientation, instead of raising.
+
     Returns
     -------
     (R, t) : (ndarray (2, 2), ndarray (2,))
     """
+    if np.ndim(source) == 3 or np.ndim(target) == 3:
+        return _fit_stacks(source, target, weights, allow_reflection)
     c, s, w = _validated(source, target, weights, "source", "target")
-    r, t, _ = _fit(c, s, w, allow_reflection)
+    r, t, _, degenerate = _fit(c[None], s[None], w, allow_reflection)
+    if degenerate[0]:
+        raise_failure(NO_ORIENTATION)
+    return r[0], t[0]
+
+
+def _fit_stacks(source, target, weights, allow_reflection: bool):
+    """Fits of a (K, 2, N) stack against another or a shared (2, N) set.
+
+    Only shapes are checked: a trial with non-finite points, or with no
+    orientation to fit, gets a NaN map and shift.
+    """
+    c = source.points if isinstance(source, Conformation) else np.asarray(source, dtype=float)
+    s = np.asarray(target, dtype=float)
+    c, s = (p if p.ndim == 3 else p[None] for p in (c, s))
+    if c.shape[1:] != s.shape[1:] or c.shape[1] != 2 or c.shape[2] < 2:
+        raise ValueError("point sets must be stacks of matching 2xN matrices")
+    r, t, _, degenerate = _fit(c, s, _as_weights(weights, c.shape[2]), allow_reflection)
+    r[degenerate] = np.nan
+    t[degenerate] = np.nan
     return r, t
 
 
@@ -125,38 +162,73 @@ def _validated(source, target, weights, source_name: str, target_name: str):
     return c, s, _as_weights(weights, n)
 
 
-def _fit(c, s, w, allow_reflection):
-    """Closed-form fit on validated points; returns (R, t, ambiguous)."""
+def _dot(a, b):
+    """sum_i a_i b_i over the last axis, row by row.
+
+    Each row goes through numpy's 1-D dot kernel on contiguous memory, so
+    a row's sum does not depend on the stack it sits in or on its layout.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _complex(re, im):
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _fit(c: np.ndarray, s: np.ndarray, w: np.ndarray, allow_reflection: bool):
+    """Closed-form fits of K validated point-set pairs at once.
+
+    `c` and `s` are (K, 2, N) stacks, either of which may have K = 1 to
+    share one point set, and `w` the (N,) weights. Returns the maps
+    (K, 2, 2), the shifts (K, 2), and (K,) masks `ambiguous` and
+    `degenerate`; a degenerate fit (rank-0 cross-covariance) has no
+    meaningful map. Scalar steps divide, multiply and take moduli
+    componentwise, exactly as Python complex arithmetic does.
+    """
     wsum = float(w.sum())
-    cz = c[0] + 1j * c[1]
-    sz = s[0] + 1j * s[1]
-    c_bar = complex(cz @ w) / wsum
-    s_bar = complex(sz @ w) / wsum
-    cz = cz - c_bar
-    sz = sz - s_bar
+    cz = c[:, 0] + 1j * c[:, 1]
+    sz = s[:, 0] + 1j * s[:, 1]
+    c_dot, s_dot = _dot(cz, w), _dot(sz, w)
+    cbr, cbi = c_dot.real / wsum, c_dot.imag / wsum
+    sbr, sbi = s_dot.real / wsum, s_dot.imag / wsum
+    cz = cz - _complex(cbr, cbi)[:, None]
+    sz = sz - _complex(sbr, sbi)[:, None]
     wc = w * cz
-    z = complex(np.vdot(wc, sz))      # sum w conj(c) s: rotations
-    z_ref = complex(wc @ sz)          # sum w c s: reflections c -> q conj(c)
+    z = _dot(wc.conj(), sz)        # sum w conj(c) s: rotations
+    z_ref = _dot(wc, sz)           # sum w c s: reflections c -> q conj(c)
+    az, az_ref = np.hypot(z.real, z.imag), np.hypot(z_ref.real, z_ref.imag)
     # (|z| + |z'|) / 2 is the largest singular value of the 2x2
     # cross-covariance, so this is its rank-0 test
-    scale = math.sqrt(np.vdot(cz, cz).real * np.vdot(sz, sz).real)
-    if 0.5 * (abs(z) + abs(z_ref)) <= 1e-14 * max(scale, np.finfo(float).tiny):
-        raise DegenerateGeometryError("point sets carry no orientation information")
-    ambiguous = False
-    if allow_reflection and abs(z_ref) > abs(z):
-        q = z_ref / abs(z_ref)
-        r = np.array([[q.real, q.imag], [q.imag, -q.real]])
-        shift = s_bar - q * c_bar.conjugate()
+    scale = np.sqrt(_dot(cz.conj(), cz).real * _dot(sz.conj(), sz).real)
+    degenerate = 0.5 * (az + az_ref) <= 1e-14 * np.maximum(scale, np.finfo(float).tiny)
+    reflect = (az_ref > az) if allow_reflection else np.zeros(az.shape, dtype=bool)
+    zr = np.where(reflect, z_ref.real, z.real)
+    zi = np.where(reflect, z_ref.imag, z.imag)
+    modulus = np.where(reflect, az_ref, az)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        qr, qi = zr / modulus, zi / modulus
+    # z = 0 leaves every rotation optimal; keep the identity then
+    still = ~reflect & (z.real == 0.0) & (z.imag == 0.0)
+    qr, qi = np.where(still, 1.0, qr), np.where(still, 0.0, qi)
+    r = np.empty(qr.shape + (2, 2))
+    r[:, 0, 0] = qr
+    r[:, 0, 1] = np.where(reflect, qi, -qi)
+    r[:, 1, 0] = qi
+    r[:, 1, 1] = np.where(reflect, -qr, qr)
+    # shift = s_bar - q c_bar, or s_bar - q conj(c_bar) for a reflection
+    cbi = np.where(reflect, -cbi, cbi)
+    shift = np.stack([sbr - (qr * cbr - qi * cbi), sbi - (qr * cbi + qi * cbr)], axis=-1)
+    if allow_reflection:
+        ambiguous = np.zeros(az.shape, dtype=bool)
     else:
-        # z = 0 leaves every rotation optimal; keep the identity then
-        q = z / abs(z) if z else 1.0 + 0.0j
-        r = np.array([[q.real, -q.imag], [q.imag, q.real]])
-        shift = s_bar - q * c_bar
-        if not allow_reflection:
-            # |z| <= ||sqrt(w) c|| ||sqrt(w) s|| by Cauchy-Schwarz
-            bound = math.sqrt(np.vdot(wc, cz).real * np.vdot(w * sz, sz).real)
-            ambiguous = abs(z) <= _AMBIGUITY_RATIO * bound
-    return r, np.array([shift.real, shift.imag]), ambiguous
+        # |z| <= ||sqrt(w) c|| ||sqrt(w) s|| by Cauchy-Schwarz
+        bound = np.sqrt(_dot(wc.conj(), cz).real * _dot((w * sz).conj(), sz).real)
+        ambiguous = az <= _AMBIGUITY_RATIO * bound
+    return r, shift, ambiguous, degenerate
 
 
 def estimate_pose(landmarks: np.ndarray, conformation,
@@ -165,8 +237,9 @@ def estimate_pose(landmarks: np.ndarray, conformation,
 
     Parameters
     ----------
-    landmarks : ndarray, shape (2, N)
-        Estimated world positions (the fit target).
+    landmarks : ndarray, shape (2, N), or (K, 2, N) for K trials
+        Estimated world positions (the fit target). A stack returns a
+        `PoseBatch`, NaN where a trial's fit fails, instead of raising.
     conformation : Conformation or ndarray (2, N)
         Known body-frame shape. Two-point shapes are accepted: a segment
         fixes the rotation, since only a proper rotation is allowed.
@@ -177,6 +250,7 @@ def estimate_pose(landmarks: np.ndarray, conformation,
     -------
     PoseEstimate
         Proper rotation, translation, attained objective, ambiguity flag.
+        For a (K, 2, N) stack, a PoseBatch.
 
     Raises
     ------
@@ -184,8 +258,13 @@ def estimate_pose(landmarks: np.ndarray, conformation,
         If the weighted point sets are degenerate (rank-0 cross
         covariance, e.g. all points coincident).
     """
+    if np.ndim(landmarks) == 3:
+        return PoseBatch(*_fit_stacks(conformation, landmarks, weights, False))
     c, s, w = _validated(conformation, landmarks, weights, "conformation", "landmarks")
-    r, t, ambiguous = _fit(c, s, w, allow_reflection=False)
+    r, t, ambiguous, degenerate = _fit(c[None], s[None], w, allow_reflection=False)
+    if degenerate[0]:
+        raise_failure(NO_ORIENTATION)
+    r, t, ambiguous = r[0], t[0], bool(ambiguous[0])
     resid = s - (r @ c + t[:, None])
     objective = float(np.sum(w * np.sum(resid * resid, axis=0)))
     return PoseEstimate(RotationMatrix.from_matrix(r), t, objective, ambiguous)
@@ -201,5 +280,20 @@ def rotation_mse(q_hat, q_true) -> float:
     b = np.asarray(q_true, dtype=float)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("rotations must be 2x2 matrices")
-    d = a - b
-    return float(np.sum(d * d))
+    return float(_rotation_errors(a[None], b[None])[0])
+
+
+def _rotation_errors(q_hat: np.ndarray, q_true: np.ndarray) -> np.ndarray:
+    d = q_hat - q_true
+    return np.sum((d * d).reshape(-1, 4), axis=1)
+
+
+def pose_errors(pose: PoseBatch, rotations: np.ndarray, translations: np.ndarray):
+    """Squared translation and rotation errors of K fitted poses.
+
+    `rotations` (K, 2, 2) and `translations` (K, 2) are the true poses,
+    or one shared pose with K = 1. Returns two (K,) arrays; entry k is
+    what `dt @ dt` and `rotation_mse` give for trial k alone.
+    """
+    dt = pose.translations - translations
+    return _dot(dt, dt), _rotation_errors(pose.rotations, rotations)

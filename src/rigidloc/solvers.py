@@ -1,6 +1,9 @@
 """Landmark coordinate estimators.
 
-Three methods are provided behind one dispatch function:
+Three methods are provided behind one dispatch function,
+`solve_landmarks`, which takes one `MeasurementSet` or a
+`MeasurementBatch` of K trials; a batch is estimated at once on arrays
+with a leading trial axis, and one set is the K = 1 case of that code:
 
 ``mds``
     Classic multidimensional scaling on the measured distances, aligned
@@ -18,21 +21,27 @@ Three methods are provided behind one dispatch function:
     edge angles from the embedded coordinates, and feed those synthetic
     bearings through the ``smds_full`` path.
 
-All routines are pure functions of their inputs. ``solve_landmarks``
-keeps the MDS embedding of the last measurement set it saw, so ``mds``
-and ``smds_distance_only`` on one set share one eigendecomposition.
+A batch keeps its MDS embedding once computed, so ``mds`` and
+``smds_distance_only`` on one batch share one eigendecomposition per
+trial. A failed trial of a batch is reported by a failure code from
+`errors`; one measurement set raises that code's typed error instead.
+``classic_mds``, ``embed_distances``, ``coordinates_from_edges`` and
+``reconstruct_angles`` are the one-trial case of the batch routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .edges import PairIndex
-from .errors import (ConfigurationError, DegenerateGeometryError,
-                     NumericalFailureError)
+from .errors import (COINCIDENT_EDGES, NEGATIVE_GRAM, NO_EMBEDDING,
+                     NO_ORIENTATION, NOT_FINITE, ConfigurationError,
+                     NumericalFailureError, raise_failure)
 from .geometry import AnchorSet, Conformation
+from .measurements import MeasurementBatch
 from .procrustes import fit_alignment
 
 METHODS = ("mds", "smds_full", "smds_distance_only")
@@ -69,6 +78,28 @@ class LandmarkEstimate:
         object.__setattr__(self, "coordinates", coords)
 
 
+class LandmarkBatch(NamedTuple):
+    """Landmark estimates of the K trials of a `MeasurementBatch`.
+
+    `coordinates` is (K, 2, N) and `status` holds (K,) failure codes
+    from `errors`, 0 for success; a failed trial's coordinates carry no
+    meaning. `iterations_used` is 0, as for every closed-form method.
+    """
+
+    coordinates: np.ndarray
+    status: np.ndarray
+    iterations_used: int = 0
+
+
+def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """x_n = mean_m(a_m + v_mn) for (K, M, N) complex AT edges; returns (K, 2, N)."""
+    a = anchors[0] + 1j * anchors[1]
+    x_hat = (a[:, None] + v_at).mean(axis=1)
+    out = np.empty((len(x_hat), 2, x_hat.shape[1]))
+    out[:, 0], out[:, 1] = x_hat.real, x_hat.imag
+    return out
+
+
 def coordinates_from_edges(v_at: np.ndarray, anchors, index: PairIndex) -> np.ndarray:
     """Solve for landmark positions from anchor-target edges.
 
@@ -96,9 +127,26 @@ def coordinates_from_edges(v_at: np.ndarray, anchors, index: PairIndex) -> np.nd
     v_at = np.asarray(v_at, dtype=complex)
     if v_at.shape != (m * n,):
         raise ValueError("expected one AT edge per anchor-target pair")
-    a = pos[0] + 1j * pos[1]
-    x_hat = (a[:, None] + v_at.reshape(m, n)).mean(axis=0)
-    return np.vstack([x_hat.real, x_hat.imag])
+    return _anchored_mean(v_at.reshape(1, m, n), pos)[0]
+
+
+def _embed(dmats: np.ndarray):
+    """Classic MDS embeddings of a (K, T, T) stack of distance matrices.
+
+    Returns the (K, 2, T) embeddings and (K,) failure codes.
+    """
+    t = dmats.shape[-1]
+    h = np.eye(t) - np.full((t, t), 1.0 / t)
+    b = -0.5 * h @ (dmats * dmats) @ h
+    b = 0.5 * (b + b.transpose(0, 2, 1))
+    w, u = np.linalg.eigh(b)
+    lam1, lam2 = w[:, -1], w[:, -2]
+    status = np.where(lam1 <= 0.0, NO_EMBEDDING,
+                      np.where(lam2 < -1e-9 * lam1, NEGATIVE_GRAM, 0))
+    lam = np.stack([lam1, np.maximum(lam2, 0.0)], axis=-1)
+    with np.errstate(invalid="ignore"):
+        y = u[:, :, [-1, -2]] * np.sqrt(lam)[:, None, :]
+    return y.transpose(0, 2, 1), status
 
 
 def embed_distances(dist_matrix: np.ndarray) -> np.ndarray:
@@ -123,19 +171,38 @@ def embed_distances(dist_matrix: np.ndarray) -> np.ndarray:
     t = d.shape[0]
     if d.shape != (t, t):
         raise ValueError("distance matrix must be square")
-    h = np.eye(t) - np.full((t, t), 1.0 / t)
-    b = -0.5 * h @ (d * d) @ h
-    b = 0.5 * (b + b.T)
-    w, u = np.linalg.eigh(b)
-    lam1, lam2 = w[-1], w[-2]
-    if lam1 <= 0.0:
-        raise DegenerateGeometryError("distance data admit no planar embedding")
-    if lam2 < -1e-9 * lam1:
-        raise DegenerateGeometryError(
-            "second Gram eigenvalue is negative: no planar embedding")
-    lam2 = max(lam2, 0.0)
-    y = u[:, [-1, -2]] * np.sqrt([lam1, lam2])
-    return y.T
+    coords, status = _embed(d[None])
+    raise_failure(status[0])
+    return coords[0]
+
+
+def _distance_matrices(distances: np.ndarray, index: PairIndex) -> np.ndarray:
+    t = index.n_nodes
+    dmat = np.zeros((len(distances), t, t))
+    dmat[:, index.first, index.second] = distances
+    return dmat + dmat.transpose(0, 2, 1)
+
+
+def _embedding(batch: MeasurementBatch):
+    """The batch's MDS embeddings and failure codes, computed on first use."""
+    if batch.embedding is None:
+        batch.embedding = _embed(_distance_matrices(batch.distances, batch.index))
+    return batch.embedding
+
+
+def _mds(embedding, anchors: np.ndarray, m: int):
+    """MDS target estimates (K, 2, N) from `_embed` output, with failure codes.
+
+    The first `m` embedded nodes are the anchors. Each embedding is
+    mapped onto the known anchors by a similarity transform, reflection
+    allowed, since MDS chirality is arbitrary.
+    """
+    coords, status = embedding
+    rot, shift = fit_alignment(coords[:, :, :m], anchors, allow_reflection=True)
+    aligned = rot @ coords + shift[:, :, None]
+    # a NaN map marks an embedding with no orientation to align
+    status = np.where((status == 0) & np.isnan(rot[:, 0, 0]), NO_ORIENTATION, status)
+    return aligned[:, :, m:], status
 
 
 def classic_mds(distances: np.ndarray, anchors: AnchorSet,
@@ -154,42 +221,16 @@ def classic_mds(distances: np.ndarray, anchors: AnchorSet,
     distances = np.asarray(distances, dtype=float)
     if distances.shape != (index.n_pairs,):
         raise ValueError("expected one distance per pair")
-    return _aligned_targets(embed_distances(_distance_matrix(distances, index)),
-                            anchors, index.n_anchors)
+    coords, status = _mds(_embed(_distance_matrices(distances[None], index)),
+                          anchors.positions, index.n_anchors)
+    raise_failure(status[0])
+    return coords[0]
 
 
-def _distance_matrix(distances: np.ndarray, index: PairIndex) -> np.ndarray:
-    t = index.n_nodes
-    dmat = np.zeros((t, t))
-    dmat[index.first, index.second] = distances
-    return dmat + dmat.T
-
-
-def _aligned_targets(coords: np.ndarray, anchors: AnchorSet, m: int) -> np.ndarray:
-    """Map an embedding onto the anchors; returns its target columns."""
-    rot, shift = fit_alignment(coords[:, :m], anchors.positions,
-                               allow_reflection=True)
-    aligned = rot @ coords + shift[:, None]
-    return aligned[:, m:]
-
-
-# The last MeasurementSet embedded and its (2, T) embedding. `mds` and
-# `smds_distance_only` of one trial embed the same set, so the second
-# reuses the first's eigendecomposition. Matching by identity is sound:
-# a MeasurementSet is frozen and its arrays are read-only, and the strong
-# reference keeps its id from being reused.
-_last_embedding = (None, None)
-
-
-def _embedding(meas) -> np.ndarray:
-    global _last_embedding
-    cached_meas, cached = _last_embedding
-    if cached_meas is meas:
-        return cached
-    coords = embed_distances(_distance_matrix(meas.distances, meas.index))
-    coords.flags.writeable = False
-    _last_embedding = (meas, coords)
-    return coords
+def _edge_angles(x: np.ndarray, index: PairIndex):
+    """Pair angles (K, P) of (K, T) complex positions, and which rows have a zero edge."""
+    v = x[:, index.second] - x[:, index.first]
+    return np.angle(v), np.any(np.abs(v) == 0.0, axis=1)
 
 
 def reconstruct_angles(coords: np.ndarray, index: PairIndex) -> np.ndarray:
@@ -209,28 +250,47 @@ def reconstruct_angles(coords: np.ndarray, index: PairIndex) -> np.ndarray:
         coords = coords[0] + 1j * coords[1]
     if coords.shape != (index.n_nodes,):
         raise ValueError("coordinate count does not match the pair index")
-    v = coords[index.second] - coords[index.first]
-    if np.any(np.abs(v) == 0.0):
-        raise DegenerateGeometryError("coincident nodes have no edge direction")
-    return np.angle(v)
+    angles, coincident = _edge_angles(coords[None], index)
+    if coincident[0]:
+        raise_failure(COINCIDENT_EDGES)
+    return angles[0]
 
 
-def _smds_from_polar(distances: np.ndarray, angles: np.ndarray,
-                     anchors: AnchorSet, index: PairIndex) -> np.ndarray:
-    """Closed-form SMDS estimate from per-pair polar edge data."""
+def _smds(distances: np.ndarray, angles: np.ndarray, anchors: np.ndarray,
+          index: PairIndex) -> np.ndarray:
+    """Closed-form SMDS estimates (K, 2, N) from (K, P) polar edge data."""
     at = index.at
-    v_at = np.asarray(distances)[at] * np.exp(1j * np.asarray(angles)[at])
-    return coordinates_from_edges(v_at, anchors, index)
+    v_at = distances[:, at] * np.exp(1j * angles[:, at])
+    return _anchored_mean(v_at.reshape(-1, index.n_anchors, index.n_targets), anchors)
+
+
+def _solve(batch: MeasurementBatch, anchors: np.ndarray, method: str):
+    """One method's (K, 2, N) estimates and (K,) failure codes for a batch."""
+    index = batch.index
+    if method == "smds_full":
+        coords = _smds(batch.distances, batch.angles, anchors, index)
+        status = np.zeros(len(coords), dtype=int)
+    else:
+        coords, status = _mds(_embedding(batch), anchors, index.n_anchors)
+        if method == "smds_distance_only":
+            # bootstrap bearings from the MDS estimate
+            nodes = np.concatenate(
+                [np.broadcast_to(anchors, (len(coords),) + anchors.shape), coords], axis=2)
+            angles, coincident = _edge_angles(nodes[:, 0] + 1j * nodes[:, 1], index)
+            coords = _smds(batch.distances, angles, anchors, index)
+            status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
+    finite = np.all(np.isfinite(coords), axis=(1, 2))
+    return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)
 
 
 def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
                     conformation: Conformation | None = None,
-                    config: SolverConfig | None = None) -> LandmarkEstimate:
-    """Estimate landmark world coordinates from one measurement set.
+                    config: SolverConfig | None = None) -> LandmarkEstimate | LandmarkBatch:
+    """Estimate landmark world coordinates from measurements.
 
     Parameters
     ----------
-    meas : MeasurementSet
+    meas : MeasurementSet, or MeasurementBatch for K trials at once
     anchors : AnchorSet or ndarray (2, M)
         Known anchor positions; a raw array is validated and wrapped.
     conformation : Conformation, optional
@@ -240,7 +300,8 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
 
     Returns
     -------
-    LandmarkEstimate
+    LandmarkEstimate, or LandmarkBatch for a MeasurementBatch; a batch
+    reports failed trials in its `status` instead of raising
     """
     cfg = config or SolverConfig()
     index = meas.index
@@ -250,13 +311,9 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
         raise ValueError("anchor count does not match the measurement index")
     if conformation is not None and conformation.n_points != index.n_targets:
         raise ValueError("conformation size does not match the measurement index")
-
-    if cfg.method == "smds_full":
-        coords = _smds_from_polar(meas.distances, meas.angles, anchors, index)
-    else:
-        coords = _aligned_targets(_embedding(meas), anchors, index.n_anchors)
-        if cfg.method == "smds_distance_only":
-            # bootstrap bearings from the MDS estimate
-            angles = reconstruct_angles(np.hstack([anchors.positions, coords]), index)
-            coords = _smds_from_polar(meas.distances, angles, anchors, index)
-    return LandmarkEstimate(coords, 0, True, 0.0, cfg.method)
+    if isinstance(meas, MeasurementBatch):
+        return LandmarkBatch(*_solve(meas, anchors.positions, cfg.method))
+    batch = MeasurementBatch(index, meas.distances[None], meas.angles[None])
+    coords, status = _solve(batch, anchors.positions, cfg.method)
+    raise_failure(status[0])
+    return LandmarkEstimate(coords[0], 0, True, 0.0, cfg.method)

@@ -1,0 +1,252 @@
+"""The batch harness against the per-trial functions, trial by trial.
+
+`harness._trial_block` runs a grid point's trials as one batch on
+stacked arrays; `trial_reference.trial_block` runs the same trials one
+at a time through `random_scene`, `generate_measurements`, `compute_fim`,
+`solve_landmarks` and `estimate_pose`. Both draw trial k from its own
+(master_seed, g, k) stream, and every batch step applies the per-trial
+arithmetic row by row, so the two must agree bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import rigidloc.errors as errors
+import rigidloc.geometry as geometry
+import rigidloc.harness as harness
+import rigidloc.measurements as measurements
+import rigidloc.solvers as solvers
+from rigidloc.crlb import compute_fim
+from rigidloc.errors import ConfigurationError, DegenerateGeometryError
+from rigidloc.geometry import SceneBatch, SceneConfig, random_scene
+from rigidloc.harness import ExperimentConfig
+from rigidloc.measurements import MeasurementBatch, NoiseConfig, generate_measurements
+from rigidloc.procrustes import estimate_pose, fit_alignment
+from rigidloc.solvers import METHODS, SolverConfig, classic_mds, solve_landmarks
+
+from trial_reference import trial_block
+
+NAMES = ("err_t", "err_q", "ok", "crlb_t", "crlb_q")
+
+
+def assert_bitwise(got, want):
+    for name, a, b in zip(NAMES, got, want):
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+def check(config, g=0, start=0, stop=None):
+    stop = config.trials if stop is None else stop
+    sigma, rho = config.sigma_grid[g], config.resolve_rho()
+    got = harness._trial_block(config, g, sigma, rho, start, stop)
+    assert_bitwise(got, trial_block(config, g, sigma, rho, start, stop))
+    return got
+
+
+@pytest.mark.parametrize("g", range(3))
+def test_batch_matches_per_trial_default_scene(g):
+    got = check(ExperimentConfig(sigma_grid=(0.1, 0.6, 2.0), trials=40, master_seed=11), g)
+    assert got[2].all()
+
+
+def test_batch_matches_per_trial_large_scene():
+    scene = SceneConfig(n_anchors=48, n_landmarks=48)
+    check(ExperimentConfig(scene=scene, sigma_grid=(0.1, 2.0), trials=3, master_seed=12), 1)
+
+
+def test_batch_matches_per_trial_three_point_body():
+    check(ExperimentConfig(scene=SceneConfig(n_landmarks=3), sigma_grid=(0.5,),
+                           trials=30, master_seed=13))
+    body = np.array([[0.0, 1.5, -0.5], [0.0, 0.2, 1.0]])
+    check(ExperimentConfig(scene=SceneConfig(n_anchors=5, body_points=body),
+                           sigma_grid=(0.3,), trials=30, master_seed=14))
+
+
+@pytest.mark.parametrize("fixed_pose", [False, True])
+@pytest.mark.parametrize("tt_noisy", [False, True])
+def test_batch_matches_per_trial_noise_and_pose_modes(tt_noisy, fixed_pose):
+    check(ExperimentConfig(sigma_grid=(0.4,), trials=25, master_seed=15,
+                           tt_noisy=tt_noisy, fixed_pose=fixed_pose))
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0, 1e6])
+def test_batch_matches_per_trial_bearing_extremes(rho):
+    check(ExperimentConfig(sigma_grid=(0.3,), rho=rho, trials=20, master_seed=16))
+
+
+@pytest.mark.parametrize("methods", [("smds_distance_only",), ("smds_full", "mds"),
+                                     ("mds", "smds_full"), METHODS[::-1],
+                                     ("smds_distance_only", "smds_full")])
+def test_batch_matches_per_trial_method_subsets(methods):
+    base = ExperimentConfig(sigma_grid=(0.8,), trials=20, master_seed=17)
+    rho = base.resolve_rho()
+    got = check(replace(base, methods=methods))
+    # a method's results do not depend on which other methods ran
+    for j, method in enumerate(methods):
+        alone = harness._trial_block(replace(base, methods=(method,)), 0, 0.8, rho, 0, 20)
+        for i in range(3):
+            assert np.array_equal(got[i][j], alone[i][0], equal_nan=True)
+
+
+def test_batch_matches_per_trial_on_any_span():
+    config = ExperimentConfig(sigma_grid=(0.25,), trials=37, master_seed=18)
+    rho = config.resolve_rho()
+    whole = check(config)
+    for cuts in ([0, 1, 37], [0, 5, 6, 20, 37], [0, 36, 37]):
+        parts = [check(config, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        assert_bitwise(tuple(np.concatenate([p[i] for p in parts], axis=-1)
+                             for i in range(5)), whole)
+    assert_bitwise(harness._trial_block(config, 0, 0.25, rho, 7, 19),
+                   tuple(a[..., 7:19] for a in whole))
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    config = ExperimentConfig(sigma_grid=(0.5,), trials=23, master_seed=19,
+                              tt_noisy=True)
+    rho = config.resolve_rho()
+    whole = harness._trial_block(config, 0, 0.5, rho, 0, 23)
+    for chunk_bytes in (1, 8 * 16 * 16 * 4):  # chunks of 1 and of 4 trials
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+        assert_bitwise(harness._trial_block(config, 0, 0.5, rho, 0, 23), whole)
+
+
+def test_chunks_bound_the_work_arrays():
+    assert harness._chunk_size(16) * 8 * 16 * 16 <= harness._CHUNK_BYTES
+    assert harness._chunk_size(96) * 8 * 96 * 96 <= harness._CHUNK_BYTES
+    assert harness._chunk_size(96) >= 4  # the 48x48 grid points stay one batch
+    assert harness._chunk_size(10_000) == 1
+
+
+REAL_DRAW = geometry._draw_pose
+
+
+def landing_on_anchor(monkeypatch, first_bad: int):
+    """Make the first `first_bad` pose draws of every stream put landmark 0
+    on anchor 0, after consuming the stream's uniforms as usual."""
+    drawn = {}
+    keep = []  # holds the generators, so their ids stay unique
+
+    def draw(rng, box):
+        pose = REAL_DRAW(rng, box)
+        drawn[id(rng)] = count = drawn.get(id(rng), 0) + 1
+        keep.append(rng)
+        # the polygon's vertex 0 sits at (1, 0) from its centre, anchor 0 at the origin
+        return (0.0, -1.0, 0.0) if count <= first_bad else pose
+
+    monkeypatch.setattr(geometry, "_draw_pose", draw)
+
+
+def streams(config, n):
+    return [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(0, k)))
+            for k in range(n)]
+
+
+def test_degenerate_placements_are_redrawn_from_the_trial_stream(monkeypatch):
+    config = ExperimentConfig(sigma_grid=(0.5,), trials=6, master_seed=20)
+    box = (4.0, 6.0, 4.0, 6.0)  # centroid range of the default room and body
+    third = [[REAL_DRAW(rng, box) for _ in range(3)][2] for rng in streams(config, 6)]
+    landing_on_anchor(monkeypatch, 2)
+    bodies = geometry.place_bodies(config.scene, streams(config, 6))
+    # each trial keeps its stream's third draw, the first that fits
+    assert np.array_equal(bodies.angles, [a for a, _, _ in third])
+    assert np.allclose(bodies.landmarks.mean(axis=2), [(x, y) for _, x, y in third])
+    assert check(config)[2].all()
+
+
+def test_placement_gives_up_after_100_draws(monkeypatch):
+    config = ExperimentConfig(sigma_grid=(0.5,), trials=3, master_seed=21)
+    landing_on_anchor(monkeypatch, 99)
+    check(config)
+    landing_on_anchor(monkeypatch, 100)
+    for run in (harness._trial_block, trial_block):
+        with pytest.raises(ConfigurationError, match="after 100 attempts"):
+            run(config, 0, 0.5, config.resolve_rho(), 0, 3)
+
+
+def test_public_functions_run_a_batch_as_its_trials():
+    config = SceneConfig()
+    noise = NoiseConfig(sigma=0.6, rho=30.0, tt_noisy=True)
+    scenes = random_scene(config, [np.random.default_rng(k) for k in range(5)])
+    assert isinstance(scenes, SceneBatch) and scenes.landmarks.shape == (5, 2, 8)
+    rngs = [np.random.default_rng(k) for k in range(5)]
+    assert np.array_equal(scenes.landmarks, random_scene(config, rngs).landmarks)
+    meas = generate_measurements(scenes, noise, rngs)
+    fim = compute_fim(scenes, noise)
+    solved = {m: solve_landmarks(meas, scenes.anchors, scenes.conformation, SolverConfig(m))
+              for m in METHODS}
+    poses = {m: estimate_pose(est.coordinates, scenes.conformation)
+             for m, est in solved.items()}
+    for k in range(5):
+        rng = np.random.default_rng(k)
+        scene = random_scene(config, rng)
+        assert np.array_equal(scenes.landmarks[k], scene.landmarks)
+        assert np.array_equal(scenes.rotations[k], scene.pose.rotation.matrix)
+        one = generate_measurements(scene, noise, rng)
+        assert np.array_equal(meas.distances[k], one.distances)
+        assert np.array_equal(meas.angles[k], one.angles)
+        one_fim = compute_fim(scene, noise)
+        assert np.array_equal(fim.matrix[k], one_fim.matrix)
+        assert (fim.crlb_t[k], fim.crlb_q[k]) == (one_fim.crlb_t, one_fim.crlb_q)
+        for m in METHODS:
+            est = solve_landmarks(one, scene.anchors, scene.conformation, SolverConfig(m))
+            assert solved[m].status[k] == 0
+            assert np.array_equal(solved[m].coordinates[k], est.coordinates)
+            pose = estimate_pose(est.coordinates, scene.conformation)
+            assert np.array_equal(poses[m].rotations[k], pose.rotation.matrix)
+            assert np.array_equal(poses[m].translations[k], pose.translation)
+
+
+def test_batches_report_failed_trials_instead_of_raising():
+    scene = random_scene(SceneConfig(), seed=3)
+    one = generate_measurements(scene, NoiseConfig(sigma=0.3, rho=50.0), 4)
+    # trial 1 has all distances zero: no planar embedding
+    distances = np.stack([one.distances, np.zeros_like(one.distances)])
+    batch = MeasurementBatch(one.index, distances, np.stack([one.angles, one.angles]))
+    est = solve_landmarks(batch, scene.anchors, scene.conformation, SolverConfig("mds"))
+    assert list(est.status) == [0, errors.NO_EMBEDDING]
+    assert np.array_equal(est.coordinates[0],
+                          solve_landmarks(one, scene.anchors, scene.conformation,
+                                          SolverConfig("mds")).coordinates)
+    with pytest.raises(DegenerateGeometryError):
+        classic_mds(distances[1], scene.anchors, one.index)
+
+    # a pose fit onto coincident landmarks has no orientation
+    landmarks = np.stack([scene.landmarks, np.ones_like(scene.landmarks)])
+    pose = estimate_pose(landmarks, scene.conformation)
+    assert np.allclose(pose.rotations[0], scene.pose.rotation.matrix)
+    assert np.isnan(pose.rotations[1]).all() and np.isnan(pose.translations[1]).all()
+    with pytest.raises(DegenerateGeometryError):
+        estimate_pose(landmarks[1], scene.conformation)
+    rot, shift = fit_alignment(landmarks, scene.landmarks, allow_reflection=True)
+    assert np.isfinite(rot[0]).all() and np.isnan(rot[1]).all() and np.isnan(shift[1]).all()
+    with pytest.raises(DegenerateGeometryError):
+        fit_alignment(landmarks[1], scene.landmarks, allow_reflection=True)
+
+
+def test_sweep_calls_the_public_layer_functions(monkeypatch):
+    # the per-layer spans of benchmark/spans.py wrap these names where
+    # they are looked up, so the sweep must keep calling them there
+    calls = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "solve_landmarks":
+                assert args[3].method in METHODS  # the solver config, positionally
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("random_scene", "generate_measurements", "compute_fim",
+                 "solve_landmarks", "estimate_pose"):
+        counting(harness, name)
+    counting(solvers, "fit_alignment")
+    counting(measurements, "build_pair_index")
+    harness.run_experiment(ExperimentConfig(sigma_grid=(0.3, 0.9), trials=4))
+    assert calls == {"random_scene": 2, "generate_measurements": 2, "compute_fim": 2,
+                     "solve_landmarks": 6, "estimate_pose": 6, "fit_alignment": 4,
+                     "build_pair_index": 2}

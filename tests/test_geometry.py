@@ -114,6 +114,18 @@ def test_conformation_rejects_degenerate():
         Conformation(np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]]))  # collinear
 
 
+def test_conformation_rejects_coincident_points():
+    points = np.array([[1.0, 0.0, -1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateGeometryError):
+        Conformation(points)
+    # the body is rejected when it is built, not after 100 placement draws
+    cfg = SceneConfig(body_points=points)
+    with pytest.raises(DegenerateGeometryError):
+        cfg.build_conformation()
+    with pytest.raises(DegenerateGeometryError):
+        random_scene(cfg, seed=0)
+
+
 def test_anchorset_rejects_degenerate():
     with pytest.raises(DegenerateGeometryError):
         AnchorSet(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))  # duplicate

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import rigidloc
+import rigidloc.errors as errors
 import rigidloc.harness as harness
 import rigidloc.measurements as measurements
 import rigidloc.solvers as solvers
 from rigidloc.crlb import compute_fim
-from rigidloc.errors import ConfigurationError, NumericalFailureError
+from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import SceneConfig
 from rigidloc.harness import (CSV_HEADER, ExperimentConfig, ResultRow,
                               format_results, reference_scene, run_experiment,
@@ -87,14 +88,16 @@ def test_worker_count_does_not_change_results():
 
 
 def test_one_process_pool_per_run(monkeypatch):
+    import concurrent.futures
     opened = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    # run_experiment imports the pool class when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     run_experiment(small_config(sigma_grid=(0.2, 0.5, 1.0), trials=6, workers=2))
     assert opened == [2]
     run_experiment(small_config(trials=6, workers=1))
@@ -103,15 +106,17 @@ def test_one_process_pool_per_run(monkeypatch):
 
 def test_one_embedding_per_trial(monkeypatch):
     calls = []
-    real = solvers.embed_distances
+    real = solvers._embed
 
-    def counting(dmat):
-        calls.append(dmat.shape)
-        return real(dmat)
+    def counting(dmats):
+        calls.extend(dmat.shape for dmat in dmats)
+        return real(dmats)
 
-    monkeypatch.setattr(solvers, "embed_distances", counting)
+    monkeypatch.setattr(solvers, "_embed", counting)
     run_experiment(small_config(sigma_grid=(0.2, 0.7), trials=5, methods=METHODS))
-    assert len(calls) == 2 * 5
+    # one eigendecomposition of one (T, T) matrix per trial, shared by
+    # mds and smds_distance_only
+    assert calls == [(16, 16)] * (2 * 5)
     calls.clear()
     run_experiment(small_config(sigma_grid=(0.2, 0.7), trials=5, methods=("smds_full",)))
     assert calls == []
@@ -204,9 +209,11 @@ def test_failed_trials_are_excluded(monkeypatch):
     real = harness.solve_landmarks
 
     def flaky(meas, anchors, conformation, cfg):
+        est = real(meas, anchors, conformation, cfg)
         if cfg.method == "mds":
-            raise NumericalFailureError("synthetic failure")
-        return real(meas, anchors, conformation, cfg)
+            # a synthetic NumericalFailureError in every trial of the batch
+            est = est._replace(status=np.full_like(est.status, errors.NOT_FINITE))
+        return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)
     rows = run_experiment(small_config(sigma_grid=(0.4,), trials=12))
@@ -223,11 +230,15 @@ def test_mostly_failing_method_flagged(monkeypatch):
     calls = {"n": 0}
 
     def flaky(meas, anchors, conformation, cfg):
+        est = real(meas, anchors, conformation, cfg)
         if cfg.method == "mds":
-            calls["n"] += 1
-            if calls["n"] % 5 != 0:
-                raise NumericalFailureError("synthetic failure")
-        return real(meas, anchors, conformation, cfg)
+            status = est.status.copy()
+            for k in range(len(status)):
+                calls["n"] += 1
+                if calls["n"] % 5 != 0:
+                    status[k] = errors.NOT_FINITE  # synthetic failure
+            est = est._replace(status=status)
+        return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)
     rows = run_experiment(small_config(sigma_grid=(0.4,), trials=20))
@@ -260,6 +271,25 @@ def test_runs_without_scipy():
         assert curve[0].crlb_t < curve[1].crlb_t
         assert 0.0 < rl.rho_to_zeta(100.0) < rl.rho_to_zeta(10.0)
         assert not [m for m in sys.modules if m.startswith("scipy.")]
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rigidloc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_one_worker_run_loads_no_process_pool():
+    # the process pool's modules load only when a run asks for workers
+    script = textwrap.dedent("""
+        import sys
+        import rigidloc as rl
+        rl.run_experiment(rl.ExperimentConfig(trials=2, workers=1))
+        pool = [m for m in sys.modules
+                if m.startswith(("concurrent.futures", "multiprocessing"))]
+        assert not pool, pool
         print("ok")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rigidloc.__file__)))
