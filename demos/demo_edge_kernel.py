@@ -11,9 +11,9 @@ built here with numpy only to show the reduction.
 
 import numpy as np
 
-from rigidloc import (NoiseConfig, SceneConfig, SolverConfig, build_pair_index,
-                      coordinates_from_edges, edges_from_coordinates,
+from rigidloc import (NoiseConfig, SceneConfig, SolverConfig,
                       generate_measurements, random_scene, solve_landmarks)
+from rigidloc.edges import build_pair_index
 
 
 def demo_rank_one():
@@ -23,7 +23,8 @@ def demo_rank_one():
 
     scene = random_scene(SceneConfig(), seed=3)
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    v = edges_from_coordinates(scene.complex_positions(), index).values
+    x = scene.complex_positions()
+    v = x[index.second] - x[index.first]
     kernel = np.outer(np.conj(v), v)
     sing = np.linalg.svd(kernel, compute_uv=False)
     print(f"\nkernel size {kernel.shape[0]}x{kernel.shape[1]} "
@@ -65,13 +66,14 @@ def demo_minor_returns_at_edges():
 
     closed = solve_landmarks(meas, scene.anchors, scene.conformation,
                              SolverConfig(method="smds_full")).coordinates
-    reference = coordinates_from_edges(update, scene.anchors, index)
+    a = scene.anchors.positions[0] + 1j * scene.anchors.positions[1]
+    # x_n = mean_m(a_m + v_mn) over the update's AT edges
+    reference = (a[:, None] + update.reshape(index.n_anchors, index.n_targets)).mean(axis=0)
     print(f"closed-form smds_full vs the kernel update's landmarks: "
-          f"{np.max(np.abs(closed - reference)):.1e} m")
+          f"{np.max(np.abs((closed[0] + 1j * closed[1]) - reference)):.1e} m")
 
     print("\nThe noise suppression comes from averaging the per-anchor")
     print("position votes a_m + v_mn of each landmark:")
-    a = scene.anchors.positions[0] + 1j * scene.anchors.positions[1]
     votes = a[:, None] + v_at.reshape(index.n_anchors, index.n_targets)
     truth = scene.landmarks[0] + 1j * scene.landmarks[1]
     vote_rms = np.sqrt(np.mean(np.abs(votes - truth) ** 2))

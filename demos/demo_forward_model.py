@@ -8,8 +8,9 @@ every other component relies on.
 
 import numpy as np
 
-from rigidloc import (Conformation, Pose, SceneConfig, apply_pose,
-                      build_pair_index, edges_from_coordinates, random_scene)
+from rigidloc import SceneConfig, random_scene
+from rigidloc.edges import build_pair_index
+from rigidloc.geometry import Conformation, Pose, apply_pose
 
 
 def demo_scene_layout():
@@ -51,13 +52,14 @@ def demo_edge_ordering():
 
     scene = random_scene(SceneConfig(n_anchors=3, n_landmarks=3), seed=1)
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    edges = edges_from_coordinates(scene.complex_positions(), index)
+    x = scene.complex_positions()
+    edges = x[index.second] - x[index.first]
     print(f"\n{index.n_pairs} pairs total: {index.n_aa} anchor-anchor, "
           f"{index.n_at} anchor-target, {index.n_tt} target-target")
     print("\npair   class  distance   angle      edge value")
     classes = (["AA"] * index.n_aa + ["AT"] * index.n_at + ["TT"] * index.n_tt)
     for p, (i, j) in enumerate(index.pairs()):
-        v = edges.values[p]
+        v = edges[p]
         print(f"({i},{j})  {classes[p]}    {np.abs(v):7.3f}   "
               f"{np.angle(v):+7.3f}   {v:+.3f}")
     print("\nEach edge is the coordinate difference x_j - x_i stored as a")

@@ -8,7 +8,8 @@ in benchmark configuration.
 
 import numpy as np
 
-from rigidloc import rho_to_zeta, sample_angle, sample_distance, zeta_to_rho
+from rigidloc import rho_to_zeta, zeta_to_rho
+from rigidloc.measurements import sample_angle, sample_distance
 
 
 def demo_range_noise():

@@ -1,10 +1,10 @@
-"""Pair indexing and complex edge vectors.
+"""Canonical pair index.
 
 Nodes are numbered 0..T-1 with the M anchors first and the N body
 landmarks after them. Every unordered node pair (i, j) with i < j owns
 one edge; edges are stored in a fixed canonical order: all anchor-anchor
 (AA) pairs first, then anchor-target (AT), then target-target (TT), each
-class sorted lexicographically. An edge carries the complex number
+class sorted lexicographically. An edge stands for the complex number
 
     v_p = x_j - x_i = d_p * exp(j theta_p)
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import DegenerateGeometryError
 
 
 @dataclass(frozen=True)
@@ -106,62 +104,3 @@ def _pair_index(m: int, n: int) -> PairIndex:
     first.flags.writeable = False
     second.flags.writeable = False
     return PairIndex(m, n, first, second)
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """Complex edge values for every pair, in canonical order."""
-
-    index: PairIndex
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.index.n_pairs,):
-            raise ValueError("edge vector length does not match the pair index")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def aa(self) -> np.ndarray:
-        return self.values[self.index.aa]
-
-    @property
-    def at(self) -> np.ndarray:
-        return self.values[self.index.at]
-
-    @property
-    def tt(self) -> np.ndarray:
-        return self.values[self.index.tt]
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return np.angle(self.values)
-
-
-def edges_from_coordinates(x: np.ndarray, index: PairIndex) -> EdgeSet:
-    """Compute true edges v_p = x_j - x_i from complex node coordinates.
-
-    Parameters
-    ----------
-    x : ndarray of complex, length T
-        Node positions as x + jy, anchors first.
-    index : PairIndex
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If any two nodes coincide (a zero edge).
-    """
-    x = np.asarray(x, dtype=complex).ravel()
-    if x.size != index.n_nodes:
-        raise ValueError("coordinate vector length does not match the pair index")
-    v = x[index.second] - x[index.first]
-    if np.any(np.abs(v) == 0.0):
-        raise DegenerateGeometryError("coincident nodes produce a zero edge")
-    return EdgeSet(index, v)

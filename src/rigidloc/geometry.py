@@ -98,22 +98,6 @@ def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotation_from_angle(angle: float) -> RotationMatrix:
-    """Build the counterclockwise rotation matrix for `angle` radians.
-
-    Parameters
-    ----------
-    angle : float
-        Rotation angle in radians, finite.
-
-    Returns
-    -------
-    RotationMatrix
-        [[cos a, -sin a], [sin a, cos a]] with the angle attached.
-    """
-    return RotationMatrix.from_angle(angle)
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid planar motion: rotation followed by translation."""
@@ -125,10 +109,6 @@ class Pose:
         if not isinstance(self.rotation, RotationMatrix):
             object.__setattr__(self, "rotation", RotationMatrix.from_matrix(self.rotation))
         object.__setattr__(self, "translation", _frozen_array(self.translation, shape=(2,)))
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(RotationMatrix.from_angle(0.0), np.zeros(2))
 
     @classmethod
     def from_angle(cls, angle: float, translation) -> "Pose":
@@ -466,10 +446,14 @@ def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
     ------
     ConfigurationError
         If no non-degenerate placement is found within bounded retries.
+    ValueError
+        If `seed` is an empty list.
     """
-    if isinstance(seed, list) and seed and all(isinstance(r, np.random.Generator)
-                                                for r in seed):
-        return place_bodies(config, seed)
+    if isinstance(seed, list):
+        if not seed:
+            raise ValueError("random_scene needs at least one generator")
+        if all(isinstance(r, np.random.Generator) for r in seed):
+            return place_bodies(config, seed)
     batch = place_bodies(config, [np.random.default_rng(seed)])
     pose = Pose(RotationMatrix(batch.rotations[0], batch.angles[0]), batch.translations[0])
     return Scene(batch.anchors, batch.conformation, pose)

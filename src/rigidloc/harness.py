@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,10 @@ CSV_HEADER = "method,sigma,mse_t,rmse_t,mse_Q,conv_rate,crlb_t,crlb_Q,trials"
 # spawn key reserved for the fixed-pose reference scene; grid indices
 # used as spawn keys stay far below it
 _SCENE_STREAM_KEY = 0xFFFFFFFF
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,11 +75,18 @@ class ExperimentConfig:
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigurationError(f"methods must be a subset of {METHODS}")
+        if len(set(methods)) < len(methods):
+            raise ConfigurationError("methods must not repeat")
         object.__setattr__(self, "methods", methods)
+        for name in ("trials", "workers", "master_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer")
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
         if self.workers < 1:
             raise ConfigurationError("need at least one worker")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be nonnegative")
         if self.rho is None and self.zeta_theta is None:
             raise ConfigurationError("specify bearing noise via zeta_theta or rho")
         # checked here, not per trial: the FIM needs a finite rho, and
@@ -93,10 +105,10 @@ class ExperimentConfig:
 class ResultRow:
     """Aggregated metrics for one (method, sigma) grid point.
 
-    `warning` flags a grid point where more than half the trials failed;
-    failed trials are excluded from the error averages but show up in
-    `conv_rate`. The optional trial arrays are populated only when the
-    experiment is run with `keep_trial_errors`.
+    Failed trials are excluded from the error averages but show up in
+    `conv_rate`; a grid point where more than half of them failed is
+    logged as a warning. The optional trial arrays are populated only
+    when the experiment is run with `keep_trial_errors`.
     """
 
     method: str
@@ -108,7 +120,6 @@ class ResultRow:
     crlb_t: float
     crlb_q: float
     trials: int
-    warning: bool = False
     trial_err_t: np.ndarray | None = field(default=None, repr=False, compare=False)
     trial_err_q: np.ndarray | None = field(default=None, repr=False, compare=False)
     trial_ok: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -232,15 +243,14 @@ def run_experiment(config: ExperimentConfig,
             else:
                 mse_t = mse_q = float("nan")
             conv = n_ok / config.trials
-            warning = conv < 0.5
-            if warning:
+            if conv < 0.5:
                 log.warning("method %s at sigma=%g: only %d/%d trials succeeded",
                             method, sigma, n_ok, config.trials)
             rows.append(ResultRow(
                 method=method, sigma=float(sigma),
                 mse_t=mse_t, rmse_t=float(np.sqrt(mse_t)), mse_q=mse_q,
                 conv_rate=conv, crlb_t=mean_crlb_t, crlb_q=mean_crlb_q,
-                trials=config.trials, warning=warning,
+                trials=config.trials,
                 trial_err_t=err_t[j].copy() if keep_trial_errors else None,
                 trial_err_q=err_q[j].copy() if keep_trial_errors else None,
                 trial_ok=sel.copy() if keep_trial_errors else None,

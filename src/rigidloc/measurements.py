@@ -214,14 +214,12 @@ class NoiseConfig:
 class MeasurementSet:
     """Measured distance and angle for every node pair, canonical order.
 
-    The pair class (AA, AT, TT) of each entry follows from `index`;
-    `tt_exact` records whether the TT block carries exact values.
+    The pair class (AA, AT, TT) of each entry follows from `index`.
     """
 
     index: PairIndex
     distances: np.ndarray
     angles: np.ndarray
-    tt_exact: bool = True
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=float).copy()
@@ -366,10 +364,22 @@ def generate_measurements(scene: Scene | SceneBatch, noise: NoiseConfig,
     Returns
     -------
     MeasurementSet, or MeasurementBatch for a SceneBatch
+
+    Raises
+    ------
+    ValueError
+        If a SceneBatch gets anything but a list of Generator, or a
+        batch of K >= 2 scenes does not get exactly K of them.
     """
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
     if isinstance(scene, SceneBatch):
+        if not isinstance(rng, (list, tuple)) or not all(
+                isinstance(r, np.random.Generator) for r in rng):
+            raise ValueError("a SceneBatch needs a list of numpy generators, one per trial")
+        k = len(scene.landmarks)
+        if k > 1 and len(rng) != k:
+            raise ValueError(f"a batch of {k} scenes needs {k} generators, got {len(rng)}")
         return MeasurementBatch(index, *measure(scene.complex_positions(), index, noise, rng))
     d, theta = measure(scene.complex_positions()[None], index, noise,
                        [np.random.default_rng(rng)])
-    return MeasurementSet(index, d[0], theta[0], tt_exact=not noise.tt_noisy)
+    return MeasurementSet(index, d[0], theta[0])

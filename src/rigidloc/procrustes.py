@@ -1,15 +1,15 @@
-"""Pose recovery: weighted orthogonal Procrustes fit in the plane.
+"""Pose recovery: orthogonal Procrustes fit in the plane.
 
 Given estimated landmark positions and the known body-frame shape, the
-rotation and translation minimizing the weighted squared mismatch
+rotation and translation minimizing the squared mismatch
 
-    G(Q, t) = sum_i w_i || s_i - (Q c_i + t) ||^2
+    G(Q, t) = sum_i || s_i - (Q c_i + t) ||^2
 
-have a closed form. Centre both point sets at their weighted means and
-read them as complex numbers. A rotation by q = exp(j alpha) changes the
-objective only through Re(conj(q) z) with z = sum_i w_i conj(c_i) s_i,
+have a closed form. Centre both point sets at their means and read them
+as complex numbers. A rotation by q = exp(j alpha) changes the
+objective only through Re(conj(q) z) with z = sum_i conj(c_i) s_i,
 so the best rotation is the phase of z. A reflection c -> q conj(c)
-likewise depends only on z' = sum_i w_i c_i s_i; when reflections are
+likewise depends only on z' = sum_i c_i s_i; when reflections are
 allowed, the larger of |z| and |z'| wins. No SVD or determinant
 correction is needed.
 
@@ -40,26 +40,13 @@ def _as_points(points, name: str) -> np.ndarray:
     return pts
 
 
-def _as_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError("need one weight per point")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    if w.sum() <= 0.0:
-        raise ValueError("weights must not all be zero")
-    return w
-
-
 @dataclass(frozen=True)
 class PoseEstimate:
     """Fitted pose with the attained objective value.
 
     `ambiguous` is set when every rotation fits equally well: in the
     plane the objective depends on the angle only through the complex
-    cross term z = sum_n w_n conj(c_n) s_n of the centred points, so the
+    cross term z = sum_n conj(c_n) s_n of the centred points, so the
     best proper rotation is unique unless z vanishes. The returned
     rotation is then whatever phase rounding leaves in z, or the
     identity when z is exactly zero.
@@ -85,32 +72,9 @@ class PoseBatch(NamedTuple):
     translations: np.ndarray  # (K, 2)
 
 
-def weighted_means(points_s: np.ndarray, points_c: np.ndarray,
-                   weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted centroids of two paired point sets.
-
-    Parameters
-    ----------
-    points_s, points_c : ndarray, shape (2, N)
-    weights : array-like of length N, optional
-        Nonnegative, not all zero. Default: uniform.
-
-    Returns
-    -------
-    (s_bar, c_bar) : two ndarray of shape (2,)
-    """
-    s = _as_points(points_s, "points_s")
-    c = _as_points(points_c, "points_c")
-    if s.shape != c.shape:
-        raise ValueError("point sets must have matching shapes")
-    w = _as_weights(weights, s.shape[1])
-    wsum = w.sum()
-    return (s @ w) / wsum, (c @ w) / wsum
-
-
-def fit_alignment(source: np.ndarray, target: np.ndarray, weights=None,
+def fit_alignment(source: np.ndarray, target: np.ndarray,
                   allow_reflection: bool = False):
-    """Orthogonal map R and shift t minimizing sum w ||target - (R source + t)||^2.
+    """Orthogonal map R and shift t minimizing sum ||target - (R source + t)||^2.
 
     With `allow_reflection` the solution ranges over all of O(2); this
     is the mode used to align an MDS embedding, whose chirality is
@@ -126,15 +90,15 @@ def fit_alignment(source: np.ndarray, target: np.ndarray, weights=None,
     (R, t) : (ndarray (2, 2), ndarray (2,))
     """
     if np.ndim(source) == 3 or np.ndim(target) == 3:
-        return _fit_stacks(source, target, weights, allow_reflection)
-    c, s, w = _validated(source, target, weights, "source", "target")
-    r, t, _, degenerate = _fit(c[None], s[None], w, allow_reflection)
+        return _fit_stacks(source, target, allow_reflection)
+    c, s = _validated(source, target, "source", "target")
+    r, t, _, degenerate = _fit(c[None], s[None], allow_reflection)
     if degenerate[0]:
         raise_failure(NO_ORIENTATION)
     return r[0], t[0]
 
 
-def _fit_stacks(source, target, weights, allow_reflection: bool):
+def _fit_stacks(source, target, allow_reflection: bool):
     """Fits of a (K, 2, N) stack against another or a shared (2, N) set.
 
     Only shapes are checked: a trial with non-finite points, or with no
@@ -145,21 +109,20 @@ def _fit_stacks(source, target, weights, allow_reflection: bool):
     c, s = (p if p.ndim == 3 else p[None] for p in (c, s))
     if c.shape[1:] != s.shape[1:] or c.shape[1] != 2 or c.shape[2] < 2:
         raise ValueError("point sets must be stacks of matching 2xN matrices")
-    r, t, _, degenerate = _fit(c, s, _as_weights(weights, c.shape[2]), allow_reflection)
+    r, t, _, degenerate = _fit(c, s, allow_reflection)
     r[degenerate] = np.nan
     t[degenerate] = np.nan
     return r, t
 
 
-def _validated(source, target, weights, source_name: str, target_name: str):
+def _validated(source, target, source_name: str, target_name: str):
     c = _as_points(source, source_name)
     s = _as_points(target, target_name)
     if s.shape != c.shape:
         raise ValueError("point sets must have matching shapes")
-    n = s.shape[1]
-    if n < 2:
+    if s.shape[1] < 2:
         raise ValueError("need at least 2 points to fit an alignment")
-    return c, s, _as_weights(weights, n)
+    return c, s
 
 
 def _dot(a, b):
@@ -179,16 +142,18 @@ def _complex(re, im):
     return out
 
 
-def _fit(c: np.ndarray, s: np.ndarray, w: np.ndarray, allow_reflection: bool):
+def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     """Closed-form fits of K validated point-set pairs at once.
 
     `c` and `s` are (K, 2, N) stacks, either of which may have K = 1 to
-    share one point set, and `w` the (N,) weights. Returns the maps
+    share one point set. Returns the maps
     (K, 2, 2), the shifts (K, 2), and (K,) masks `ambiguous` and
     `degenerate`; a degenerate fit (rank-0 cross-covariance) has no
     meaningful map. Scalar steps divide, multiply and take moduli
-    componentwise, exactly as Python complex arithmetic does.
+    componentwise, exactly as Python complex arithmetic does. Sums over
+    points are `_dot` products with the unit vector `w`.
     """
+    w = np.ones(c.shape[2])
     wsum = float(w.sum())
     cz = c[:, 0] + 1j * c[:, 1]
     sz = s[:, 0] + 1j * s[:, 1]
@@ -231,8 +196,7 @@ def _fit(c: np.ndarray, s: np.ndarray, w: np.ndarray, allow_reflection: bool):
     return r, shift, ambiguous, degenerate
 
 
-def estimate_pose(landmarks: np.ndarray, conformation,
-                  weights=None) -> PoseEstimate:
+def estimate_pose(landmarks: np.ndarray, conformation) -> PoseEstimate:
     """Fit the rigid pose mapping the body shape onto estimated landmarks.
 
     Parameters
@@ -243,8 +207,6 @@ def estimate_pose(landmarks: np.ndarray, conformation,
     conformation : Conformation or ndarray (2, N)
         Known body-frame shape. Two-point shapes are accepted: a segment
         fixes the rotation, since only a proper rotation is allowed.
-    weights : array-like, optional
-        Per-landmark nonnegative weights, default uniform.
 
     Returns
     -------
@@ -255,18 +217,18 @@ def estimate_pose(landmarks: np.ndarray, conformation,
     Raises
     ------
     DegenerateGeometryError
-        If the weighted point sets are degenerate (rank-0 cross
+        If the point sets are degenerate (rank-0 cross
         covariance, e.g. all points coincident).
     """
     if np.ndim(landmarks) == 3:
-        return PoseBatch(*_fit_stacks(conformation, landmarks, weights, False))
-    c, s, w = _validated(conformation, landmarks, weights, "conformation", "landmarks")
-    r, t, ambiguous, degenerate = _fit(c[None], s[None], w, allow_reflection=False)
+        return PoseBatch(*_fit_stacks(conformation, landmarks, False))
+    c, s = _validated(conformation, landmarks, "conformation", "landmarks")
+    r, t, ambiguous, degenerate = _fit(c[None], s[None], allow_reflection=False)
     if degenerate[0]:
         raise_failure(NO_ORIENTATION)
     r, t, ambiguous = r[0], t[0], bool(ambiguous[0])
     resid = s - (r @ c + t[:, None])
-    objective = float(np.sum(w * np.sum(resid * resid, axis=0)))
+    objective = float(np.sum(np.sum(resid * resid, axis=0)))
     return PoseEstimate(RotationMatrix.from_matrix(r), t, objective, ambiguous)
 
 

@@ -135,11 +135,11 @@ def load_scenario(path) -> ExperimentConfig:
             zeta_theta=zeta,
             rho=rho,
             tt_noisy=bool(noise.get("tt_noisy", False)),
-            trials=int(exp.get("trials", defaults.trials)),
+            trials=exp.get("trials", defaults.trials),
             methods=tuple(methods),
-            master_seed=int(seed),
+            master_seed=seed,
             fixed_pose=bool(exp.get("fixed_pose", False)),
-            workers=int(exp.get("workers", 1)),
+            workers=exp.get("workers", 1),
             output_path=exp.get("output"),
         )
     except (TypeError, ValueError) as exc:

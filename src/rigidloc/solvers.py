@@ -25,8 +25,6 @@ A batch keeps its MDS embedding once computed, so ``mds`` and
 ``smds_distance_only`` on one batch share one eigendecomposition per
 trial. A failed trial of a batch is reported by a failure code from
 `errors`; one measurement set raises that code's typed error instead.
-``classic_mds``, ``embed_distances``, ``coordinates_from_edges`` and
-``reconstruct_angles`` are the one-trial case of the batch routines.
 """
 
 from __future__ import annotations
@@ -61,12 +59,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LandmarkEstimate:
-    """Estimated landmark coordinates with solver diagnostics."""
+    """Estimated landmark coordinates (2, N) of one measurement set."""
 
     coordinates: np.ndarray
-    iterations_used: int
-    converged: bool
-    residual: float
     method: str
 
     def __post_init__(self):
@@ -100,36 +95,6 @@ def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return out
 
 
-def coordinates_from_edges(v_at: np.ndarray, anchors, index: PairIndex) -> np.ndarray:
-    """Solve for landmark positions from anchor-target edges.
-
-    Each AT edge gives one linear equation x_n = a_m + v_(m,n); with the
-    anchors known, the least-squares solution decouples per target into
-    the average over anchors.
-
-    Parameters
-    ----------
-    v_at : ndarray of complex, length M*N
-        AT edges in canonical (anchor-major) order.
-    anchors : AnchorSet or ndarray (2, M)
-    index : PairIndex
-
-    Returns
-    -------
-    ndarray, shape (2, N)
-    """
-    pos = anchors.positions if isinstance(anchors, AnchorSet) else np.asarray(anchors, dtype=float)
-    m, n = index.n_anchors, index.n_targets
-    if m == 0:
-        raise ValueError("no anchors: target positions are underdetermined")
-    if pos.shape != (2, m):
-        raise ValueError("anchor matrix shape does not match the pair index")
-    v_at = np.asarray(v_at, dtype=complex)
-    if v_at.shape != (m * n,):
-        raise ValueError("expected one AT edge per anchor-target pair")
-    return _anchored_mean(v_at.reshape(1, m, n), pos)[0]
-
-
 def _embed(dmats: np.ndarray):
     """Classic MDS embeddings of a (K, T, T) stack of distance matrices.
 
@@ -147,33 +112,6 @@ def _embed(dmats: np.ndarray):
     with np.errstate(invalid="ignore"):
         y = u[:, :, [-1, -2]] * np.sqrt(lam)[:, None, :]
     return y.transpose(0, 2, 1), status
-
-
-def embed_distances(dist_matrix: np.ndarray) -> np.ndarray:
-    """Classic MDS embedding of a full symmetric distance matrix.
-
-    Double-centers the squared distances and keeps the two dominant
-    nonnegative eigenpairs. A rank-1 Gram matrix (collinear nodes)
-    yields a zero second coordinate.
-
-    Returns
-    -------
-    ndarray, shape (2, T)
-        Embedded coordinates, centered but in an arbitrary orientation.
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If fewer than two dominant eigenvalues are nonnegative (up to
-        a small tolerance for roundoff).
-    """
-    d = np.asarray(dist_matrix, dtype=float)
-    t = d.shape[0]
-    if d.shape != (t, t):
-        raise ValueError("distance matrix must be square")
-    coords, status = _embed(d[None])
-    raise_failure(status[0])
-    return coords[0]
 
 
 def _distance_matrices(distances: np.ndarray, index: PairIndex) -> np.ndarray:
@@ -205,55 +143,10 @@ def _mds(embedding, anchors: np.ndarray, m: int):
     return aligned[:, :, m:], status
 
 
-def classic_mds(distances: np.ndarray, anchors: AnchorSet,
-                index: PairIndex) -> np.ndarray:
-    """Estimate target positions from pair distances alone.
-
-    Runs classic MDS on the full distance set, then aligns the embedded
-    anchor subset onto the known anchor positions with a similarity
-    transform (reflection allowed, since MDS chirality is arbitrary).
-
-    Returns
-    -------
-    ndarray, shape (2, N)
-        Aligned target coordinates.
-    """
-    distances = np.asarray(distances, dtype=float)
-    if distances.shape != (index.n_pairs,):
-        raise ValueError("expected one distance per pair")
-    coords, status = _mds(_embed(_distance_matrices(distances[None], index)),
-                          anchors.positions, index.n_anchors)
-    raise_failure(status[0])
-    return coords[0]
-
-
 def _edge_angles(x: np.ndarray, index: PairIndex):
     """Pair angles (K, P) of (K, T) complex positions, and which rows have a zero edge."""
     v = x[:, index.second] - x[:, index.first]
     return np.angle(v), np.any(np.abs(v) == 0.0, axis=1)
-
-
-def reconstruct_angles(coords: np.ndarray, index: PairIndex) -> np.ndarray:
-    """Edge angles implied by node coordinates, in canonical pair order.
-
-    With exact anchors in the leading columns, the AA block of the
-    result is automatically exact.
-
-    Parameters
-    ----------
-    coords : ndarray
-        Either complex positions (length T) or a real (2, T) matrix.
-    index : PairIndex
-    """
-    coords = np.asarray(coords)
-    if coords.ndim == 2:
-        coords = coords[0] + 1j * coords[1]
-    if coords.shape != (index.n_nodes,):
-        raise ValueError("coordinate count does not match the pair index")
-    angles, coincident = _edge_angles(coords[None], index)
-    if coincident[0]:
-        raise_failure(COINCIDENT_EDGES)
-    return angles[0]
 
 
 def _smds(distances: np.ndarray, angles: np.ndarray, anchors: np.ndarray,
@@ -316,4 +209,4 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
     batch = MeasurementBatch(index, meas.distances[None], meas.angles[None])
     coords, status = _solve(batch, anchors.positions, cfg.method)
     raise_failure(status[0])
-    return LandmarkEstimate(coords[0], 0, True, 0.0, cfg.method)
+    return LandmarkEstimate(coords[0], cfg.method)

@@ -5,7 +5,8 @@ with a shared bearing reference and exact AA and TT edges, the fixed
 point of the kernel-minor update is the measured AT edge block itself.
 This module keeps the long way round (edge kernel, its minor, the
 ratio-combined initialiser and fixed-point update, and the rank-1
-inverse of the kernel) so that the tests can pin the closed form to it.
+inverse of the kernel), with the edge container and the anchored mean
+it works on, so that the tests can pin the closed form to it.
 It is test support only; nothing under `src/` imports it.
 """
 
@@ -16,11 +17,66 @@ from functools import cached_property
 
 import numpy as np
 
-from rigidloc.edges import EdgeSet
+from rigidloc.edges import PairIndex
 from rigidloc.errors import DegenerateGeometryError, NumericalFailureError
-from rigidloc.solvers import coordinates_from_edges
 
 DIVERGENCE_FACTOR = 1e6
+
+
+@dataclass(frozen=True)
+class EdgeSet:
+    """Complex edge values for every pair, in canonical order."""
+
+    index: PairIndex
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=complex)
+        if v.shape != (self.index.n_pairs,):
+            raise ValueError("edge vector length does not match the pair index")
+        object.__setattr__(self, "values", v)
+
+    @property
+    def aa(self) -> np.ndarray:
+        return self.values[self.index.aa]
+
+    @property
+    def at(self) -> np.ndarray:
+        return self.values[self.index.at]
+
+    @property
+    def tt(self) -> np.ndarray:
+        return self.values[self.index.tt]
+
+    @property
+    def distances(self) -> np.ndarray:
+        return np.abs(self.values)
+
+    @property
+    def angles(self) -> np.ndarray:
+        return np.angle(self.values)
+
+
+def edges_from_coordinates(x, index: PairIndex) -> EdgeSet:
+    """True edges v_p = x_j - x_i of complex node coordinates, anchors first.
+
+    Raises DegenerateGeometryError if two nodes coincide (a zero edge).
+    """
+    x = np.asarray(x, dtype=complex).ravel()
+    if x.size != index.n_nodes:
+        raise ValueError("coordinate vector length does not match the pair index")
+    v = x[index.second] - x[index.first]
+    if np.any(np.abs(v) == 0.0):
+        raise DegenerateGeometryError("coincident nodes produce a zero edge")
+    return EdgeSet(index, v)
+
+
+def coordinates_from_edges(v_at, anchors, index: PairIndex) -> np.ndarray:
+    """Landmarks (2, N) as the anchored mean x_n = mean_m(a_m + v_mn) of AT edges."""
+    pos = getattr(anchors, "positions", anchors)
+    a = pos[0] + 1j * pos[1]
+    x = (a[:, None] + np.reshape(v_at, (index.n_anchors, index.n_targets))).mean(axis=0)
+    return np.vstack([x.real, x.imag])
 
 
 def edges_from_measurements(meas) -> EdgeSet:

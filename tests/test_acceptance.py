@@ -22,11 +22,10 @@ from rigidloc.measurements import (NoiseConfig, generate_measurements,
                                    rho_to_zeta, sample_angle, sample_distance,
                                    wrap_angle, zeta_to_rho)
 from rigidloc.procrustes import estimate_pose
-from rigidloc.solvers import (METHODS, SolverConfig, classic_mds,
-                              coordinates_from_edges, reconstruct_angles,
-                              solve_landmarks)
+from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 
-from kernel_reference import (build_kernel, edges_from_measurements,
+from kernel_reference import (build_kernel, coordinates_from_edges,
+                              edges_from_coordinates, edges_from_measurements,
                               extract_minor, reference_pipeline, turbo_iterate)
 
 
@@ -101,11 +100,12 @@ def test_smds_closed_form_matches_reference_pipeline_under_noise():
             scene = random_scene(SceneConfig(), rng)
             meas = generate_measurements(scene, noise, rng)
             idx = meas.index
-            targets = classic_mds(meas.distances, scene.anchors, idx)
-            mds_angles = reconstruct_angles(
-                np.hstack([scene.anchors.positions, targets]), idx)
+            targets = solve_landmarks(meas, scene.anchors, scene.conformation,
+                                      SolverConfig(method="mds")).coordinates
+            nodes = np.hstack([scene.anchors.positions, targets])
+            mds_angles = edges_from_coordinates(nodes[0] + 1j * nodes[1], idx).angles
             mds_angles[idx.aa] = meas.angles[idx.aa]
-            if meas.tt_exact:
+            if not tt_noisy:
                 mds_angles[idx.tt] = meas.angles[idx.tt]
             for method, angles in (("smds_full", meas.angles),
                                    ("smds_distance_only", mds_angles)):

@@ -24,7 +24,7 @@ from rigidloc.geometry import SceneBatch, SceneConfig, random_scene
 from rigidloc.harness import ExperimentConfig
 from rigidloc.measurements import MeasurementBatch, NoiseConfig, generate_measurements
 from rigidloc.procrustes import estimate_pose, fit_alignment
-from rigidloc.solvers import METHODS, SolverConfig, classic_mds, solve_landmarks
+from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 
 from trial_reference import trial_block
 
@@ -209,8 +209,11 @@ def test_batches_report_failed_trials_instead_of_raising():
     assert np.array_equal(est.coordinates[0],
                           solve_landmarks(one, scene.anchors, scene.conformation,
                                           SolverConfig("mds")).coordinates)
+    # one set raises what the batch reports: distances whose squares
+    # underflow to zero admit no planar embedding either
     with pytest.raises(DegenerateGeometryError):
-        classic_mds(distances[1], scene.anchors, one.index)
+        solve_landmarks(replace(one, distances=np.full_like(one.distances, 1e-300)),
+                        scene.anchors, scene.conformation, SolverConfig("mds"))
 
     # a pose fit onto coincident landmarks has no orientation
     landmarks = np.stack([scene.landmarks, np.ones_like(scene.landmarks)])
@@ -250,3 +253,22 @@ def test_sweep_calls_the_public_layer_functions(monkeypatch):
     assert calls == {"random_scene": 2, "generate_measurements": 2, "compute_fim": 2,
                      "solve_landmarks": 6, "estimate_pose": 6, "fit_alignment": 4,
                      "build_pair_index": 2}
+
+
+def test_generate_measurements_checks_the_generator_list():
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    scenes = random_scene(SceneConfig(), rngs)
+    noise = NoiseConfig(sigma=0.3, rho=50.0)
+    # too few, too many, one bare Generator, none
+    for bad in (rngs[:2], rngs + [np.random.default_rng(9)], rngs[0], []):
+        with pytest.raises(ValueError, match="generators"):
+            generate_measurements(scenes, noise, bad)
+    # the fixed-pose batch of one scene takes any number of trials
+    fixed = SceneBatch.of_scene(random_scene(SceneConfig(), seed=1))
+    for n in (1, 3):
+        assert generate_measurements(fixed, noise, rngs[:n]).distances.shape == (n, 120)
+
+
+def test_random_scene_rejects_an_empty_generator_list():
+    with pytest.raises(ValueError, match="at least one generator"):
+        random_scene(SceneConfig(), [])

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rigidloc.edges import EdgeSet, build_pair_index, edges_from_coordinates
+from rigidloc.edges import build_pair_index
 from rigidloc.errors import DegenerateGeometryError
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.measurements import MeasurementSet
 
-from kernel_reference import (build_kernel, edges_from_measurements,
-                              extract_minor, rank1_truncate)
+from kernel_reference import (EdgeSet, build_kernel, edges_from_coordinates,
+                              edges_from_measurements, extract_minor,
+                              rank1_truncate)
 
 
 def random_coords(t, seed):

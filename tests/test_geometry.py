@@ -5,32 +5,31 @@ import pytest
 
 from rigidloc.errors import ConfigurationError, DegenerateGeometryError
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, RotationMatrix,
-                               Scene, SceneConfig, apply_pose, random_scene,
-                               rotation_from_angle)
+                               Scene, SceneConfig, apply_pose, random_scene)
 
 
 def test_rotation_identity():
-    rot = rotation_from_angle(0.0)
+    rot = RotationMatrix.from_angle(0.0)
     assert np.allclose(rot.matrix, np.eye(2))
     assert rot.angle == 0.0
 
 
 def test_rotation_quarter_turn():
-    rot = rotation_from_angle(np.pi / 2)
+    rot = RotationMatrix.from_angle(np.pi / 2)
     assert np.allclose(rot.matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_rotation_orthonormal():
-    m = rotation_from_angle(0.3).matrix
+    m = RotationMatrix.from_angle(0.3).matrix
     assert np.max(np.abs(m.T @ m - np.eye(2))) < 1e-12
     assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
 
 def test_rotation_rejects_nonfinite():
     with pytest.raises(ValueError):
-        rotation_from_angle(np.nan)
+        RotationMatrix.from_angle(np.nan)
     with pytest.raises(ValueError):
-        rotation_from_angle(np.inf)
+        RotationMatrix.from_angle(np.inf)
 
 
 def test_rotation_matrix_validation():
@@ -43,7 +42,7 @@ def test_rotation_matrix_validation():
 
 def test_apply_pose_identity():
     conf = Conformation.regular_polygon(5, 2.0)
-    assert np.allclose(apply_pose(conf, Pose.identity()), conf.points)
+    assert np.allclose(apply_pose(conf, Pose.from_angle(0.0, [0.0, 0.0])), conf.points)
 
 
 def test_apply_pose_pure_translation():
@@ -138,7 +137,7 @@ def test_scene_rejects_coincident_nodes():
     conf = Conformation(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     # translation puts the first landmark exactly onto the first anchor
     with pytest.raises(DegenerateGeometryError):
-        Scene(anchors, conf, Pose.identity())
+        Scene(anchors, conf, Pose.from_angle(0.0, [0.0, 0.0]))
 
 
 def test_perimeter_anchors_on_boundary():

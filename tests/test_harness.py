@@ -40,6 +40,14 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(workers=0)
+    # fractional counts and seeds, negative seeds and repeated methods
+    # fail here, not deep inside the sweep
+    for bad in (dict(trials=2.5), dict(workers=1.5), dict(master_seed=-1),
+                dict(master_seed=1.5), dict(trials=True),
+                dict(methods=("mds", "mds"))):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**bad)
+    assert ExperimentConfig(trials=np.int64(3), master_seed=0).trials == 3
     with pytest.raises(ConfigurationError):
         ExperimentConfig(zeta_theta=None, rho=None)
     # bearing noise is checked when the config is built, not per trial
@@ -205,7 +213,13 @@ def test_write_results_rejects_empty(tmp_path):
         write_results([], tmp_path / "empty.csv")
 
 
-def test_failed_trials_are_excluded(monkeypatch):
+def warned_methods(caplog):
+    """Methods named by the harness's mostly-failed warnings."""
+    return {r.args[0] for r in caplog.records
+            if r.name == harness.log.name and r.levelname == "WARNING"}
+
+
+def test_failed_trials_are_excluded(monkeypatch, caplog):
     real = harness.solve_landmarks
 
     def flaky(meas, anchors, conformation, cfg):
@@ -216,16 +230,17 @@ def test_failed_trials_are_excluded(monkeypatch):
         return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)
-    rows = run_experiment(small_config(sigma_grid=(0.4,), trials=12))
+    with caplog.at_level("WARNING", logger=harness.log.name):
+        rows = run_experiment(small_config(sigma_grid=(0.4,), trials=12))
     by_method = {r.method: r for r in rows}
     assert by_method["mds"].conv_rate == 0.0
     assert np.isnan(by_method["mds"].mse_t)
-    assert by_method["mds"].warning
+    assert "mds" in warned_methods(caplog)
     assert by_method["smds_full"].conv_rate == 1.0
-    assert not by_method["smds_full"].warning
+    assert "smds_full" not in warned_methods(caplog)
 
 
-def test_mostly_failing_method_flagged(monkeypatch):
+def test_mostly_failing_method_flagged(monkeypatch, caplog):
     real = harness.solve_landmarks
     calls = {"n": 0}
 
@@ -241,10 +256,11 @@ def test_mostly_failing_method_flagged(monkeypatch):
         return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)
-    rows = run_experiment(small_config(sigma_grid=(0.4,), trials=20))
+    with caplog.at_level("WARNING", logger=harness.log.name):
+        rows = run_experiment(small_config(sigma_grid=(0.4,), trials=20))
     row = {r.method: r for r in rows}["mds"]
     assert row.conv_rate == pytest.approx(0.2)
-    assert row.warning
+    assert warned_methods(caplog) == {"mds"}
     assert np.isfinite(row.mse_t)
 
 

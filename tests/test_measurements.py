@@ -171,7 +171,6 @@ def test_generate_measurements_aa_exact():
     assert np.array_equal(meas.distances[aa], np.abs(v)[aa])
     tt = idx.tt
     assert np.array_equal(meas.distances[tt], np.abs(v)[tt])
-    assert meas.tt_exact
     at = idx.at
     assert not np.allclose(meas.distances[at], np.abs(v)[at])
 
@@ -184,7 +183,6 @@ def test_generate_measurements_tt_noisy_mode():
     x = scene.complex_positions()
     v = x[idx.second] - x[idx.first]
     assert not np.allclose(meas.distances[idx.tt], np.abs(v)[idx.tt])
-    assert not meas.tt_exact
 
 
 def test_generate_measurements_deterministic():

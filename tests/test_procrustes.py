@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from rigidloc.errors import DegenerateGeometryError
-from rigidloc.geometry import Conformation, Pose, apply_pose, rotation_from_angle
-from rigidloc.procrustes import (estimate_pose, fit_alignment, rotation_mse,
-                                 weighted_means)
+from rigidloc.geometry import Conformation, Pose, RotationMatrix, apply_pose
+from rigidloc.procrustes import estimate_pose, fit_alignment, rotation_mse
 
 from procrustes_reference import svd_fit
 
@@ -27,36 +26,6 @@ def grid_objective(s, c, alphas):
     a = h[0, 0] + h[1, 1]
     b = h[0, 1] - h[1, 0]
     return ss - 2.0 * (a * np.cos(alphas) + b * np.sin(alphas))
-
-
-def test_weighted_means_uniform():
-    s = np.array([[0.0, 2.0], [0.0, 4.0]])
-    c = np.array([[1.0, 3.0], [1.0, 1.0]])
-    s_bar, c_bar = weighted_means(s, c)
-    assert np.allclose(s_bar, [1.0, 2.0])
-    assert np.allclose(c_bar, [2.0, 1.0])
-
-
-def test_weighted_means_indicator():
-    s = np.array([[0.0, 2.0, 10.0], [0.0, 4.0, -3.0]])
-    s_bar, _ = weighted_means(s, s, weights=[0.0, 0.0, 2.0])
-    assert np.allclose(s_bar, [10.0, -3.0])
-
-
-def test_weighted_means_ratio():
-    s = np.array([[0.0, 3.0], [0.0, 0.0]])
-    s_bar, _ = weighted_means(s, s, weights=[1.0, 2.0])
-    assert np.allclose(s_bar, [2.0, 0.0])
-
-
-def test_weighted_means_bad_weights():
-    s = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        weighted_means(s, s, weights=[0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        weighted_means(s, s, weights=[1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        weighted_means(s, s, weights=[1.0, 1.0])
 
 
 def test_estimate_pose_exact():
@@ -91,7 +60,7 @@ def test_estimate_pose_beats_grid():
 
 def test_estimate_pose_rotation_equivariance():
     conf, _, s = noisy_instance(3)
-    extra = rotation_from_angle(0.9)
+    extra = RotationMatrix.from_angle(0.9)
     est1 = estimate_pose(s, conf)
     est2 = estimate_pose(extra.matrix @ s, conf)
     expected = extra.matrix @ est1.rotation.matrix
@@ -108,16 +77,6 @@ def test_estimate_pose_translation_invariance():
     assert np.allclose(est2.translation, est1.translation + shift)
 
 
-def test_estimate_pose_weight_scaling():
-    conf, _, s = noisy_instance(5)
-    w = np.random.default_rng(5).uniform(0.2, 2.0, size=conf.n_points)
-    est1 = estimate_pose(s, conf, weights=w)
-    est2 = estimate_pose(s, conf, weights=3.0 * w)
-    assert np.max(np.abs(est2.rotation.matrix - est1.rotation.matrix)) < 1e-12
-    assert np.allclose(est2.translation, est1.translation)
-    assert est2.objective == pytest.approx(3.0 * est1.objective, rel=1e-12)
-
-
 def test_estimate_pose_coincident_points():
     c = np.zeros((2, 4))
     s = np.ones((2, 4))
@@ -127,7 +86,7 @@ def test_estimate_pose_coincident_points():
 
 def test_estimate_pose_two_point_segment():
     c = np.array([[-1.0, 1.0], [0.0, 0.0]])
-    rot = rotation_from_angle(0.6)
+    rot = RotationMatrix.from_angle(0.6)
     s = rot.matrix @ c + np.array([[2.0], [1.0]])
     est = estimate_pose(s, c)
     assert np.max(np.abs(est.rotation.matrix - rot.matrix)) < 1e-10
@@ -139,7 +98,7 @@ def test_estimate_pose_two_point_segment():
 def test_estimate_pose_collinear_not_flagged():
     # a rank-1 cross-covariance still has a unique best rotation
     c = np.array([[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    rot = rotation_from_angle(-1.2)
+    rot = RotationMatrix.from_angle(-1.2)
     s = rot.matrix @ c
     est = estimate_pose(s, c)
     assert not est.ambiguous
@@ -185,18 +144,18 @@ def test_fit_alignment_reflection_mode():
 
 
 def test_rotation_mse_values():
-    q0 = rotation_from_angle(0.4).matrix
+    q0 = RotationMatrix.from_angle(0.4).matrix
     assert rotation_mse(q0, q0) == 0.0
     for delta in (np.pi / 2, np.pi, 0.3):
-        q1 = rotation_from_angle(0.4 + delta).matrix
+        q1 = RotationMatrix.from_angle(0.4 + delta).matrix
         expected = 2.0 * (2.0 - 2.0 * np.cos(delta))
         assert rotation_mse(q1, q0) == pytest.approx(expected, abs=1e-12)
-    assert rotation_mse(rotation_from_angle(np.pi).matrix, np.eye(2)) == pytest.approx(8.0)
+    assert rotation_mse(RotationMatrix.from_angle(np.pi).matrix, np.eye(2)) == pytest.approx(8.0)
 
 
-def _objective(r, t, c, s, w):
+def _objective(r, t, c, s):
     resid = s - (r @ c + t[:, None])
-    return float(np.sum(w * np.sum(resid * resid, axis=0)))
+    return float(np.sum(resid * resid))
 
 
 def test_complex_fit_matches_svd_reference():
@@ -207,44 +166,42 @@ def test_complex_fit_matches_svd_reference():
         n = (2, 3, 8, 48)[seed % 4]
         c = rng.uniform(-3.0, 3.0, size=(2, n))
         flip = np.diag([1.0, -1.0]) if seed % 3 == 0 else np.eye(2)
-        q = rotation_from_angle(rng.uniform(-np.pi, np.pi)).matrix
+        q = RotationMatrix.from_angle(rng.uniform(-np.pi, np.pi)).matrix
         noise = (0.01, 0.3, 3.0)[seed % 5 % 3]
         s = q @ flip @ c + rng.uniform(-5.0, 5.0, size=(2, 1)) \
             + noise * rng.standard_normal((2, n))
-        w = None
-        if seed % 7:
-            w = rng.uniform(0.0, 2.0, size=n) * (rng.uniform(size=n) > 0.3)
-            if not w.any():
-                w[rng.integers(n)] = 1.0
-        weights = np.ones(n) if w is None else w
-        c_c = c - ((c @ weights) / weights.sum())[:, None]
-        s_c = s - ((s @ weights) / weights.sum())[:, None]
-        h = (c_c * weights) @ s_c.T
+        if seed % 7 == 0:
+            # every target on one integer point, whose mean is exact: a
+            # rank-0 cross-covariance with no orientation to fit
+            s = np.round(s[:, :1]).repeat(n, axis=1)
+        c_c = c - c.mean(axis=1, keepdims=True)
+        s_c = s - s.mean(axis=1, keepdims=True)
+        h = c_c @ s_c.T
         z = abs(complex(h[0, 0] + h[1, 1], h[0, 1] - h[1, 0]))
         z_ref = abs(complex(h[0, 0] - h[1, 1], h[0, 1] + h[1, 0]))
         for allow_reflection in (False, True):
             try:
-                r_ref, t_ref, amb_ref = svd_fit(c, s, w, allow_reflection)
+                r_ref, t_ref, amb_ref = svd_fit(c, s, allow_reflection)
             except DegenerateGeometryError:
                 with pytest.raises(DegenerateGeometryError):
-                    fit_alignment(c, s, w, allow_reflection=allow_reflection)
+                    fit_alignment(c, s, allow_reflection=allow_reflection)
                 degenerate += 1
                 continue
-            r, t = fit_alignment(c, s, w, allow_reflection=allow_reflection)
+            r, t = fit_alignment(c, s, allow_reflection=allow_reflection)
             fits = [(r, t, None)]
             if not allow_reflection:
-                est = estimate_pose(s, c, w)
+                est = estimate_pose(s, c)
                 assert est.ambiguous == amb_ref
                 assert est.objective == pytest.approx(
-                    _objective(est.rotation.matrix, est.translation, c, s, weights),
+                    _objective(est.rotation.matrix, est.translation, c, s),
                     rel=1e-12, abs=1e-12)
                 fits.append((est.rotation.matrix, est.translation, est.ambiguous))
             tie = z <= 1e-12 * (z + z_ref) or (
                 allow_reflection and abs(z - z_ref) <= 1e-9 * (z + z_ref))
             for r_got, t_got, _ in fits:
                 if tie:
-                    assert _objective(r_got, t_got, c, s, weights) == pytest.approx(
-                        _objective(r_ref, t_ref, c, s, weights), rel=1e-9, abs=1e-12)
+                    assert _objective(r_got, t_got, c, s) == pytest.approx(
+                        _objective(r_ref, t_ref, c, s), rel=1e-9, abs=1e-12)
                 else:
                     assert np.max(np.abs(r_got - r_ref)) < 1e-12
                     assert np.max(np.abs(t_got - t_ref)) < 1e-12

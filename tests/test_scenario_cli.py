@@ -112,6 +112,15 @@ def test_unknown_keys_rejected(tmp_path):
         load_scenario(write_scenario(tmp_path, "noise:\n  sigmaa: 0.5\n"))
 
 
+def test_scenario_values_are_not_coerced(tmp_path):
+    # a fractional trial count or a negative seed is an error, not 2 or a crash
+    for text in ("experiment:\n  trials: 2.5\n", "experiment:\n  master_seed: -1\n",
+                 "seed: -1\n", "experiment:\n  workers: 1.5\n",
+                 "experiment:\n  methods: [mds, mds]\n"):
+        with pytest.raises(ConfigurationError):
+            load_scenario(write_scenario(tmp_path, text))
+
+
 def test_malformed_scenario_rejected(tmp_path):
     with pytest.raises(ConfigurationError):
         load_scenario(write_scenario(tmp_path, "- just\n- a list\n"))

@@ -4,23 +4,31 @@ import numpy as np
 import pytest
 from scipy.linalg import orthogonal_procrustes
 
-from rigidloc.edges import EdgeSet, build_pair_index, edges_from_coordinates
-from rigidloc.errors import (ConfigurationError, DegenerateGeometryError,
-                             NumericalFailureError)
+from rigidloc.edges import build_pair_index
+from rigidloc.errors import (COINCIDENT_EDGES, ConfigurationError,
+                             DegenerateGeometryError, NumericalFailureError,
+                             raise_failure)
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import NoiseConfig, generate_measurements
-from rigidloc.solvers import (LandmarkEstimate, SolverConfig, classic_mds,
-                              coordinates_from_edges, embed_distances,
-                              reconstruct_angles, solve_landmarks)
+from rigidloc.measurements import MeasurementSet, NoiseConfig, generate_measurements
+from rigidloc.solvers import (LandmarkEstimate, SolverConfig, _anchored_mean,
+                              _distance_matrices, _edge_angles, _embed, _mds,
+                              solve_landmarks)
 
-from kernel_reference import (MinorBlocks, build_kernel, extract_minor,
-                              rank1_truncate, turbo_init, turbo_iterate)
+from kernel_reference import (EdgeSet, MinorBlocks, build_kernel,
+                              edges_from_coordinates, edges_from_measurements,
+                              extract_minor, rank1_truncate, turbo_init,
+                              turbo_iterate)
 
 
 def scene_edges(seed):
     scene = random_scene(SceneConfig(), seed=seed)
     idx = build_pair_index(scene.n_anchors, scene.n_landmarks)
     return scene, idx, edges_from_coordinates(scene.complex_positions(), idx)
+
+
+def measured(idx, v):
+    """The measurement set whose complex edges are `v`."""
+    return MeasurementSet(idx, np.abs(v), np.angle(v))
 
 
 def test_rank1_eigenvalue_small_case():
@@ -61,15 +69,15 @@ def test_rank1_phase_invariance():
 
 
 def test_coordinates_from_edges_exact():
+    # smds_full takes the anchored mean of the measured AT edges
     scene, idx, es = scene_edges(3)
-    coords = coordinates_from_edges(es.at, scene.anchors, idx)
+    coords = solve_landmarks(measured(idx, es.values), scene.anchors).coordinates
     assert np.max(np.abs(coords - scene.landmarks)) < 1e-12
 
 
 def test_coordinates_from_edges_single_anchor():
-    idx = build_pair_index(1, 1)
-    coords = coordinates_from_edges(np.array([1.0 + 1.0j]),
-                                    np.zeros((2, 1)), idx)
+    # AnchorSet needs three anchors, so one anchor goes to the mean itself
+    coords = _anchored_mean(np.array([[[1.0 + 1.0j]]]), np.zeros((2, 1)))[0]
     assert np.allclose(coords, [[1.0], [1.0]])
 
 
@@ -78,7 +86,9 @@ def test_coordinates_from_edges_against_dense_lsq():
     rng = np.random.default_rng(10)
     v_noisy = es.at + 0.05 * (rng.standard_normal(idx.n_at)
                               + 1j * rng.standard_normal(idx.n_at))
-    coords = coordinates_from_edges(v_noisy, scene.anchors, idx)
+    v = es.values.copy()
+    v[idx.at] = v_noisy
+    coords = solve_landmarks(measured(idx, v), scene.anchors).coordinates
 
     # dense oracle: one equation per AT pair, unknowns are the N targets
     m, n = idx.n_anchors, idx.n_targets
@@ -94,9 +104,9 @@ def test_coordinates_from_edges_against_dense_lsq():
 
 
 def test_coordinates_from_edges_rejects_no_anchor():
-    idx = build_pair_index(0, 3)
+    meas = MeasurementSet(build_pair_index(0, 3), np.ones(3), np.zeros(3))
     with pytest.raises(ValueError):
-        coordinates_from_edges(np.zeros(0, dtype=complex), np.zeros((2, 0)), idx)
+        solve_landmarks(meas, np.zeros((2, 0)))
 
 
 def test_turbo_init_noiseless():
@@ -149,11 +159,12 @@ def test_turbo_converges_under_noise():
     noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(5.0))
     for seed in range(20):
         scene = random_scene(SceneConfig(), seed=seed)
-        meas = generate_measurements(scene, noise, seed)
-        est = solve_landmarks(meas, scene.anchors, scene.conformation,
-                              SolverConfig(method="smds_full"))
-        assert est.converged
-        assert est.iterations_used < 100
+        es = edges_from_measurements(generate_measurements(scene, noise, seed))
+        minor = extract_minor(build_kernel(es))
+        result = turbo_iterate(minor, es.aa, es.tt,
+                               turbo_init(minor.k1, minor.k4, es.aa, es.tt))
+        assert result.converged
+        assert result.iterations < 100
 
 
 def test_turbo_divergence_guard():
@@ -168,7 +179,9 @@ def test_turbo_divergence_guard():
 def test_embed_distances_collinear():
     pts = np.array([0.0, 1.0, 3.0])
     d = np.abs(pts[:, None] - pts[None, :])
-    coords = embed_distances(d)
+    coords, status = _embed(d[None])
+    assert status[0] == 0
+    coords = coords[0]
     # lam2 is zero only up to eigensolver roundoff, so sqrt(lam2) ~ 1e-8
     assert np.max(np.abs(coords[1])) < 1e-7
     got = np.abs(coords[0][:, None] - coords[0][None, :])
@@ -177,7 +190,8 @@ def test_embed_distances_collinear():
 
 def test_classic_mds_noiseless():
     scene, idx, es = scene_edges(9)
-    coords = classic_mds(es.distances, scene.anchors, idx)
+    coords = solve_landmarks(measured(idx, es.values), scene.anchors,
+                             config=SolverConfig("mds")).coordinates
     assert np.max(np.abs(coords - scene.landmarks)) < 1e-9
 
 
@@ -185,7 +199,8 @@ def test_classic_mds_against_dense_oracle():
     scene, idx, es = scene_edges(10)
     rng = np.random.default_rng(11)
     d_noisy = es.distances + 0.05 * rng.standard_normal(idx.n_pairs)
-    coords = classic_mds(d_noisy, scene.anchors, idx)
+    coords = solve_landmarks(MeasurementSet(idx, d_noisy, es.angles), scene.anchors,
+                             config=SolverConfig("mds")).coordinates
 
     # independent reimplementation: double centering + scipy procrustes
     t = idx.n_nodes
@@ -206,22 +221,30 @@ def test_classic_mds_against_dense_oracle():
     assert np.max(np.abs(coords - oracle)) < 1e-10
 
 
+# smds_distance_only reconstructs its bearings from the MDS node
+# estimates with `_edge_angles`
+
+
 def test_reconstruct_angles_exact():
     scene, idx, es = scene_edges(12)
-    ang = reconstruct_angles(scene.all_positions(), idx)
-    assert np.max(np.abs(ang - es.angles)) < 1e-12
+    ang, coincident = _edge_angles(scene.complex_positions()[None], idx)
+    assert not coincident[0]
+    assert np.max(np.abs(ang[0] - es.angles)) < 1e-12
 
 
 def test_reconstruct_angles_diagonal():
     idx = build_pair_index(2, 0)
-    ang = reconstruct_angles(np.array([[0.0, 1.0], [0.0, 1.0]]), idx)
-    assert ang[0] == pytest.approx(np.pi / 4)
+    ang, _ = _edge_angles(np.array([[0.0, 1.0 + 1.0j]]), idx)
+    assert ang[0, 0] == pytest.approx(np.pi / 4)
 
 
 def test_reconstruct_angles_coincident():
     idx = build_pair_index(2, 0)
+    _, coincident = _edge_angles(np.array([[1.0 + 0j, 1.0 + 0j]]), idx)
+    assert coincident[0]
+    # the code a coincident trial gets, which one measurement set raises
     with pytest.raises(DegenerateGeometryError):
-        reconstruct_angles(np.array([1.0 + 0j, 1.0 + 0j]), idx)
+        raise_failure(COINCIDENT_EDGES)
 
 
 def test_solve_landmarks_noiseless_all_methods():
@@ -257,7 +280,7 @@ def test_solve_landmarks_accepts_raw_anchor_array():
 
 def test_landmark_estimate_rejects_nonfinite():
     with pytest.raises(NumericalFailureError):
-        LandmarkEstimate(np.array([[np.nan], [0.0]]), 1, True, 0.0, "mds")
+        LandmarkEstimate(np.array([[np.nan], [0.0]]), "mds")
 
 
 def test_median_rmse_improves_with_bearing_accuracy():
@@ -294,4 +317,6 @@ def test_mds_methods_share_one_embedding_bitwise():
     mds_warm = solve(fresh, "mds")
     assert np.array_equal(mds_warm, mds_cold)
     assert np.array_equal(dist_only_warm, dist_only_cold)
-    assert np.array_equal(mds_cold, classic_mds(meas.distances, scene.anchors, meas.index))
+    uncached, _ = _mds(_embed(_distance_matrices(meas.distances[None], meas.index)),
+                       scene.anchors.positions, meas.index.n_anchors)
+    assert np.array_equal(mds_cold, uncached[0])

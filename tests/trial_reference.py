@@ -45,7 +45,7 @@ def generate_measurements(scene, noise, rng):
         tt = index.tt
         d_out[tt] = sample_distance(d[tt], noise.sigma, rng)
         th_out[tt] = sample_angle(theta[tt], noise.rho, rng)
-    return MeasurementSet(index, d_out, th_out, tt_exact=not noise.tt_noisy)
+    return MeasurementSet(index, d_out, th_out)
 
 
 def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int):
@@ -73,8 +73,6 @@ def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int)
         for j, cfg in enumerate(solver_cfgs):
             try:
                 est = solve_landmarks(meas, scene.anchors, scene.conformation, cfg)
-                if not est.converged:
-                    continue
                 pose = estimate_pose(est.coordinates, scene.conformation)
             except (DegenerateGeometryError, NumericalFailureError):
                 continue
