@@ -87,12 +87,11 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
     rows = run_experiment(config)
-    text = format_results(rows)
     if config.output_path:
         write_results(rows, config.output_path)
         print(f"wrote {len(rows)} rows to {config.output_path}")
     else:
-        print(text, end="")
+        print(format_results(rows), end="")
     return 0
 
 

@@ -447,13 +447,14 @@ def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
     ConfigurationError
         If no non-degenerate placement is found within bounded retries.
     ValueError
-        If `seed` is an empty list.
+        If `seed` is an empty list or holds anything but Generators.
     """
     if isinstance(seed, list):
         if not seed:
             raise ValueError("random_scene needs at least one generator")
-        if all(isinstance(r, np.random.Generator) for r in seed):
-            return place_bodies(config, seed)
+        if not all(isinstance(r, np.random.Generator) for r in seed):
+            raise ValueError("a list of seeds must hold only numpy Generators")
+        return place_bodies(config, seed)
     batch = place_bodies(config, [np.random.default_rng(seed)])
     pose = Pose(RotationMatrix(batch.rotations[0], batch.angles[0]), batch.translations[0])
     return Scene(batch.anchors, batch.conformation, pose)

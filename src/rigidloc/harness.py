@@ -9,21 +9,22 @@ stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
 
-The trials of a grid point (or of a worker's share of them) run as one
-batch on stacked arrays, through the same public functions a single
-trial uses: `random_scene`, `generate_measurements`, `compute_fim`,
-`solve_landmarks` and `estimate_pose` each take one pass over the
-batch. Only the draws loop over trials, each from its own stream and in
-the order of a single trial, so the batch reproduces the one-trial
-results bit for bit and no trial depends on which others share its
-batch.
+A sweep is one list of chunks of trials, each within one grid point,
+run in order in this process or through one process pool. Each chunk
+runs as one batch on stacked arrays, through the same public functions
+a single trial uses: `random_scene`, `generate_measurements`,
+`compute_fim`, `solve_landmarks` and `estimate_pose` each take one pass
+over the batch. Only the draws loop over trials, each from its own
+stream and in the order of a single trial, so the batch reproduces the
+one-trial results bit for bit and no trial depends on which others
+share its chunk.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one benchmark run."""
@@ -68,10 +73,13 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        grid = tuple(float(s) for s in self.sigma_grid)
-        if not grid or any(s <= 0 or not np.isfinite(s) for s in grid):
-            raise ConfigurationError("sigma grid entries must be positive and finite")
-        object.__setattr__(self, "sigma_grid", grid)
+        grid = self.sigma_grid
+        if isinstance(grid, str) or not isinstance(grid, Iterable):
+            raise ConfigurationError(f"sigma grid must be a sequence of numbers, not {grid!r}")
+        grid = tuple(grid)
+        if not grid or any(not _is_real(s) or s <= 0 or not np.isfinite(s) for s in grid):
+            raise ConfigurationError("sigma grid entries must be positive finite numbers")
+        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in grid))
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigurationError(f"methods must be a subset of {METHODS}")
@@ -81,6 +89,9 @@ class ExperimentConfig:
         for name in ("trials", "workers", "master_seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be an integer")
+        for name in ("tt_noisy", "fixed_pose"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigurationError(f"{name} must be true or false")
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
         if self.workers < 1:
@@ -131,9 +142,9 @@ def reference_scene(config: ExperimentConfig) -> Scene:
     return random_scene(config.scene, np.random.default_rng(seq))
 
 
-# Trials of a grid point run as one batch on stacked arrays, split into
-# chunks whose largest work arrays, the (chunk, T, T) MDS matrices, stay
-# within this many bytes
+# A sweep runs as one list of chunks of trials, each chunk one batch on
+# stacked arrays whose largest work arrays, the (chunk, T, T) MDS
+# matrices, stay within this many bytes
 _CHUNK_BYTES = 1 << 20
 
 
@@ -141,30 +152,20 @@ def _chunk_size(n_nodes: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_nodes * n_nodes))
 
 
-def _trial_block(config: ExperimentConfig, g: int, sigma: float, rho: float,
-                 start: int, stop: int):
-    """Run trials [start, stop) of grid point g; returns per-trial arrays."""
-    noise = NoiseConfig(sigma=sigma, rho=rho, tt_noisy=config.tt_noisy)
-    fixed = SceneBatch.of_scene(reference_scene(config)) if config.fixed_pose else None
-    chunk = _chunk_size(config.scene.n_anchors + config.scene.n_landmarks)
-    parts = [_trial_chunk(config, g, noise, a, min(a + chunk, stop), fixed)
-             for a in range(start, stop, chunk)]
-    # concatenation in chunk order keeps trial k at index k - start
-    return tuple(np.concatenate([p[i] for p in parts], axis=-1) for i in range(5))
-
-
-def _trial_chunk(config: ExperimentConfig, g: int, noise: NoiseConfig, start: int,
-                 stop: int, fixed: SceneBatch | None):
-    """Trials [start, stop) of grid point g as one batch.
+def _trial_chunk(config: ExperimentConfig, g: int, start: int, stop: int):
+    """Trials [start, stop) of grid point g as one batch; returns per-trial arrays.
 
     Trial k draws only from its own stream, seeded by (master_seed, g, k),
     in the order of a single trial (pose, then measurements), so no trial
     depends on which others share its chunk.
     """
+    noise = NoiseConfig(sigma=config.sigma_grid[g], rho=config.resolve_rho(),
+                        tt_noisy=config.tt_noisy)
     rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(g, k)))
             for k in range(start, stop)]
     n = stop - start
-    scenes = fixed if fixed is not None else random_scene(config.scene, rngs)
+    scenes = (SceneBatch.of_scene(reference_scene(config)) if config.fixed_pose
+              else random_scene(config.scene, rngs))
     meas = generate_measurements(scenes, noise, rngs)
     # a fixed pose has one FIM, shared by all trials
     fim = compute_fim(scenes, noise)
@@ -185,22 +186,6 @@ def _trial_chunk(config: ExperimentConfig, g: int, noise: NoiseConfig, start: in
     return err_t, err_q, ok, crlb_t, crlb_q
 
 
-def _collect_grid_point(config: ExperimentConfig, g: int, sigma: float, rho: float, pool):
-    k = config.trials
-    if pool is None:
-        return _trial_block(config, g, sigma, rho, 0, k)
-    bounds = np.linspace(0, k, _n_workers(config) + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    parts = list(pool.map(_trial_block,
-                          *zip(*((config, g, sigma, rho, a, b) for a, b in spans))))
-    # concatenation in span order keeps trial k at index k
-    return tuple(np.concatenate([p[i] for p in parts], axis=-1) for i in range(5))
-
-
-def _n_workers(config: ExperimentConfig) -> int:
-    return min(config.workers, config.trials)
-
-
 def run_experiment(config: ExperimentConfig,
                    keep_trial_errors: bool = False) -> list[ResultRow]:
     """Run the full sweep and aggregate one ResultRow per (method, sigma).
@@ -217,21 +202,29 @@ def run_experiment(config: ExperimentConfig,
     list of ResultRow
         Grouped by grid point, methods in configured order.
     """
-    rho = config.resolve_rho()
-    workers = _n_workers(config)
+    k = config.trials
+    # at most one worker's share, so even a one-point grid splits over the pool
+    size = min(_chunk_size(config.scene.n_anchors + config.scene.n_landmarks),
+               -(-k // config.workers))
+    starts = range(0, k, size)
+    tasks = [(config, g, a, min(a + size, k))
+             for g in range(len(config.sigma_grid)) for a in starts]
+    workers = min(config.workers, len(tasks))
     if workers > 1:
         # imported here: the pool's modules cost a one-worker run start-up
         # time and memory for nothing
         from concurrent.futures import ProcessPoolExecutor
-    # one pool for the whole sweep: starting one per grid point was most
-    # of the harness's own time per trial
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        parts = [_collect_grid_point(config, g, sigma, rho, pool)
-                 for g, sigma in enumerate(config.sigma_grid)]
+        config.resolve_rho()  # cached per process, so forked workers inherit it
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_trial_chunk, *zip(*tasks)))
+    else:
+        parts = [_trial_chunk(*task) for task in tasks]
     rows: list[ResultRow] = []
     for g, sigma in enumerate(config.sigma_grid):
-        err_t, err_q, ok, crlb_t, crlb_q = parts[g]
+        # the chunks of grid point g, in trial order, keep trial k at index k
+        chunks = parts[g * len(starts):(g + 1) * len(starts)]
+        err_t, err_q, ok, crlb_t, crlb_q = (np.concatenate([c[i] for c in chunks], axis=-1)
+                                            for i in range(5))
         mean_crlb_t = float(np.mean(crlb_t))
         mean_crlb_q = float(np.mean(crlb_q))
         for j, method in enumerate(config.methods):

@@ -151,20 +151,19 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     `degenerate`; a degenerate fit (rank-0 cross-covariance) has no
     meaningful map. Scalar steps divide, multiply and take moduli
     componentwise, exactly as Python complex arithmetic does. Sums over
-    points are `_dot` products with the unit vector `w`.
+    points are `_dot` products, with a vector of ones for plain sums.
     """
-    w = np.ones(c.shape[2])
-    wsum = float(w.sum())
+    n = c.shape[2]
+    ones = np.ones(n)
     cz = c[:, 0] + 1j * c[:, 1]
     sz = s[:, 0] + 1j * s[:, 1]
-    c_dot, s_dot = _dot(cz, w), _dot(sz, w)
-    cbr, cbi = c_dot.real / wsum, c_dot.imag / wsum
-    sbr, sbi = s_dot.real / wsum, s_dot.imag / wsum
+    c_dot, s_dot = _dot(cz, ones), _dot(sz, ones)
+    cbr, cbi = c_dot.real / n, c_dot.imag / n
+    sbr, sbi = s_dot.real / n, s_dot.imag / n
     cz = cz - _complex(cbr, cbi)[:, None]
     sz = sz - _complex(sbr, sbi)[:, None]
-    wc = w * cz
-    z = _dot(wc.conj(), sz)        # sum w conj(c) s: rotations
-    z_ref = _dot(wc, sz)           # sum w c s: reflections c -> q conj(c)
+    z = _dot(cz.conj(), sz)        # sum conj(c) s: rotations
+    z_ref = _dot(cz, sz)           # sum c s: reflections c -> q conj(c)
     az, az_ref = np.hypot(z.real, z.imag), np.hypot(z_ref.real, z_ref.imag)
     # (|z| + |z'|) / 2 is the largest singular value of the 2x2
     # cross-covariance, so this is its rank-0 test
@@ -190,9 +189,8 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     if allow_reflection:
         ambiguous = np.zeros(az.shape, dtype=bool)
     else:
-        # |z| <= ||sqrt(w) c|| ||sqrt(w) s|| by Cauchy-Schwarz
-        bound = np.sqrt(_dot(wc.conj(), cz).real * _dot((w * sz).conj(), sz).real)
-        ambiguous = az <= _AMBIGUITY_RATIO * bound
+        # |z| <= ||c|| ||s|| = scale by Cauchy-Schwarz
+        ambiguous = az <= _AMBIGUITY_RATIO * scale
     return r, shift, ambiguous, degenerate
 
 

@@ -134,11 +134,11 @@ def load_scenario(path) -> ExperimentConfig:
             sigma_grid=sigma_grid,
             zeta_theta=zeta,
             rho=rho,
-            tt_noisy=bool(noise.get("tt_noisy", False)),
+            tt_noisy=noise.get("tt_noisy", False),
             trials=exp.get("trials", defaults.trials),
             methods=tuple(methods),
             master_seed=seed,
-            fixed_pose=bool(exp.get("fixed_pose", False)),
+            fixed_pose=exp.get("fixed_pose", False),
             workers=exp.get("workers", 1),
             output_path=exp.get("output"),
         )

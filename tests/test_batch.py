@@ -1,7 +1,7 @@
 """The batch harness against the per-trial functions, trial by trial.
 
-`harness._trial_block` runs a grid point's trials as one batch on
-stacked arrays; `trial_reference.trial_block` runs the same trials one
+`harness._trial_chunk` runs a span of a grid point's trials as one batch
+on stacked arrays; `trial_reference.trial_block` runs the same trials one
 at a time through `random_scene`, `generate_measurements`, `compute_fim`,
 `solve_landmarks` and `estimate_pose`. Both draw trial k from its own
 (master_seed, g, k) stream, and every batch step applies the per-trial
@@ -39,9 +39,9 @@ def assert_bitwise(got, want):
 
 def check(config, g=0, start=0, stop=None):
     stop = config.trials if stop is None else stop
-    sigma, rho = config.sigma_grid[g], config.resolve_rho()
-    got = harness._trial_block(config, g, sigma, rho, start, stop)
-    assert_bitwise(got, trial_block(config, g, sigma, rho, start, stop))
+    got = harness._trial_chunk(config, g, start, stop)
+    assert_bitwise(got, trial_block(config, g, config.sigma_grid[g], config.resolve_rho(),
+                                    start, stop))
     return got
 
 
@@ -81,35 +81,42 @@ def test_batch_matches_per_trial_bearing_extremes(rho):
                                      ("smds_distance_only", "smds_full")])
 def test_batch_matches_per_trial_method_subsets(methods):
     base = ExperimentConfig(sigma_grid=(0.8,), trials=20, master_seed=17)
-    rho = base.resolve_rho()
     got = check(replace(base, methods=methods))
     # a method's results do not depend on which other methods ran
     for j, method in enumerate(methods):
-        alone = harness._trial_block(replace(base, methods=(method,)), 0, 0.8, rho, 0, 20)
+        alone = harness._trial_chunk(replace(base, methods=(method,)), 0, 0, 20)
         for i in range(3):
             assert np.array_equal(got[i][j], alone[i][0], equal_nan=True)
 
 
 def test_batch_matches_per_trial_on_any_span():
     config = ExperimentConfig(sigma_grid=(0.25,), trials=37, master_seed=18)
-    rho = config.resolve_rho()
     whole = check(config)
     for cuts in ([0, 1, 37], [0, 5, 6, 20, 37], [0, 36, 37]):
         parts = [check(config, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
         assert_bitwise(tuple(np.concatenate([p[i] for p in parts], axis=-1)
                              for i in range(5)), whole)
-    assert_bitwise(harness._trial_block(config, 0, 0.25, rho, 7, 19),
+    assert_bitwise(harness._trial_chunk(config, 0, 7, 19),
                    tuple(a[..., 7:19] for a in whole))
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
-    config = ExperimentConfig(sigma_grid=(0.5,), trials=23, master_seed=19,
+    config = ExperimentConfig(sigma_grid=(0.5, 1.5), trials=23, master_seed=19,
                               tt_noisy=True)
-    rho = config.resolve_rho()
-    whole = harness._trial_block(config, 0, 0.5, rho, 0, 23)
+
+    def sweep():
+        rows = harness.run_experiment(config, keep_trial_errors=True)
+        return harness.format_results(rows), [
+            (r.trial_err_t, r.trial_err_q, r.trial_ok) for r in rows]
+
+    text, trials = sweep()  # the default: one chunk per grid point
     for chunk_bytes in (1, 8 * 16 * 16 * 4):  # chunks of 1 and of 4 trials
         monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
-        assert_bitwise(harness._trial_block(config, 0, 0.5, rho, 0, 23), whole)
+        got_text, got_trials = sweep()
+        assert got_text == text
+        for got, want in zip(got_trials, trials, strict=True):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
 def test_chunks_bound_the_work_arrays():
@@ -160,9 +167,10 @@ def test_placement_gives_up_after_100_draws(monkeypatch):
     landing_on_anchor(monkeypatch, 99)
     check(config)
     landing_on_anchor(monkeypatch, 100)
-    for run in (harness._trial_block, trial_block):
-        with pytest.raises(ConfigurationError, match="after 100 attempts"):
-            run(config, 0, 0.5, config.resolve_rho(), 0, 3)
+    with pytest.raises(ConfigurationError, match="after 100 attempts"):
+        harness._trial_chunk(config, 0, 0, 3)
+    with pytest.raises(ConfigurationError, match="after 100 attempts"):
+        trial_block(config, 0, 0.5, config.resolve_rho(), 0, 3)
 
 
 def test_public_functions_run_a_batch_as_its_trials():
@@ -272,3 +280,8 @@ def test_generate_measurements_checks_the_generator_list():
 def test_random_scene_rejects_an_empty_generator_list():
     with pytest.raises(ValueError, match="at least one generator"):
         random_scene(SceneConfig(), [])
+
+
+def test_random_scene_rejects_a_list_mixing_generators_and_seeds():
+    with pytest.raises(ValueError, match="only numpy Generators"):
+        random_scene(SceneConfig(), [np.random.default_rng(1), 2])

@@ -47,6 +47,15 @@ def test_config_validation():
                 dict(methods=("mds", "mds"))):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**bad)
+    # a string or a number is no grid, and flags are booleans, not truthy values
+    for grid in ("0.5", 0.5, ("0.5",), (True,)):
+        with pytest.raises(ConfigurationError, match="sigma grid"):
+            ExperimentConfig(sigma_grid=grid)
+    for bad in (dict(tt_noisy="false"), dict(fixed_pose="no"), dict(fixed_pose=1),
+                dict(tt_noisy=None)):
+        with pytest.raises(ConfigurationError, match="true or false"):
+            ExperimentConfig(**bad)
+    assert ExperimentConfig(sigma_grid=np.array([0.5, 1.0]), fixed_pose=np.True_).fixed_pose
     assert ExperimentConfig(trials=np.int64(3), master_seed=0).trials == 3
     with pytest.raises(ConfigurationError):
         ExperimentConfig(zeta_theta=None, rho=None)
@@ -98,18 +107,24 @@ def test_worker_count_does_not_change_results():
 def test_one_process_pool_per_run(monkeypatch):
     import concurrent.futures
     opened = []
+    mapped = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+        def map(self, *args, **kwargs):
+            mapped.append(len(args[1]))  # map(fn, configs, gs, starts, stops)
+            return super().map(*args, **kwargs)
+
     # run_experiment imports the pool class when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     run_experiment(small_config(sigma_grid=(0.2, 0.5, 1.0), trials=6, workers=2))
-    assert opened == [2]
+    # one map over the whole sweep: two chunks of 3 trials per grid point
+    assert opened == [2] and mapped == [6]
     run_experiment(small_config(trials=6, workers=1))
-    assert opened == [2]
+    assert opened == [2] and mapped == [6]
 
 
 def test_one_embedding_per_trial(monkeypatch):

@@ -119,6 +119,12 @@ def test_scenario_values_are_not_coerced(tmp_path):
                  "experiment:\n  methods: [mds, mds]\n"):
         with pytest.raises(ConfigurationError):
             load_scenario(write_scenario(tmp_path, text))
+    # a quoted flag is an error, not True
+    for text in ('noise:\n  tt_noisy: "false"\n', 'experiment:\n  fixed_pose: "no"\n'):
+        with pytest.raises(ConfigurationError, match="true or false"):
+            load_scenario(write_scenario(tmp_path, text))
+    config = load_scenario(write_scenario(tmp_path, "noise:\n  tt_noisy: true\n"))
+    assert config.tt_noisy is True and config.fixed_pose is False
 
 
 def test_malformed_scenario_rejected(tmp_path):

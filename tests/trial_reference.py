@@ -1,7 +1,7 @@
 """Reference copy of the per-trial Monte Carlo loop the batch harness replaces.
 
-`harness._trial_block` runs the trials of a grid point as one batch on
-stacked arrays. This module keeps the loop it replaced, one trial at a
+`harness._trial_chunk` runs a span of a grid point's trials as one batch
+on stacked arrays. This module keeps the loop it replaced, one trial at a
 time through the public per-trial functions, so that the tests can pin
 the batch to those functions trial by trial. The noisy measurements are
 drawn as the per-trial code drew them, slice by slice through the public
