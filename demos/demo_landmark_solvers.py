@@ -33,7 +33,7 @@ def demo_single_scene():
                               SolverConfig(method=method))
         pose = estimate_pose(est.coordinates, scene.conformation)
         t_err = np.linalg.norm(pose.translation - scene.pose.translation)
-        q_err = rotation_mse(pose.rotation, scene.pose.rotation)
+        q_err = rotation_mse(pose.rotation.matrix, scene.pose.rotation.matrix)
         print(f"{method:<22} {landmark_rmse(est.coordinates, scene):11.4f}   "
               f"{t_err:9.4f}   {q_err:8.5f}")
     print("\nAll methods consume the same distances; only smds_full also")

@@ -13,8 +13,9 @@ exact Fisher information for the mean direction). The Bessel ratio comes
 from `measurements.bessel_ratio`, the same von Mises quadrature that
 converts zeta to rho, and is computed once per rho.
 
-`compute_fim` of a `SceneBatch` bounds K scenes at once, on arrays with
-a leading trial axis; one `Scene` is the K = 1 case of the same code.
+`compute_fim` bounds the K poses of a `Scene` at once, on arrays with a
+leading trial axis, and returns one `FisherInformation` holding all K;
+a one-pose scene is the K = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Scene, SceneBatch
+from .geometry import Scene
 from .measurements import NoiseConfig, bessel_ratio, zeta_to_rho
 
 _SINGULAR_RTOL = 1e-12
@@ -37,7 +38,7 @@ class FisherInformation:
     ----------
     matrix : ndarray, shape (3, 3)
         Symmetric positive semi-definite information matrix. For a
-        `SceneBatch` it is (K, 3, 3) and each bound a (K,) array.
+        scene of K poses it is (K, 3, 3) and each bound a (K,) array.
     crlb_t : float
         Lower bound on E||t_hat - t||^2, the trace of the translation
         block of the inverse FIM. Infinite when the FIM is singular.
@@ -71,12 +72,14 @@ def bearing_intensity(rho: float) -> float:
     return rho * bessel_ratio(rho)
 
 
-def _pose_gradients(anchors, points, landmarks, angles):
+def _pose_gradients(anchors, points, landmarks, rotations):
     """d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
 
-    Returns two (K, 3, M, N) arrays, for ranges and for bearings.
+    `rotations` holds the (K, 2, 2) rotation matrices, whose first column
+    is (cos alpha, sin alpha). Returns two (K, 3, M, N) arrays, for
+    ranges and for bearings.
     """
-    ca, sa = np.cos(angles), np.sin(angles)
+    ca, sa = rotations[:, 0, 0], rotations[:, 1, 0]
     qprime = np.empty(ca.shape + (2, 2))
     qprime[:, 0, 0] = -sa
     qprime[:, 0, 1] = -ca
@@ -97,15 +100,15 @@ def _pose_gradients(anchors, points, landmarks, angles):
 
 
 def _pose_fims(anchors: np.ndarray, points: np.ndarray, landmarks: np.ndarray,
-              angles: np.ndarray, noise: NoiseConfig, use_distances: bool = True,
+              rotations: np.ndarray, noise: NoiseConfig, use_distances: bool = True,
               use_bearings: bool = True) -> np.ndarray:
     """Pose Fisher information of K scenes with one anchor set and body.
 
-    `landmarks` is (K, 2, N) and `angles` (K,), the rotation angle of
-    each pose. Returns the (K, 3, 3) matrices; see `compute_fim`.
+    `landmarks` is (K, 2, N) and `rotations` (K, 2, 2). Returns the
+    (K, 3, 3) matrices; see `compute_fim`.
     """
-    g_d, g_psi = _pose_gradients(anchors, points, landmarks, angles)
-    fim = np.zeros((len(angles), 3, 3))
+    g_d, g_psi = _pose_gradients(anchors, points, landmarks, rotations)
+    fim = np.zeros((len(rotations), 3, 3))
     if use_distances:
         if noise.sigma <= 0:
             raise ValueError("distance terms require sigma > 0")
@@ -120,10 +123,15 @@ def _pose_fims(anchors: np.ndarray, points: np.ndarray, landmarks: np.ndarray,
 def _pose_bounds(fims: np.ndarray):
     """(crlb_t, crlb_alpha, crlb_q) of each (3, 3) FIM in a (K, 3, 3) stack.
 
-    A singular FIM yields infinite bounds.
+    A singular FIM yields infinite bounds. The test runs on D^-1/2 F D^-1/2,
+    D the diagonal of F, so it does not depend on the units of length:
+    the translation entries scale as 1/s^2 and the angle entry does not.
     """
-    w = np.linalg.eigvalsh(fims)
-    singular = w[:, 0] <= _SINGULAR_RTOL * np.maximum(w[:, -1], np.finfo(float).tiny)
+    d = np.sqrt(np.diagonal(fims, axis1=1, axis2=2))
+    zero = np.any(d == 0.0, axis=1)
+    d[zero] = 1.0
+    w = np.linalg.eigvalsh(fims / (d[:, :, None] * d[:, None, :]))
+    singular = zero | (w[:, 0] <= _SINGULAR_RTOL * w[:, -1])
     inv = np.full(fims.shape, np.inf)
     if not singular.all():
         inv[~singular] = np.linalg.inv(fims[~singular])
@@ -131,13 +139,14 @@ def _pose_bounds(fims: np.ndarray):
     return inv[:, 0, 0] + inv[:, 1, 1], crlb_alpha, 2.0 * crlb_alpha
 
 
-def compute_fim(scene: Scene | SceneBatch, noise: NoiseConfig, use_distances: bool = True,
+def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
                 use_bearings: bool = True) -> FisherInformation:
     """Fisher information of the pose from all anchor-target measurements.
 
     Parameters
     ----------
-    scene : Scene, or SceneBatch for one FIM per trial
+    scene : Scene
+        One pose, or K poses for one FIM per pose.
     noise : NoiseConfig
         sigma must be positive when distances are used, rho finite when
         bearings are used (exact channels make the bound trivial).
@@ -150,11 +159,12 @@ def compute_fim(scene: Scene | SceneBatch, noise: NoiseConfig, use_distances: bo
     FisherInformation
         A singular FIM yields infinite bounds rather than an exception.
     """
-    batch = scene if isinstance(scene, SceneBatch) else SceneBatch.of_scene(scene)
-    fim = _pose_fims(batch.anchors.positions, batch.conformation.points, batch.landmarks,
-                     batch.angles, noise, use_distances, use_bearings)
+    lm, rot = scene.landmarks, scene.pose.rotation.matrix
+    fim = _pose_fims(scene.anchors.positions, scene.conformation.points,
+                     lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2), noise,
+                     use_distances, use_bearings)
     bounds = _pose_bounds(fim)
-    if batch is scene:
+    if lm.ndim == 3:
         return FisherInformation(fim, *bounds)
     return FisherInformation(fim[0], *(float(b[0]) for b in bounds))
 

@@ -7,35 +7,30 @@ follow from a pose (rotation Q in SO(2) plus translation t):
 
     S = Q C + t 1^T
 
-All positions are 2D, in meters. Every type in this module is immutable
-after construction and safe to share across threads.
-
-`random_scene` given a list of generators poses the body once per
-generator and returns a `SceneBatch`, whose pose arrays lead with a
-trial axis; given one seed it returns the one `Scene`, through the same
-placement code (`place_bodies`).
-"""
+All positions are 2D, in meters. A `Pose` and a `Scene` hold one pose,
+or K poses of one body with a leading trial axis on their arrays.
+`random_scene` given a list of K generators draws K poses, one per
+generator; given one seed it draws one, through the same placement code
+(`place_bodies`). The types are frozen; the anchor and body arrays are
+also read-only."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError
 
-_ORTHO_TOL = 1e-12
 # nodes closer than this count as coincident
 _MIN_SEPARATION = 1e-9
 
 
-def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
-    """Copy `values` into a read-only float array, optionally checking shape."""
-    arr = np.array(values, dtype=dtype)
-    if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+def _frozen_array(values) -> np.ndarray:
+    """Copy `values` into a read-only float array."""
+    arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("array entries must be finite")
     arr.flags.writeable = False
@@ -44,47 +39,21 @@ def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotationMatrix:
-    """A 2x2 rotation matrix together with its angle in radians.
-
-    Attributes
-    ----------
-    matrix : ndarray, shape (2, 2)
-        Orthonormal matrix with determinant +1.
-    angle : float
-        Counterclockwise rotation angle in radians. Consistent with
-        `matrix` to within 1e-12.
-    """
+    """Planar rotation matrices: one (2, 2) matrix, or a (K, 2, 2) stack."""
 
     matrix: np.ndarray
-    angle: float
 
-    def __post_init__(self):
-        m = _frozen_array(self.matrix, shape=(2, 2))
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "angle", float(self.angle))
-        if not np.isfinite(self.angle):
-            raise ValueError("rotation angle must be finite")
-        if np.max(np.abs(m.T @ m - np.eye(2))) > _ORTHO_TOL:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(m) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation matrix must have determinant +1")
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        if max(abs(m[0, 0] - c), abs(m[1, 0] - s)) > 1e-9:
-            raise ValueError("matrix entries inconsistent with stored angle")
+    @property
+    def angle(self):
+        """Counterclockwise angle in (-pi, pi], one per matrix."""
+        return np.arctan2(self.matrix[..., 1, 0], self.matrix[..., 0, 0])
 
     @classmethod
-    def from_angle(cls, angle: float) -> "RotationMatrix":
-        if not np.isfinite(angle):
+    def from_angle(cls, angle) -> "RotationMatrix":
+        angle = np.asarray(angle, dtype=float)
+        if not np.all(np.isfinite(angle)):
             raise ValueError("rotation angle must be finite")
-        return cls(_rotation_matrices(np.float64(angle)), float(angle))
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "RotationMatrix":
-        m = np.asarray(matrix, dtype=float)
-        return cls(m, float(np.arctan2(m[1, 0], m[0, 0])))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype)
+        return cls(_rotation_matrices(angle))
 
 
 def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
@@ -100,19 +69,21 @@ def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid planar motion: rotation followed by translation."""
+    """Rigid planar motion, rotation then translation: one, or K of them.
+
+    `translation` is (2,) for one pose and (K, 2) for a stack, matching
+    `rotation.matrix`.
+    """
 
     rotation: RotationMatrix
     translation: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.rotation, RotationMatrix):
-            object.__setattr__(self, "rotation", RotationMatrix.from_matrix(self.rotation))
-        object.__setattr__(self, "translation", _frozen_array(self.translation, shape=(2,)))
-
     @classmethod
-    def from_angle(cls, angle: float, translation) -> "Pose":
-        return cls(RotationMatrix.from_angle(angle), np.asarray(translation, dtype=float))
+    def from_angle(cls, angle, translation) -> "Pose":
+        t = np.array(translation, dtype=float)
+        if t.shape != np.shape(angle) + (2,) or not np.all(np.isfinite(t)):
+            raise ValueError("translation must be a finite 2-vector per angle")
+        return cls(RotationMatrix.from_angle(angle), t)
 
 
 @dataclass(frozen=True)
@@ -207,54 +178,48 @@ def _check_pairwise_distinct(points: np.ndarray, label: str):
         raise DegenerateGeometryError(f"{label} contain coincident points")
 
 
-def _place(anchors: np.ndarray, points: np.ndarray, rotations: np.ndarray,
-           translations: np.ndarray):
-    """World landmarks of K poses of one body, and which poses are degenerate.
-
-    Returns the (K, 2, N) landmarks Q_k C + t_k and a (K,) mask of the
-    poses that put a landmark on an anchor. Only anchor-landmark pairs
-    need checking: `AnchorSet` and `Conformation` reject coincident
-    anchors and coincident body points when they are built.
-    """
-    landmarks = rotations @ points + translations[:, :, None]
-    gaps = np.linalg.norm(landmarks[:, :, None, :] - anchors[None, :, :, None], axis=1)
-    return landmarks, np.any(gaps <= _MIN_SEPARATION, axis=(1, 2))
-
-
 def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
-    """Transform body-frame points to world-frame landmark positions.
+    """World positions S = Q C + t 1^T of the body's points under `pose`.
 
-    Parameters
-    ----------
-    conformation : Conformation
-        Body shape C (2xN).
-    pose : Pose
-        Rotation Q and translation t.
-
-    Returns
-    -------
-    ndarray, shape (2, N)
-        S = Q C + t 1^T, so column n equals Q c_n + t.
+    Returns (2, N) for one pose and (K, 2, N) for a stack of K; column n
+    is Q c_n + t.
     """
-    q = pose.rotation.matrix
-    return q @ conformation.points + pose.translation[:, None]
+    return pose.rotation.matrix @ conformation.points + pose.translation[..., None]
+
+
+def _on_anchor(anchors: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
+    """Whether a landmark lies on an anchor, per pose of a (..., 2, N) stack.
+
+    Only anchor-landmark pairs need checking: `AnchorSet` and
+    `Conformation` reject coincident anchors and coincident body points
+    when they are built.
+    """
+    gaps = np.linalg.norm(landmarks[..., None, :] - anchors[:, :, None], axis=-3)
+    return np.any(gaps <= _MIN_SEPARATION, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class Scene:
-    """A full localization scene: anchors plus a posed rigid body."""
+    """Anchors plus a rigid body in one pose, or in K poses.
+
+    For K poses the pose arrays lead with a trial axis and `landmarks`
+    is (K, 2, N); one scene holds a (2, 2) rotation, a (2,) translation
+    and (2, N) landmarks. `landmarks` is computed from the pose, and
+    checked against the anchors, when it is not given; `place_bodies`
+    gives the landmarks it has already checked.
+    """
 
     anchors: AnchorSet
     conformation: Conformation
     pose: Pose
-    landmarks: np.ndarray = field(init=False)
+    landmarks: np.ndarray | None = None
 
     def __post_init__(self):
-        lm, clash = _place(self.anchors.positions, self.conformation.points,
-                           self.pose.rotation.matrix[None], self.pose.translation[None])
-        if clash[0]:
-            raise DegenerateGeometryError("scene nodes contain coincident points")
-        object.__setattr__(self, "landmarks", _frozen_array(lm[0]))
+        if self.landmarks is None:
+            landmarks = apply_pose(self.conformation, self.pose)
+            if np.any(_on_anchor(self.anchors.positions, landmarks)):
+                raise DegenerateGeometryError("scene nodes contain coincident points")
+            object.__setattr__(self, "landmarks", landmarks)
 
     @property
     def n_anchors(self) -> int:
@@ -264,18 +229,11 @@ class Scene:
     def n_landmarks(self) -> int:
         return self.conformation.n_points
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_anchors + self.n_landmarks
-
-    def all_positions(self) -> np.ndarray:
-        """Anchor columns followed by landmark columns (2xT)."""
-        return np.hstack([self.anchors.positions, self.landmarks])
-
     def complex_positions(self) -> np.ndarray:
-        """All node positions as complex numbers x + jy, anchors first."""
-        xy = self.all_positions()
-        return xy[0] + 1j * xy[1]
+        """Node positions x + jy, anchors first: (T,), or (K, T) for K poses."""
+        a, lm = self.anchors.positions, self.landmarks
+        anchors = np.broadcast_to(a[0] + 1j * a[1], lm.shape[:-2] + a.shape[1:])
+        return np.concatenate([anchors, lm[..., 0, :] + 1j * lm[..., 1, :]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -338,56 +296,19 @@ class SceneConfig:
         return Conformation.regular_polygon(self.n_landmarks, self.body_radius)
 
 
-class SceneBatch(NamedTuple):
-    """K scenes of one anchor set and one body, each posed independently.
-
-    The pose arrays lead with the trial axis; a `Scene` is the K = 1 case.
-    """
-
-    anchors: AnchorSet
-    conformation: Conformation
-    angles: np.ndarray        # (K,) rotation angles
-    rotations: np.ndarray     # (K, 2, 2)
-    translations: np.ndarray  # (K, 2)
-    landmarks: np.ndarray     # (K, 2, N) world positions
-
-    @classmethod
-    def of_scene(cls, scene: Scene) -> "SceneBatch":
-        pose = scene.pose
-        return cls(scene.anchors, scene.conformation, np.array([pose.rotation.angle]),
-                   pose.rotation.matrix[None], pose.translation[None], scene.landmarks[None])
-
-    @property
-    def n_anchors(self) -> int:
-        return self.anchors.n_anchors
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.conformation.n_points
-
-    def complex_positions(self) -> np.ndarray:
-        """(K, T) node positions x + jy of each scene, anchors first."""
-        a = self.anchors.positions
-        lm = self.landmarks
-        x = np.empty((len(lm), a.shape[1] + lm.shape[2]), dtype=complex)
-        x[:, :a.shape[1]] = a[0] + 1j * a[1]
-        x[:, a.shape[1]:] = lm[:, 0] + 1j * lm[:, 1]
-        return x
-
-
 def _draw_pose(rng: np.random.Generator, box) -> tuple:
     """Uniform angle on [-pi, pi), then the centroid's x and y in the box."""
     lo_x, hi_x, lo_y, hi_y = box
     return (rng.uniform(-np.pi, np.pi), rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
 
 
-def place_bodies(config: SceneConfig, rngs: Sequence[np.random.Generator]) -> SceneBatch:
+def place_bodies(config: SceneConfig, rngs: Sequence[np.random.Generator]) -> Scene:
     """Draw one feasible pose of the config's body per generator.
 
     Trial k draws from `rngs[k]` alone: an angle and a centroid, redrawn
     (at most 100 draws in all) while a landmark lands on an anchor. The
     body centroid stays at least `body radius + wall_clearance` from
-    every wall.
+    every wall. Returns the K poses as one `Scene`.
 
     Raises
     ------
@@ -397,35 +318,36 @@ def place_bodies(config: SceneConfig, rngs: Sequence[np.random.Generator]) -> Sc
     """
     anchors = config.build_anchors()
     conformation = config.build_conformation()
-    points = conformation.points
     margin = conformation.radius + config.wall_clearance
     box = (margin, config.room_width - margin, margin, config.room_height - margin)
     if box[0] > box[1] or box[2] > box[3]:
         raise ConfigurationError(
             "body does not fit in the room with the requested wall clearance")
-    center = points.mean(axis=1)
+    center = conformation.points.mean(axis=1)
 
     def place(draws):
         rotations = _rotation_matrices(draws[:, 0])
         # the translation puts the shape centroid at the drawn point
         translations = draws[:, 1:] - rotations @ center
-        landmarks, clash = _place(anchors.positions, points, rotations, translations)
-        return (draws[:, 0], rotations, translations, landmarks), clash
+        landmarks = apply_pose(conformation, Pose(RotationMatrix(rotations), translations))
+        return (rotations, translations, landmarks), _on_anchor(anchors.positions, landmarks)
 
-    poses, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
+    placed, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
     for k in np.flatnonzero(clash):
         for _ in range(99):
             redraw, clash_k = place(np.array([_draw_pose(rngs[k], box)]))
             if not clash_k[0]:
-                for part, new in zip(poses, redraw):
+                for part, new in zip(placed, redraw):
                     part[k] = new[0]
                 break
         else:
             raise ConfigurationError("could not place the body after 100 attempts")
-    return SceneBatch(anchors, conformation, *poses)
+    rotations, translations, landmarks = placed
+    pose = Pose(RotationMatrix(rotations), translations)
+    return Scene(anchors, conformation, pose, landmarks)
 
 
-def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
+def random_scene(config: SceneConfig, seed) -> Scene:
     """Generate a scene with a randomly posed body.
 
     Parameters
@@ -435,12 +357,13 @@ def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
         perimeter anchors and an 8-point polygon body.
     seed : int, numpy.random.Generator, or list of Generator
         Source of randomness. The same seed yields an identical scene.
-        A list of generators poses the body once per generator, each
+        A list of K generators poses the body once per generator, each
         drawing from its own generator only.
 
     Returns
     -------
-    Scene, or SceneBatch for a list of generators
+    Scene
+        One pose, or K poses for a list of K generators.
 
     Raises
     ------
@@ -455,6 +378,6 @@ def random_scene(config: SceneConfig, seed) -> Scene | SceneBatch:
         if not all(isinstance(r, np.random.Generator) for r in seed):
             raise ValueError("a list of seeds must hold only numpy Generators")
         return place_bodies(config, seed)
-    batch = place_bodies(config, [np.random.default_rng(seed)])
-    pose = Pose(RotationMatrix(batch.rotations[0], batch.angles[0]), batch.translations[0])
-    return Scene(batch.anchors, batch.conformation, pose)
+    scene = place_bodies(config, [np.random.default_rng(seed)])
+    pose = Pose(RotationMatrix(scene.pose.rotation.matrix[0]), scene.pose.translation[0])
+    return Scene(scene.anchors, scene.conformation, pose, scene.landmarks[0])

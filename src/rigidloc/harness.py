@@ -31,7 +31,7 @@ import numpy as np
 
 from .crlb import compute_fim
 from .errors import ConfigurationError
-from .geometry import Scene, SceneBatch, SceneConfig, random_scene
+from .geometry import Scene, SceneConfig, random_scene
 from .measurements import ZETA_MAX, NoiseConfig, generate_measurements, zeta_to_rho
 from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
@@ -103,10 +103,10 @@ class ExperimentConfig:
         # checked here, not per trial: the FIM needs a finite rho, and
         # zeta_to_rho accepts only (0, 0.9 pi]
         if self.rho is not None:
-            if not np.isfinite(self.rho) or self.rho < 0:
-                raise ConfigurationError("rho must be finite and nonnegative")
-        elif not 0.0 < self.zeta_theta <= ZETA_MAX + 1e-12:
-            raise ConfigurationError("zeta_theta must lie in (0, 0.9*pi]")
+            if not _is_real(self.rho) or not np.isfinite(self.rho) or self.rho < 0:
+                raise ConfigurationError("rho must be a finite nonnegative number")
+        elif not _is_real(self.zeta_theta) or not 0.0 < self.zeta_theta <= ZETA_MAX + 1e-12:
+            raise ConfigurationError("zeta_theta must be a number in (0, 0.9*pi]")
 
     def resolve_rho(self) -> float:
         return float(self.rho) if self.rho is not None else zeta_to_rho(self.zeta_theta)
@@ -164,23 +164,22 @@ def _trial_chunk(config: ExperimentConfig, g: int, start: int, stop: int):
     rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(g, k)))
             for k in range(start, stop)]
     n = stop - start
-    scenes = (SceneBatch.of_scene(reference_scene(config)) if config.fixed_pose
-              else random_scene(config.scene, rngs))
-    meas = generate_measurements(scenes, noise, rngs)
-    # a fixed pose has one FIM, shared by all trials
-    fim = compute_fim(scenes, noise)
+    # a fixed pose is one scene, shared by all trials, with one FIM
+    scene = reference_scene(config) if config.fixed_pose else random_scene(config.scene, rngs)
+    meas = generate_measurements(scene, noise, rngs)
+    fim = compute_fim(scene, noise)
     crlb_t, crlb_q = np.broadcast_to(fim.crlb_t, (n,)), np.broadcast_to(fim.crlb_q, (n,))
 
     err_t = np.full((len(config.methods), n), np.nan)
     err_q = np.full((len(config.methods), n), np.nan)
     ok = np.zeros((len(config.methods), n), dtype=bool)
     for j, method in enumerate(config.methods):
-        est = solve_landmarks(meas, scenes.anchors, scenes.conformation, SolverConfig(method))
+        est = solve_landmarks(meas, scene.anchors, scene.conformation, SolverConfig(method))
         with np.errstate(invalid="ignore"):  # failed trials may carry NaN
-            pose = estimate_pose(est.coordinates, scenes.conformation)
-            e_t, e_q = pose_errors(pose, scenes.rotations, scenes.translations)
+            pose = estimate_pose(est.coordinates, scene.conformation)
+            e_t, e_q = pose_errors(pose, scene.pose)
         # a trial counts when its solver succeeded and its pose fit is not NaN
-        ok[j] = (est.status == 0) & ~np.isnan(pose.translations[:, 0])
+        ok[j] = (est.status == 0) & ~np.isnan(pose.translation[:, 0])
         err_t[j, ok[j]] = e_t[ok[j]]
         err_q[j, ok[j]] = e_q[ok[j]]
     return err_t, err_q, ok, crlb_t, crlb_q

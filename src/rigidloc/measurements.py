@@ -16,11 +16,10 @@ exact quadrature of the von Mises density in numpy; `zeta_to_rho` and
 
 Anchor-anchor measurements are always exact (anchor positions are
 known), anchor-target always noisy, target-target exact by default with
-an optional noisy mode. `generate_measurements` of a `SceneBatch`
-simulates K trials at once, each from its own generator, and returns a
-`MeasurementBatch`; one `Scene` is the K = 1 case of the same code
-(`measure`). Every draw goes through `sample_distance` and
-`sample_angle`'s noise model.
+an optional noisy mode. `generate_measurements` measures one scene once,
+or each of K trials from its own generator at once (`measure`), and
+returns one `Measurements` type either way. Every draw goes through
+`sample_distance` and `sample_angle`'s noise model.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
-from .geometry import Scene, SceneBatch
+from .geometry import Scene
 
 ZETA_MAX = 0.9 * np.pi
 
@@ -210,45 +209,33 @@ class NoiseConfig:
             object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Measured distance and angle for every node pair, canonical order.
+@dataclass(eq=False)
+class Measurements:
+    """Measured distance and angle of every node pair, in canonical order.
 
-    The pair class (AA, AT, TT) of each entry follows from `index`.
+    `distances` and `angles` are (P,) arrays for one trial, or (K, P)
+    with a row per trial, on one pair index; the pair class (AA, AT, TT)
+    of each entry follows from `index`. The arrays are taken as given,
+    not copied, and made read-only. The solvers keep the MDS embedding
+    of the distances in `embedding` once they have computed it, so every
+    method solved on one set shares one eigendecomposition per trial.
     """
 
     index: PairIndex
     distances: np.ndarray
     angles: np.ndarray
+    embedding: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float).copy()
-        th = wrap_angle(np.asarray(self.angles, dtype=float)).copy()
-        p = self.index.n_pairs
-        if d.shape != (p,) or th.shape != (p,):
+        d = np.asarray(self.distances, dtype=float)
+        th = np.asarray(self.angles, dtype=float)
+        if d.ndim not in (1, 2) or d.shape[-1] != self.index.n_pairs or th.shape != d.shape:
             raise ValueError("measurement arrays must have one entry per pair")
-        _check_distances(d)
-        d.flags.writeable = False
-        th.flags.writeable = False
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "angles", th)
-
-
-@dataclass(eq=False)
-class MeasurementBatch:
-    """Measurements of K trials on one pair index, stacked for the solvers.
-
-    `distances` and `angles` are (K, P) arrays in canonical pair order,
-    row k holding what a `MeasurementSet` of trial k would. The solvers
-    keep the MDS embedding of the distances in `embedding` once they
-    have computed it, so every method solved on one batch shares one
-    eigendecomposition per trial.
-    """
-
-    index: PairIndex
-    distances: np.ndarray
-    angles: np.ndarray
-    embedding: tuple | None = field(default=None, repr=False)
+        if np.any(d <= 0) or not np.all(np.isfinite(d)):
+            raise ValueError("distances must be finite and positive")
+        # read-only, so the cached embedding always matches the distances
+        d.flags.writeable = th.flags.writeable = False
+        self.distances, self.angles = d, th
 
 
 def sample_distance(true_d, sigma: float, rng: np.random.Generator):
@@ -290,11 +277,6 @@ def _draw_angles(th: np.ndarray, rho: float, rng: np.random.Generator) -> np.nda
     return wrap_angle(rng.vonmises(th, rho))
 
 
-def _check_distances(d: np.ndarray) -> None:
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite and positive")
-
-
 def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
     """One noisy measurement of every node pair for each of K trials.
 
@@ -312,7 +294,7 @@ def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
     -------
     (distances, angles) : two ndarray of shape (K, P)
         AA pairs exact, AT noisy, TT exact unless `noise.tt_noisy`;
-        angles wrapped to [-pi, pi), as `MeasurementSet` stores them.
+        angles wrapped to [-pi, pi).
 
     Raises
     ------
@@ -323,8 +305,6 @@ def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
     d = np.abs(v)
     if np.any(d == 0.0):
         raise DegenerateGeometryError("scene contains coincident nodes")
-    # wrap_angle is idempotent, so wrapping the exact angles once gives
-    # what MeasurementSet keeps after wrapping them again
     theta = wrap_angle(np.angle(v))
     shape = (len(rngs), index.n_pairs)
     d_out = np.array(np.broadcast_to(d, shape))
@@ -341,12 +321,10 @@ def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
                 d_out[k, b] = _draw_distances(d[row, b], sigma, rng)
             if noisy_bearings:
                 th_out[k, b] = _draw_angles(theta[row, b], rho, rng)
-    _check_distances(d_out)
     return d_out, th_out
 
 
-def generate_measurements(scene: Scene | SceneBatch, noise: NoiseConfig,
-                          rng) -> MeasurementSet | MeasurementBatch:
+def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements:
     """Simulate one measurement of every node pair in a scene.
 
     AA pairs are exact, AT pairs noisy, TT pairs exact unless
@@ -355,31 +333,35 @@ def generate_measurements(scene: Scene | SceneBatch, noise: NoiseConfig,
 
     Parameters
     ----------
-    scene : Scene or SceneBatch
+    scene : Scene
+        One pose, or K poses.
     noise : NoiseConfig
-    rng : int, seed sequence, or numpy.random.Generator; for a
-        SceneBatch, a list of Generator, one per trial (a batch of one
-        scene shares it across all of them)
+    rng : int, seed sequence, numpy.random.Generator, or list of Generator
+        One seed or generator measures a one-pose scene once. A list (or
+        tuple) of generators gives one row of measurements per generator:
+        K of them for a scene of K poses, or any number for a one-pose
+        scene, which they then share.
 
     Returns
     -------
-    MeasurementSet, or MeasurementBatch for a SceneBatch
+    Measurements
+        (P,) arrays for one seed, (K, P) for a list of K generators.
 
     Raises
     ------
     ValueError
-        If a SceneBatch gets anything but a list of Generator, or a
-        batch of K >= 2 scenes does not get exactly K of them.
+        If a scene of K poses does not get a list of exactly K
+        Generators, or a list holds anything else.
     """
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    if isinstance(scene, SceneBatch):
-        if not isinstance(rng, (list, tuple)) or not all(
-                isinstance(r, np.random.Generator) for r in rng):
-            raise ValueError("a SceneBatch needs a list of numpy generators, one per trial")
-        k = len(scene.landmarks)
-        if k > 1 and len(rng) != k:
-            raise ValueError(f"a batch of {k} scenes needs {k} generators, got {len(rng)}")
-        return MeasurementBatch(index, *measure(scene.complex_positions(), index, noise, rng))
-    d, theta = measure(scene.complex_positions()[None], index, noise,
-                       [np.random.default_rng(rng)])
-    return MeasurementSet(index, d[0], theta[0])
+    x = scene.complex_positions()
+    if not isinstance(rng, (list, tuple)):
+        if x.ndim > 1:
+            raise ValueError("a scene of K poses needs a list of K numpy generators")
+        d, theta = measure(x[None], index, noise, [np.random.default_rng(rng)])
+        return Measurements(index, d[0], theta[0])
+    if not rng or not all(isinstance(r, np.random.Generator) for r in rng):
+        raise ValueError("a list of generators must be nonempty and hold only numpy Generators")
+    if x.ndim > 1 and len(rng) != len(x):
+        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {len(rng)}")
+    return Measurements(index, *measure(np.atleast_2d(x), index, noise, rng))

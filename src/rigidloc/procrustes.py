@@ -13,63 +13,21 @@ likewise depends only on z' = sum_i c_i s_i; when reflections are
 allowed, the larger of |z| and |z'| wins. No SVD or determinant
 correction is needed.
 
-`fit_alignment` and `estimate_pose` also take stacks of point sets with
-a leading trial axis and fit every trial at once; one pair of point
-sets is the K = 1 case of the same fit (`_fit`).
+`fit_alignment` and `estimate_pose` fit K pairs of point sets at once,
+given as stacks with a leading trial axis (`_fit`); one pair is the
+K = 1 case. A stack reports a trial with no orientation to fit as NaN;
+one pair raises instead. `estimate_pose` returns a `geometry.Pose`, the
+type a scene holds its true pose in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import NO_ORIENTATION, raise_failure
-from .geometry import Conformation, RotationMatrix
+from .geometry import Conformation, Pose, RotationMatrix
 
 _AMBIGUITY_RATIO = 1e-8
-
-
-def _as_points(points, name: str) -> np.ndarray:
-    pts = points.points if isinstance(points, Conformation) else np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != 2:
-        raise ValueError(f"{name} must be a 2xN matrix")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{name} must be finite")
-    return pts
-
-
-@dataclass(frozen=True)
-class PoseEstimate:
-    """Fitted pose with the attained objective value.
-
-    `ambiguous` is set when every rotation fits equally well: in the
-    plane the objective depends on the angle only through the complex
-    cross term z = sum_n conj(c_n) s_n of the centred points, so the
-    best proper rotation is unique unless z vanishes. The returned
-    rotation is then whatever phase rounding leaves in z, or the
-    identity when z is exactly zero.
-    """
-
-    rotation: RotationMatrix
-    translation: np.ndarray
-    objective: float
-    ambiguous: bool = False
-
-    def __post_init__(self):
-        t = np.asarray(self.translation, dtype=float).copy()
-        if t.shape != (2,) or not np.all(np.isfinite(t)):
-            raise ValueError("translation must be a finite 2-vector")
-        t.flags.writeable = False
-        object.__setattr__(self, "translation", t)
-
-
-class PoseBatch(NamedTuple):
-    """Poses fitted to K landmark sets; a trial whose fit failed is NaN."""
-
-    rotations: np.ndarray     # (K, 2, 2)
-    translations: np.ndarray  # (K, 2)
 
 
 def fit_alignment(source: np.ndarray, target: np.ndarray,
@@ -87,42 +45,35 @@ def fit_alignment(source: np.ndarray, target: np.ndarray,
 
     Returns
     -------
-    (R, t) : (ndarray (2, 2), ndarray (2,))
+    (R, t) : (ndarray (2, 2), ndarray (2,)), or their stacks
     """
-    if np.ndim(source) == 3 or np.ndim(target) == 3:
-        return _fit_stacks(source, target, allow_reflection)
-    c, s = _validated(source, target, "source", "target")
-    r, t, _, degenerate = _fit(c[None], s[None], allow_reflection)
-    if degenerate[0]:
-        raise_failure(NO_ORIENTATION)
-    return r[0], t[0]
+    r, t, one = _fit_stacks(source, target, allow_reflection)
+    return (r[0], t[0]) if one else (r, t)
 
 
 def _fit_stacks(source, target, allow_reflection: bool):
-    """Fits of a (K, 2, N) stack against another or a shared (2, N) set.
+    """Fits of (2, N) point sets or (K, 2, N) stacks of them, at once.
 
-    Only shapes are checked: a trial with non-finite points, or with no
-    orientation to fit, gets a NaN map and shift.
+    Returns the (K, 2, 2) maps, the (K, 2) shifts, and whether both
+    inputs were one set. A stacked trial with non-finite points, or with
+    no orientation to fit, gets a NaN map and shift; one pair of sets
+    raises instead.
     """
     c = source.points if isinstance(source, Conformation) else np.asarray(source, dtype=float)
     s = np.asarray(target, dtype=float)
-    c, s = (p if p.ndim == 3 else p[None] for p in (c, s))
-    if c.shape[1:] != s.shape[1:] or c.shape[1] != 2 or c.shape[2] < 2:
-        raise ValueError("point sets must be stacks of matching 2xN matrices")
-    r, t, _, degenerate = _fit(c, s, allow_reflection)
+    if (not {c.ndim, s.ndim} <= {2, 3} or c.shape[-2:] != s.shape[-2:]
+            or c.shape[-2] != 2 or c.shape[-1] < 2):
+        raise ValueError("point sets must be matching 2xN matrices, N >= 2, or stacks of them")
+    one = c.ndim == s.ndim == 2
+    if one and not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
+        raise ValueError("point sets must be finite")
+    r, t, _, degenerate = _fit(*(p if p.ndim == 3 else p[None] for p in (c, s)),
+                               allow_reflection)
+    if one:
+        raise_failure(NO_ORIENTATION if degenerate[0] else 0)
     r[degenerate] = np.nan
     t[degenerate] = np.nan
-    return r, t
-
-
-def _validated(source, target, source_name: str, target_name: str):
-    c = _as_points(source, source_name)
-    s = _as_points(target, target_name)
-    if s.shape != c.shape:
-        raise ValueError("point sets must have matching shapes")
-    if s.shape[1] < 2:
-        raise ValueError("need at least 2 points to fit an alignment")
-    return c, s
+    return r, t, one
 
 
 def _dot(a, b):
@@ -194,40 +145,31 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     return r, shift, ambiguous, degenerate
 
 
-def estimate_pose(landmarks: np.ndarray, conformation) -> PoseEstimate:
+def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
     """Fit the rigid pose mapping the body shape onto estimated landmarks.
 
     Parameters
     ----------
     landmarks : ndarray, shape (2, N), or (K, 2, N) for K trials
-        Estimated world positions (the fit target). A stack returns a
-        `PoseBatch`, NaN where a trial's fit fails, instead of raising.
+        Estimated world positions (the fit target).
     conformation : Conformation or ndarray (2, N)
         Known body-frame shape. Two-point shapes are accepted: a segment
         fixes the rotation, since only a proper rotation is allowed.
 
     Returns
     -------
-    PoseEstimate
-        Proper rotation, translation, attained objective, ambiguity flag.
-        For a (K, 2, N) stack, a PoseBatch.
+    Pose
+        The best proper rotation and translation: one pose, or K poses
+        for a stack, NaN where a trial's fit fails.
 
     Raises
     ------
     DegenerateGeometryError
-        If the point sets are degenerate (rank-0 cross
+        If one pair of point sets is degenerate (rank-0 cross
         covariance, e.g. all points coincident).
     """
-    if np.ndim(landmarks) == 3:
-        return PoseBatch(*_fit_stacks(conformation, landmarks, False))
-    c, s = _validated(conformation, landmarks, "conformation", "landmarks")
-    r, t, ambiguous, degenerate = _fit(c[None], s[None], allow_reflection=False)
-    if degenerate[0]:
-        raise_failure(NO_ORIENTATION)
-    r, t, ambiguous = r[0], t[0], bool(ambiguous[0])
-    resid = s - (r @ c + t[:, None])
-    objective = float(np.sum(np.sum(resid * resid, axis=0)))
-    return PoseEstimate(RotationMatrix.from_matrix(r), t, objective, ambiguous)
+    r, t, one = _fit_stacks(conformation, landmarks, False)
+    return Pose(RotationMatrix(r[0]), t[0]) if one else Pose(RotationMatrix(r), t)
 
 
 def rotation_mse(q_hat, q_true) -> float:
@@ -248,12 +190,12 @@ def _rotation_errors(q_hat: np.ndarray, q_true: np.ndarray) -> np.ndarray:
     return np.sum((d * d).reshape(-1, 4), axis=1)
 
 
-def pose_errors(pose: PoseBatch, rotations: np.ndarray, translations: np.ndarray):
+def pose_errors(pose: Pose, truth: Pose):
     """Squared translation and rotation errors of K fitted poses.
 
-    `rotations` (K, 2, 2) and `translations` (K, 2) are the true poses,
-    or one shared pose with K = 1. Returns two (K,) arrays; entry k is
-    what `dt @ dt` and `rotation_mse` give for trial k alone.
+    `truth` holds the K true poses, or one pose shared by all of them.
+    Returns two (K,) arrays; entry k is what `dt @ dt` and
+    `rotation_mse` give for trial k alone.
     """
-    dt = pose.translations - translations
-    return _dot(dt, dt), _rotation_errors(pose.rotations, rotations)
+    dt = pose.translation - truth.translation
+    return _dot(dt, dt), _rotation_errors(pose.rotation.matrix, truth.rotation.matrix)

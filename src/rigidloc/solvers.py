@@ -1,9 +1,9 @@
 """Landmark coordinate estimators.
 
 Three methods are provided behind one dispatch function,
-`solve_landmarks`, which takes one `MeasurementSet` or a
-`MeasurementBatch` of K trials; a batch is estimated at once on arrays
-with a leading trial axis, and one set is the K = 1 case of that code:
+`solve_landmarks`. It estimates the K trials of a `Measurements` at once
+on arrays with a leading trial axis; one trial is the K = 1 case of that
+code:
 
 ``mds``
     Classic multidimensional scaling on the measured distances, aligned
@@ -21,25 +21,24 @@ with a leading trial axis, and one set is the K = 1 case of that code:
     edge angles from the embedded coordinates, and feed those synthetic
     bearings through the ``smds_full`` path.
 
-A batch keeps its MDS embedding once computed, so ``mds`` and
-``smds_distance_only`` on one batch share one eigendecomposition per
-trial. A failed trial of a batch is reported by a failure code from
-`errors`; one measurement set raises that code's typed error instead.
+A `Measurements` keeps its MDS embedding once computed, so ``mds`` and
+``smds_distance_only`` on one set share one eigendecomposition per
+trial. A failed trial of K is reported by a failure code from `errors`;
+one trial raises that code's typed error instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .edges import PairIndex
 from .errors import (COINCIDENT_EDGES, NEGATIVE_GRAM, NO_EMBEDDING,
                      NO_ORIENTATION, NOT_FINITE, ConfigurationError,
-                     NumericalFailureError, raise_failure)
+                     raise_failure)
 from .geometry import AnchorSet, Conformation
-from .measurements import MeasurementBatch
+from .measurements import Measurements
 from .procrustes import fit_alignment
 
 METHODS = ("mds", "smds_full", "smds_distance_only")
@@ -58,27 +57,13 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class LandmarkEstimate:
-    """Estimated landmark coordinates (2, N) of one measurement set."""
+class Landmarks:
+    """Landmark estimates: (2, N) coordinates for one trial, (K, 2, N) for K.
 
-    coordinates: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=float)
-        if not np.all(np.isfinite(coords)):
-            raise NumericalFailureError("landmark estimate is not finite")
-        coords = coords.copy()
-        coords.flags.writeable = False
-        object.__setattr__(self, "coordinates", coords)
-
-
-class LandmarkBatch(NamedTuple):
-    """Landmark estimates of the K trials of a `MeasurementBatch`.
-
-    `coordinates` is (K, 2, N) and `status` holds (K,) failure codes
-    from `errors`, 0 for success; a failed trial's coordinates carry no
-    meaning. `iterations_used` is 0, as for every closed-form method.
+    `status` holds the failure code from `errors` of each trial, 0 for
+    success; a failed trial's coordinates carry no meaning. One trial
+    that fails raises instead. `iterations_used` is 0, as for every
+    closed-form method; `benchmark/spans.py` reads it.
     """
 
     coordinates: np.ndarray
@@ -121,11 +106,11 @@ def _distance_matrices(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     return dmat + dmat.transpose(0, 2, 1)
 
 
-def _embedding(batch: MeasurementBatch):
-    """The batch's MDS embeddings and failure codes, computed on first use."""
-    if batch.embedding is None:
-        batch.embedding = _embed(_distance_matrices(batch.distances, batch.index))
-    return batch.embedding
+def _embedding(meas: Measurements):
+    """The MDS embeddings and failure codes of K trials, computed on first use."""
+    if meas.embedding is None:
+        meas.embedding = _embed(_distance_matrices(np.atleast_2d(meas.distances), meas.index))
+    return meas.embedding
 
 
 def _mds(embedding, anchors: np.ndarray, m: int):
@@ -157,33 +142,35 @@ def _smds(distances: np.ndarray, angles: np.ndarray, anchors: np.ndarray,
     return _anchored_mean(v_at.reshape(-1, index.n_anchors, index.n_targets), anchors)
 
 
-def _solve(batch: MeasurementBatch, anchors: np.ndarray, method: str):
-    """One method's (K, 2, N) estimates and (K,) failure codes for a batch."""
-    index = batch.index
+def _solve(meas: Measurements, anchors: np.ndarray, method: str):
+    """One method's (K, 2, N) estimates and (K,) failure codes; one trial is K = 1."""
+    index = meas.index
+    distances = np.atleast_2d(meas.distances)
     if method == "smds_full":
-        coords = _smds(batch.distances, batch.angles, anchors, index)
+        coords = _smds(distances, np.atleast_2d(meas.angles), anchors, index)
         status = np.zeros(len(coords), dtype=int)
     else:
-        coords, status = _mds(_embedding(batch), anchors, index.n_anchors)
+        coords, status = _mds(_embedding(meas), anchors, index.n_anchors)
         if method == "smds_distance_only":
             # bootstrap bearings from the MDS estimate
             nodes = np.concatenate(
                 [np.broadcast_to(anchors, (len(coords),) + anchors.shape), coords], axis=2)
             angles, coincident = _edge_angles(nodes[:, 0] + 1j * nodes[:, 1], index)
-            coords = _smds(batch.distances, angles, anchors, index)
+            coords = _smds(distances, angles, anchors, index)
             status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
     finite = np.all(np.isfinite(coords), axis=(1, 2))
     return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)
 
 
-def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
+def solve_landmarks(meas: Measurements, anchors: AnchorSet | np.ndarray,
                     conformation: Conformation | None = None,
-                    config: SolverConfig | None = None) -> LandmarkEstimate | LandmarkBatch:
+                    config: SolverConfig | None = None) -> Landmarks:
     """Estimate landmark world coordinates from measurements.
 
     Parameters
     ----------
-    meas : MeasurementSet, or MeasurementBatch for K trials at once
+    meas : Measurements
+        One trial, or K trials at once.
     anchors : AnchorSet or ndarray (2, M)
         Known anchor positions; a raw array is validated and wrapped.
     conformation : Conformation, optional
@@ -193,8 +180,9 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
 
     Returns
     -------
-    LandmarkEstimate, or LandmarkBatch for a MeasurementBatch; a batch
-    reports failed trials in its `status` instead of raising
+    Landmarks
+        (2, N) coordinates for one trial; (K, 2, N) for K trials, which
+        report failed trials in `status` instead of raising.
     """
     cfg = config or SolverConfig()
     index = meas.index
@@ -204,9 +192,8 @@ def solve_landmarks(meas, anchors: AnchorSet | np.ndarray,
         raise ValueError("anchor count does not match the measurement index")
     if conformation is not None and conformation.n_points != index.n_targets:
         raise ValueError("conformation size does not match the measurement index")
-    if isinstance(meas, MeasurementBatch):
-        return LandmarkBatch(*_solve(meas, anchors.positions, cfg.method))
-    batch = MeasurementBatch(index, meas.distances[None], meas.angles[None])
-    coords, status = _solve(batch, anchors.positions, cfg.method)
+    coords, status = _solve(meas, anchors.positions, cfg.method)
+    if meas.distances.ndim == 2:
+        return Landmarks(coords, status)
     raise_failure(status[0])
-    return LandmarkEstimate(coords[0], cfg.method)
+    return Landmarks(coords[0], status[0])

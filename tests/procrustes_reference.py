@@ -12,7 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from rigidloc.errors import DegenerateGeometryError
-from rigidloc.procrustes import _AMBIGUITY_RATIO, _as_points
+from rigidloc.procrustes import _AMBIGUITY_RATIO
+
+
+def _as_points(points, name: str) -> np.ndarray:
+    pts = getattr(points, "points", points)
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] != 2:
+        raise ValueError(f"{name} must be a 2xN matrix")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{name} must be finite")
+    return pts
 
 
 def svd_fit(source, target, allow_reflection=False):

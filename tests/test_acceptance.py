@@ -262,7 +262,8 @@ def test_criterion_8_procrustes_beats_grid():
         ss = np.sum(s_c * s_c) + np.sum(c_c * c_c)
         grid = ss - 2.0 * ((h[0, 0] + h[1, 1]) * np.cos(alphas)
                            + (h[0, 1] - h[1, 0]) * np.sin(alphas))
-        worst_gap = max(worst_gap, est.objective - grid.min())
+        resid = s - (est.rotation.matrix @ conf.points + est.translation[:, None])
+        worst_gap = max(worst_gap, np.sum(resid * resid) - grid.min())
     check(8, "closed-form pose optimality", worst_gap <= 1e-8,
           f"max objective excess over a 0.1-degree rotation grid with optimal "
           f"per-angle translation: {worst_gap:.2e} on 100 noisy instances")

@@ -20,9 +20,9 @@ import rigidloc.measurements as measurements
 import rigidloc.solvers as solvers
 from rigidloc.crlb import compute_fim
 from rigidloc.errors import ConfigurationError, DegenerateGeometryError
-from rigidloc.geometry import SceneBatch, SceneConfig, random_scene
+from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.harness import ExperimentConfig
-from rigidloc.measurements import MeasurementBatch, NoiseConfig, generate_measurements
+from rigidloc.measurements import Measurements, NoiseConfig, generate_measurements
 from rigidloc.procrustes import estimate_pose, fit_alignment
 from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -157,7 +157,8 @@ def test_degenerate_placements_are_redrawn_from_the_trial_stream(monkeypatch):
     landing_on_anchor(monkeypatch, 2)
     bodies = geometry.place_bodies(config.scene, streams(config, 6))
     # each trial keeps its stream's third draw, the first that fits
-    assert np.array_equal(bodies.angles, [a for a, _, _ in third])
+    assert np.array_equal(bodies.pose.rotation.matrix,
+                          geometry._rotation_matrices(np.array([a for a, _, _ in third])))
     assert np.allclose(bodies.landmarks.mean(axis=2), [(x, y) for _, x, y in third])
     assert check(config)[2].all()
 
@@ -177,7 +178,7 @@ def test_public_functions_run_a_batch_as_its_trials():
     config = SceneConfig()
     noise = NoiseConfig(sigma=0.6, rho=30.0, tt_noisy=True)
     scenes = random_scene(config, [np.random.default_rng(k) for k in range(5)])
-    assert isinstance(scenes, SceneBatch) and scenes.landmarks.shape == (5, 2, 8)
+    assert scenes.landmarks.shape == (5, 2, 8) and scenes.pose.translation.shape == (5, 2)
     rngs = [np.random.default_rng(k) for k in range(5)]
     assert np.array_equal(scenes.landmarks, random_scene(config, rngs).landmarks)
     meas = generate_measurements(scenes, noise, rngs)
@@ -190,7 +191,9 @@ def test_public_functions_run_a_batch_as_its_trials():
         rng = np.random.default_rng(k)
         scene = random_scene(config, rng)
         assert np.array_equal(scenes.landmarks[k], scene.landmarks)
-        assert np.array_equal(scenes.rotations[k], scene.pose.rotation.matrix)
+        assert np.array_equal(scenes.pose.rotation.matrix[k], scene.pose.rotation.matrix)
+        assert np.array_equal(scenes.pose.translation[k], scene.pose.translation)
+        assert scenes.pose.rotation.angle[k] == scene.pose.rotation.angle
         one = generate_measurements(scene, noise, rng)
         assert np.array_equal(meas.distances[k], one.distances)
         assert np.array_equal(meas.angles[k], one.angles)
@@ -202,16 +205,17 @@ def test_public_functions_run_a_batch_as_its_trials():
             assert solved[m].status[k] == 0
             assert np.array_equal(solved[m].coordinates[k], est.coordinates)
             pose = estimate_pose(est.coordinates, scene.conformation)
-            assert np.array_equal(poses[m].rotations[k], pose.rotation.matrix)
-            assert np.array_equal(poses[m].translations[k], pose.translation)
+            assert np.array_equal(poses[m].rotation.matrix[k], pose.rotation.matrix)
+            assert np.array_equal(poses[m].translation[k], pose.translation)
 
 
 def test_batches_report_failed_trials_instead_of_raising():
     scene = random_scene(SceneConfig(), seed=3)
     one = generate_measurements(scene, NoiseConfig(sigma=0.3, rho=50.0), 4)
-    # trial 1 has all distances zero: no planar embedding
-    distances = np.stack([one.distances, np.zeros_like(one.distances)])
-    batch = MeasurementBatch(one.index, distances, np.stack([one.angles, one.angles]))
+    # trial 1 has all distances 1e-300, whose squares underflow to zero:
+    # no planar embedding
+    distances = np.stack([one.distances, np.full_like(one.distances, 1e-300)])
+    batch = Measurements(one.index, distances, np.stack([one.angles, one.angles]))
     est = solve_landmarks(batch, scene.anchors, scene.conformation, SolverConfig("mds"))
     assert list(est.status) == [0, errors.NO_EMBEDDING]
     assert np.array_equal(est.coordinates[0],
@@ -226,8 +230,8 @@ def test_batches_report_failed_trials_instead_of_raising():
     # a pose fit onto coincident landmarks has no orientation
     landmarks = np.stack([scene.landmarks, np.ones_like(scene.landmarks)])
     pose = estimate_pose(landmarks, scene.conformation)
-    assert np.allclose(pose.rotations[0], scene.pose.rotation.matrix)
-    assert np.isnan(pose.rotations[1]).all() and np.isnan(pose.translations[1]).all()
+    assert np.allclose(pose.rotation.matrix[0], scene.pose.rotation.matrix)
+    assert np.isnan(pose.rotation.matrix[1]).all() and np.isnan(pose.translation[1]).all()
     with pytest.raises(DegenerateGeometryError):
         estimate_pose(landmarks[1], scene.conformation)
     rot, shift = fit_alignment(landmarks, scene.landmarks, allow_reflection=True)
@@ -271,10 +275,13 @@ def test_generate_measurements_checks_the_generator_list():
     for bad in (rngs[:2], rngs + [np.random.default_rng(9)], rngs[0], []):
         with pytest.raises(ValueError, match="generators"):
             generate_measurements(scenes, noise, bad)
-    # the fixed-pose batch of one scene takes any number of trials
-    fixed = SceneBatch.of_scene(random_scene(SceneConfig(), seed=1))
+    # one scene, as a fixed pose, takes any number of trials
+    fixed = random_scene(SceneConfig(), seed=1)
     for n in (1, 3):
         assert generate_measurements(fixed, noise, rngs[:n]).distances.shape == (n, 120)
+        assert generate_measurements(fixed, noise, tuple(rngs[:n])).distances.shape == (n, 120)
+    with pytest.raises(ValueError, match="generators"):
+        generate_measurements(fixed, noise, [])
 
 
 def test_random_scene_rejects_an_empty_generator_list():

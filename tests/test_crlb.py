@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import i0e, i1e, iv
 
-from rigidloc.crlb import bearing_intensity, compute_fim, crlb_curve
+from rigidloc.crlb import _pose_bounds, bearing_intensity, compute_fim, crlb_curve
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, Scene,
                                SceneConfig, random_scene)
 from rigidloc.measurements import NoiseConfig, generate_measurements, wrap_angle
@@ -130,6 +130,26 @@ def test_singular_fim_gives_infinite_bounds():
     f = compute_fim(scene, NoiseConfig(sigma=1.0, rho=0.0), use_distances=False)
     assert np.all(f.matrix == 0.0)
     assert np.isinf(f.crlb_t) and np.isinf(f.crlb_alpha) and np.isinf(f.crlb_q)
+
+
+def test_singularity_test_does_not_depend_on_units():
+    # the same scene and noise in units s times smaller or larger: the
+    # translation bound scales as s^2, the rotation bound not at all
+    def bounds(s):
+        config = SceneConfig(room_width=10.0 * s, room_height=10.0 * s,
+                             body_radius=s, wall_clearance=3.0 * s)
+        f = compute_fim(random_scene(config, seed=3),
+                        NoiseConfig(sigma=0.5 * s, zeta_theta=np.deg2rad(8.0)))
+        return f.crlb_t / s ** 2, f.crlb_q
+
+    base = bounds(1.0)
+    assert base == pytest.approx((0.0074359, 0.0074348), rel=1e-4)
+    for s in (1e-8, 1e-6, 1e6, 1e12):
+        assert bounds(s) == pytest.approx(base, rel=1e-9)
+    # a zero diagonal entry, or a singular matrix at any scale, is singular
+    for fim in (np.diag([1e12, 1e12, 0.0]),
+                1e-20 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])):
+        assert np.all(np.isinf(_pose_bounds(fim[None])))
 
 
 def test_crlb_curve_monotone_and_consistent():

@@ -4,7 +4,7 @@ import pytest
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import DegenerateGeometryError
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import MeasurementSet
+from rigidloc.measurements import Measurements
 
 from kernel_reference import (EdgeSet, build_kernel, edges_from_coordinates,
                               edges_from_measurements, extract_minor,
@@ -69,9 +69,9 @@ def test_edges_from_coordinates_coincident():
 
 def test_edges_from_measurements_polar():
     idx = build_pair_index(2, 0)
-    meas = MeasurementSet(idx, np.array([2.0]), np.array([0.0]))
+    meas = Measurements(idx, np.array([2.0]), np.array([0.0]))
     assert edges_from_measurements(meas).values[0] == pytest.approx(2.0 + 0.0j)
-    meas = MeasurementSet(idx, np.array([np.sqrt(2.0)]), np.array([3 * np.pi / 4]))
+    meas = Measurements(idx, np.array([np.sqrt(2.0)]), np.array([3 * np.pi / 4]))
     v = edges_from_measurements(meas).values[0]
     assert v == pytest.approx(-1.0 + 1.0j, abs=1e-12)
 
@@ -80,7 +80,7 @@ def test_edges_from_measurements_noiseless_consistency():
     scene = random_scene(SceneConfig(), seed=2)
     idx = build_pair_index(8, 8)
     true_edges = edges_from_coordinates(scene.complex_positions(), idx)
-    meas = MeasurementSet(idx, true_edges.distances, true_edges.angles)
+    meas = Measurements(idx, true_edges.distances, true_edges.angles)
     v = edges_from_measurements(meas).values
     assert np.max(np.abs(v - true_edges.values)) < 1e-12
 

@@ -30,14 +30,22 @@ def test_rotation_rejects_nonfinite():
         RotationMatrix.from_angle(np.nan)
     with pytest.raises(ValueError):
         RotationMatrix.from_angle(np.inf)
+    with pytest.raises(ValueError):
+        RotationMatrix.from_angle([0.5, np.nan])
+    with pytest.raises(ValueError):
+        Pose.from_angle(np.nan, [0.0, 0.0])
 
 
-def test_rotation_matrix_validation():
+def test_pose_rejects_bad_translation():
+    for bad in ([np.inf, 0.0], [np.nan, 1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            Pose.from_angle(0.3, bad)
+    # K angles take K translations
+    poses = Pose.from_angle([0.1, 0.2], [[1.0, 2.0], [3.0, 4.0]])
+    assert poses.rotation.matrix.shape == (2, 2, 2)
+    assert np.allclose(poses.rotation.angle, [0.1, 0.2])
     with pytest.raises(ValueError):
-        RotationMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 0.0)
-    with pytest.raises(ValueError):
-        # proper orthonormal matrix but inconsistent angle
-        RotationMatrix(np.eye(2), 1.0)
+        Pose.from_angle([0.1, 0.2], [1.0, 2.0])
 
 
 def test_apply_pose_identity():
@@ -63,7 +71,7 @@ def test_random_scene_default_counts():
     scene = random_scene(SceneConfig(), seed=1)
     assert scene.n_anchors == 8
     assert scene.n_landmarks == 8
-    assert scene.n_nodes == 16
+    assert scene.complex_positions().shape == (16,)
 
 
 def test_random_scene_deterministic():
@@ -138,6 +146,12 @@ def test_scene_rejects_coincident_nodes():
     # translation puts the first landmark exactly onto the first anchor
     with pytest.raises(DegenerateGeometryError):
         Scene(anchors, conf, Pose.from_angle(0.0, [0.0, 0.0]))
+    # so does the second of K poses
+    with pytest.raises(DegenerateGeometryError):
+        Scene(anchors, conf, Pose.from_angle([0.0, 0.0], [[1.5, 1.5], [0.0, 0.0]]))
+    scene = Scene(anchors, conf, Pose.from_angle([0.0, 0.3], [[1.5, 1.5], [1.0, 1.2]]))
+    assert scene.landmarks.shape == (2, 2, 3)
+    assert np.allclose(scene.landmarks[0], conf.points + 1.5)
 
 
 def test_perimeter_anchors_on_boundary():
@@ -159,12 +173,17 @@ def test_infeasible_clearance_raises():
 
 def test_scene_positions_order():
     scene = random_scene(SceneConfig(), seed=5)
-    allpos = scene.all_positions()
-    assert np.array_equal(allpos[:, :8], scene.anchors.positions)
-    assert np.array_equal(allpos[:, 8:], scene.landmarks)
     z = scene.complex_positions()
-    assert np.allclose(z.real, allpos[0])
-    assert np.allclose(z.imag, allpos[1])
+    assert np.array_equal(z[:8].real, scene.anchors.positions[0])
+    assert np.array_equal(z[:8].imag, scene.anchors.positions[1])
+    assert np.array_equal(z[8:].real, scene.landmarks[0])
+    assert np.array_equal(z[8:].imag, scene.landmarks[1])
+    # K poses give one row per pose, each the positions of that pose alone
+    scenes = random_scene(SceneConfig(), [np.random.default_rng(k) for k in range(3)])
+    rows = scenes.complex_positions()
+    assert rows.shape == (3, 16)
+    for k in range(3):
+        assert np.array_equal(rows[k], random_scene(SceneConfig(), k).complex_positions())
 
 
 def test_scene_config_builds_once():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,12 +61,14 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(zeta_theta=None, rho=None)
     # bearing noise is checked when the config is built, not per trial
-    for rho in (np.inf, -1.0, np.nan):
-        with pytest.raises(ConfigurationError):
+    # strings and bools are not numbers, even where they would convert
+    for rho in (np.inf, -1.0, np.nan, "1", True, False):
+        with pytest.raises(ConfigurationError, match="rho"):
             ExperimentConfig(rho=rho)
-    for zeta in (0.0, -0.1, 4.0, np.nan):
-        with pytest.raises(ConfigurationError):
+    for zeta in (0.0, -0.1, 4.0, np.nan, "8", True):
+        with pytest.raises(ConfigurationError, match="zeta_theta"):
             ExperimentConfig(zeta_theta=zeta)
+    assert ExperimentConfig(rho=np.float32(2.0), zeta_theta=None).resolve_rho() == 2.0
     assert ExperimentConfig(rho=0.0).resolve_rho() == 0.0
     assert ExperimentConfig(zeta_theta=0.9 * np.pi).resolve_rho() == 0.0
 
@@ -241,7 +244,7 @@ def test_failed_trials_are_excluded(monkeypatch, caplog):
         est = real(meas, anchors, conformation, cfg)
         if cfg.method == "mds":
             # a synthetic NumericalFailureError in every trial of the batch
-            est = est._replace(status=np.full_like(est.status, errors.NOT_FINITE))
+            est = replace(est, status=np.full_like(est.status, errors.NOT_FINITE))
         return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)
@@ -267,7 +270,7 @@ def test_mostly_failing_method_flagged(monkeypatch, caplog):
                 calls["n"] += 1
                 if calls["n"] % 5 != 0:
                     status[k] = errors.NOT_FINITE  # synthetic failure
-            est = est._replace(status=status)
+            est = replace(est, status=status)
         return est
 
     monkeypatch.setattr(harness, "solve_landmarks", flaky)

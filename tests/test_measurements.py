@@ -6,7 +6,7 @@ from scipy.special import i0e, iv
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import (ZETA_MAX, MeasurementSet, NoiseConfig,
+from rigidloc.measurements import (ZETA_MAX, Measurements, NoiseConfig,
                                    generate_measurements, rho_to_zeta,
                                    sample_angle, sample_distance, wrap_angle,
                                    zeta_to_rho)
@@ -197,6 +197,17 @@ def test_generate_measurements_deterministic():
 def test_measurement_set_validation():
     idx = build_pair_index(3, 0)
     with pytest.raises(ValueError):
-        MeasurementSet(idx, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+        Measurements(idx, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
-        MeasurementSet(idx, np.array([1.0, -2.0, 1.0]), np.zeros(3))
+        Measurements(idx, np.array([1.0, -2.0, 1.0]), np.zeros(3))
+    # K trials are K rows on the same index, and each row is checked
+    assert Measurements(idx, np.ones((2, 3)), np.zeros((2, 3))).distances.shape == (2, 3)
+    for d, th in ((np.ones((2, 3)), np.zeros(3)), (np.ones((1, 2, 3)), np.zeros((1, 2, 3))),
+                  ([[1.0, 1.0, 1.0], [1.0, np.inf, 1.0]], np.zeros((2, 3)))):
+        with pytest.raises(ValueError):
+            Measurements(idx, d, th)
+    # the arrays are read-only, so a cached embedding cannot go stale
+    meas = Measurements(idx, np.ones(3), np.zeros(3))
+    for values in (meas.distances, meas.angles):
+        with pytest.raises(ValueError):
+            values[0] = 5.0

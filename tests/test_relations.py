@@ -2,28 +2,37 @@
 
 Each relation changes a seeded problem in a way whose effect on the
 answer is known exactly, solves both problems, and compares. The
-relations hold for every method in `METHODS`, on one measurement set and
-on a batch of trials:
+relations hold for every method in `METHODS`, on one trial and on K
+trials at once:
 
 - world rigid motion: rotating the anchors by beta, shifting them, and
   adding beta to every bearing moves the landmark estimates (and the
   fitted pose) by exactly that motion;
 - relabelling: permuting the anchors and the landmarks, together with
   their measurement pairs, permutes the estimates to match and leaves
-  the fitted pose unchanged.
+  the fitted pose unchanged;
+- scale: multiplying the room, the body, the wall clearance and sigma by
+  s leaves every seeded draw the same up to roundoff, so a sweep's
+  mse_t and crlb_t scale by s^2 and its mse_Q and crlb_Q do not move.
+
+`smds_full` followed by `estimate_pose` also equals its one-step complex
+form (`test_smds_full_pose_is_the_one_step_form`).
 
 Only roundoff separates the two solves, so the tolerances, fixed before
 any run, are tiny: 1e-10 of the room size for positions, 1e-10 for
-rotation matrix entries.
+rotation matrix entries, and 1e-9 relative for the scaled sweep metrics.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rigidloc.edges import build_pair_index
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import (MeasurementBatch, MeasurementSet, NoiseConfig,
-                                   generate_measurements, wrap_angle)
+from rigidloc.harness import ExperimentConfig, run_experiment
+from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
+                                   wrap_angle)
 from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -34,6 +43,8 @@ TRIALS = 6
 # absolute amount
 POSITION_TOL = 1e-10
 ROTATION_TOL = 1e-10
+# relative gap allowed between the scaled sweep metrics
+SCALE_RTOL = 1e-9
 
 
 def problems(config, seed):
@@ -45,21 +56,20 @@ def problems(config, seed):
 
 
 def with_edges(meas, distances, angles):
-    """A measurement of the same kind as `meas` with new (K, P) pair data."""
+    """Measurements shaped like `meas`, one trial or K, with new (K, P) pair data."""
     index = build_pair_index(meas.index.n_anchors, meas.index.n_targets)
-    if isinstance(meas, MeasurementBatch):
-        return MeasurementBatch(index, distances, angles)
-    return MeasurementSet(index, distances[0], angles[0])
+    return Measurements(index, distances.reshape(meas.distances.shape),
+                        angles.reshape(meas.angles.shape))
 
 
 def solve(meas, anchors, points, method):
     """(K, 2, N) estimates and the (K, 2, 2) and (K, 2) poses fitted to them."""
     est = solve_landmarks(meas, anchors, config=SolverConfig(method))
+    assert not np.any(est.status)
     pose = estimate_pose(est.coordinates, points)
-    if isinstance(meas, MeasurementBatch):
-        assert not est.status.any()
-        return est.coordinates, pose.rotations, pose.translations
-    return est.coordinates[None], pose.rotation.matrix[None], pose.translation[None]
+    n = points.shape[1]
+    return (est.coordinates.reshape(-1, 2, n), pose.rotation.matrix.reshape(-1, 2, 2),
+            pose.translation.reshape(-1, 2))
 
 
 def rows(meas):
@@ -120,3 +130,61 @@ def test_relabelling_permutes_the_estimates(config, method):
             assert np.max(np.abs(x2 - x[:, :, perm_t])) < POSITION_TOL * scale
             assert np.max(np.abs(q2 - q)) < ROTATION_TOL
             assert np.max(np.abs(t2 - t)) < POSITION_TOL * scale
+
+
+def scaled(config, s):
+    """`config` with the room, the body, the wall clearance and sigma times s."""
+    scene = config.scene
+    return replace(config, sigma_grid=tuple(s * g for g in config.sigma_grid),
+                   scene=replace(scene, room_width=s * scene.room_width,
+                                 room_height=s * scene.room_height,
+                                 body_radius=s * scene.body_radius,
+                                 wall_clearance=s * scene.wall_clearance))
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4, 1e8])
+def test_scale_leaves_the_sweep_unchanged(s):
+    config = ExperimentConfig(sigma_grid=(0.1, 0.5, 2.0), trials=60, methods=METHODS,
+                              master_seed=3)
+    base = run_experiment(config)
+    rows = run_experiment(scaled(config, s))
+    assert len(rows) == len(base) == 3 * len(METHODS)
+    for r, b in zip(rows, base):
+        assert (r.method, r.conv_rate) == (b.method, b.conv_rate) == (b.method, 1.0)
+        assert r.sigma == pytest.approx(s * b.sigma, rel=1e-15)
+        got = (r.mse_t / s ** 2, r.mse_q, r.crlb_t / s ** 2, r.crlb_q)
+        want = (b.mse_t, b.mse_q, b.crlb_t, b.crlb_q)
+        assert np.all(np.isfinite(want))
+        assert got == pytest.approx(want, rel=SCALE_RTOL, abs=0.0)
+
+
+def test_smds_full_pose_is_the_one_step_form():
+    # a body whose centroid is not its frame's origin, so t is not the
+    # landmark centroid
+    body = np.array([[0.0, 1.5, -0.5, 2.0, 0.7], [0.0, 0.2, 1.0, 1.3, -0.8]]) + [[2.0], [-1.0]]
+    config = SceneConfig(n_anchors=6, body_points=body, wall_clearance=0.5)
+    scale = max(config.room_width, config.room_height)
+    rngs = [np.random.default_rng(np.random.SeedSequence(41, spawn_key=(k,)))
+            for k in range(50)]
+    scene = random_scene(config, rngs)
+    meas = generate_measurements(scene, NOISE, rngs)
+    est = solve_landmarks(meas, scene.anchors, scene.conformation, SolverConfig("smds_full"))
+    pose = estimate_pose(est.coordinates, scene.conformation)
+
+    index = meas.index
+    a = scene.anchors.positions[0] + 1j * scene.anchors.positions[1]
+    c = body[0] + 1j * body[1]
+    z = (meas.distances[:, index.at] * np.exp(1j * meas.angles[:, index.at])).reshape(
+        -1, index.n_anchors, index.n_targets)
+    x = a.mean() + z.mean(axis=1)
+    x_bar = x.mean(axis=1, keepdims=True)
+    q = np.sum(np.conj(c - c.mean()) * (x - x_bar), axis=1)
+    q /= np.abs(q)
+    t = x_bar[:, 0] - q * c.mean()
+
+    assert np.max(np.abs(est.coordinates[:, 0] + 1j * est.coordinates[:, 1] - x)) \
+        < POSITION_TOL * scale
+    rotation = np.stack([np.stack([q.real, -q.imag], -1), np.stack([q.imag, q.real], -1)], 1)
+    assert np.max(np.abs(pose.rotation.matrix - rotation)) < ROTATION_TOL
+    assert np.max(np.abs(pose.translation[:, 0] + 1j * pose.translation[:, 1] - t)) \
+        < POSITION_TOL * scale

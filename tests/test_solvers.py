@@ -5,14 +5,13 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 
 from rigidloc.edges import build_pair_index
-from rigidloc.errors import (COINCIDENT_EDGES, ConfigurationError,
+from rigidloc.errors import (COINCIDENT_EDGES, NOT_FINITE, ConfigurationError,
                              DegenerateGeometryError, NumericalFailureError,
                              raise_failure)
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import MeasurementSet, NoiseConfig, generate_measurements
-from rigidloc.solvers import (LandmarkEstimate, SolverConfig, _anchored_mean,
-                              _distance_matrices, _edge_angles, _embed, _mds,
-                              solve_landmarks)
+from rigidloc.measurements import Measurements, NoiseConfig, generate_measurements
+from rigidloc.solvers import (SolverConfig, _anchored_mean, _distance_matrices,
+                              _edge_angles, _embed, _mds, solve_landmarks)
 
 from kernel_reference import (EdgeSet, MinorBlocks, build_kernel,
                               edges_from_coordinates, edges_from_measurements,
@@ -28,7 +27,7 @@ def scene_edges(seed):
 
 def measured(idx, v):
     """The measurement set whose complex edges are `v`."""
-    return MeasurementSet(idx, np.abs(v), np.angle(v))
+    return Measurements(idx, np.abs(v), np.angle(v))
 
 
 def test_rank1_eigenvalue_small_case():
@@ -104,7 +103,7 @@ def test_coordinates_from_edges_against_dense_lsq():
 
 
 def test_coordinates_from_edges_rejects_no_anchor():
-    meas = MeasurementSet(build_pair_index(0, 3), np.ones(3), np.zeros(3))
+    meas = Measurements(build_pair_index(0, 3), np.ones(3), np.zeros(3))
     with pytest.raises(ValueError):
         solve_landmarks(meas, np.zeros((2, 0)))
 
@@ -199,7 +198,7 @@ def test_classic_mds_against_dense_oracle():
     scene, idx, es = scene_edges(10)
     rng = np.random.default_rng(11)
     d_noisy = es.distances + 0.05 * rng.standard_normal(idx.n_pairs)
-    coords = solve_landmarks(MeasurementSet(idx, d_noisy, es.angles), scene.anchors,
+    coords = solve_landmarks(Measurements(idx, d_noisy, es.angles), scene.anchors,
                              config=SolverConfig("mds")).coordinates
 
     # independent reimplementation: double centering + scipy procrustes
@@ -279,8 +278,17 @@ def test_solve_landmarks_accepts_raw_anchor_array():
 
 
 def test_landmark_estimate_rejects_nonfinite():
-    with pytest.raises(NumericalFailureError):
-        LandmarkEstimate(np.array([[np.nan], [0.0]]), "mds")
+    # AT edges of 1e308 m overflow the anchored mean to inf: one trial
+    # raises, and K trials report the code
+    scene, idx, es = scene_edges(3)
+    huge = Measurements(idx, np.full(idx.n_pairs, 1e308), es.angles)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError):
+            solve_landmarks(huge, scene.anchors)
+        batch = Measurements(idx, np.stack([es.distances, huge.distances]),
+                             np.stack([es.angles, es.angles]))
+        est = solve_landmarks(batch, scene.anchors)
+    assert list(est.status) == [0, NOT_FINITE]
 
 
 def test_median_rmse_improves_with_bearing_accuracy():

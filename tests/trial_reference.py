@@ -19,7 +19,7 @@ from rigidloc.edges import build_pair_index
 from rigidloc.errors import DegenerateGeometryError, NumericalFailureError
 from rigidloc.geometry import random_scene
 from rigidloc.harness import reference_scene
-from rigidloc.measurements import (MeasurementSet, NoiseConfig, sample_angle,
+from rigidloc.measurements import (Measurements, NoiseConfig, sample_angle,
                                    sample_distance, wrap_angle)
 from rigidloc.procrustes import estimate_pose, rotation_mse
 from rigidloc.solvers import SolverConfig, solve_landmarks
@@ -45,7 +45,7 @@ def generate_measurements(scene, noise, rng):
         tt = index.tt
         d_out[tt] = sample_distance(d[tt], noise.sigma, rng)
         th_out[tt] = sample_angle(theta[tt], noise.rho, rng)
-    return MeasurementSet(index, d_out, th_out)
+    return Measurements(index, d_out, th_out)
 
 
 def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int):
@@ -78,6 +78,6 @@ def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int)
                 continue
             dt = pose.translation - scene.pose.translation
             err_t[j, i] = dt @ dt
-            err_q[j, i] = rotation_mse(pose.rotation, scene.pose.rotation)
+            err_q[j, i] = rotation_mse(pose.rotation.matrix, scene.pose.rotation.matrix)
             ok[j, i] = True
     return err_t, err_q, ok, crlb_t, crlb_q
