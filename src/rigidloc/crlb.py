@@ -15,7 +15,9 @@ converts zeta to rho, and is computed once per rho.
 
 `compute_fim` bounds the K poses of a `Scene` at once, on arrays with a
 leading trial axis, and returns one `FisherInformation` holding all K;
-a one-pose scene is the K = 1 case of the same code.
+a one-pose scene is the K = 1 case of the same code. A noise config
+with one sigma per trial scales each trial's range term by its own
+1/sigma^2, so one pose under K sigma values also gives K bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Scene
-from .measurements import NoiseConfig, bessel_ratio, zeta_to_rho
+from .measurements import NoiseConfig, bessel_ratio, sigma_squared, zeta_to_rho
 
 _SINGULAR_RTOL = 1e-12
 
@@ -38,7 +40,8 @@ class FisherInformation:
     ----------
     matrix : ndarray, shape (3, 3)
         Symmetric positive semi-definite information matrix. For a
-        scene of K poses it is (K, 3, 3) and each bound a (K,) array.
+        scene of K poses, or K sigma values, it is (K, 3, 3) and each
+        bound a (K,) array.
     crlb_t : float
         Lower bound on E||t_hat - t||^2, the trace of the translation
         block of the inverse FIM. Infinite when the FIM is singular.
@@ -104,15 +107,17 @@ def _pose_fims(anchors: np.ndarray, points: np.ndarray, landmarks: np.ndarray,
               use_bearings: bool = True) -> np.ndarray:
     """Pose Fisher information of K scenes with one anchor set and body.
 
-    `landmarks` is (K, 2, N) and `rotations` (K, 2, 2). Returns the
-    (K, 3, 3) matrices; see `compute_fim`.
+    `landmarks` is (K, 2, N) and `rotations` (K, 2, 2), or (1, 2, N) and
+    (1, 2, 2) for one pose under K sigma values. Returns the (K, 3, 3)
+    matrices; see `compute_fim`.
     """
     g_d, g_psi = _pose_gradients(anchors, points, landmarks, rotations)
-    fim = np.zeros((len(rotations), 3, 3))
+    variance = sigma_squared(noise.sigma)
+    fim = np.zeros((max(len(rotations), len(variance)), 3, 3))
     if use_distances:
-        if noise.sigma <= 0:
+        if np.any(variance <= 0):
             raise ValueError("distance terms require sigma > 0")
-        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / noise.sigma ** 2
+        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
     if use_bearings:
         lam = bearing_intensity(noise.rho)
         if lam > 0:
@@ -149,7 +154,9 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
         One pose, or K poses for one FIM per pose.
     noise : NoiseConfig
         sigma must be positive when distances are used, rho finite when
-        bearings are used (exact channels make the bound trivial).
+        bearings are used (exact channels make the bound trivial). A 1-D
+        sigma holds one value per pose, or K values for one pose, which
+        then gets one FIM per value.
     use_distances, use_bearings : bool
         Restrict the measurement set; both enabled by default. The FIM
         is additive over the two sets.
@@ -158,13 +165,23 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     -------
     FisherInformation
         A singular FIM yields infinite bounds rather than an exception.
+        Its bounds are floats for one pose and a scalar sigma, (K,)
+        arrays otherwise.
+
+    Raises
+    ------
+    ValueError
+        If a 1-D sigma of a scene of K poses does not hold K values.
     """
     lm, rot = scene.landmarks, scene.pose.rotation.matrix
+    sigmas = np.ndim(noise.sigma) and len(noise.sigma)
+    if sigmas and lm.ndim == 3 and sigmas != len(lm):
+        raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
     fim = _pose_fims(scene.anchors.positions, scene.conformation.points,
                      lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2), noise,
                      use_distances, use_bearings)
     bounds = _pose_bounds(fim)
-    if lm.ndim == 3:
+    if lm.ndim == 3 or sigmas:
         return FisherInformation(fim, *bounds)
     return FisherInformation(fim[0], *(float(b[0]) for b in bounds))
 

@@ -9,15 +9,16 @@ stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
 
-A sweep is one list of chunks of trials, each within one grid point,
-run in order in this process or through one process pool. Each chunk
-runs as one batch on stacked arrays, through the same public functions
-a single trial uses: `random_scene`, `generate_measurements`,
-`compute_fim`, `solve_landmarks` and `estimate_pose` each take one pass
-over the batch. Only the draws loop over trials, each from its own
-stream and in the order of a single trial, so the batch reproduces the
-one-trial results bit for bit and no trial depends on which others
-share its chunk.
+A sweep numbers its trials i = g * K + k across the grid and runs them
+as one list of balanced chunks, in order in this process or through one
+process pool. A chunk may span grid points; each of its trials keeps
+its own sigma. Each chunk runs as one batch on stacked arrays, through
+the same public functions a single trial uses: `random_scene`,
+`generate_measurements`, `compute_fim`, `solve_landmarks` and
+`estimate_pose` each take one pass over the batch. Only the draws loop
+over trials, each from its own stream and in the order of a single
+trial, so the batch reproduces the one-trial results bit for bit and no
+trial depends on which others share its chunk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import numpy as np
 from .crlb import compute_fim
 from .errors import ConfigurationError
 from .geometry import Scene, SceneConfig, random_scene
-from .measurements import ZETA_MAX, NoiseConfig, generate_measurements, zeta_to_rho
+from .measurements import (ZETA_MAX, NoiseConfig, _is_real, generate_measurements,
+                           zeta_to_rho)
 from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -50,10 +52,6 @@ _SCENE_STREAM_KEY = 0xFFFFFFFF
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -144,31 +142,34 @@ def reference_scene(config: ExperimentConfig) -> Scene:
 
 # A sweep runs as one list of chunks of trials, each chunk one batch on
 # stacked arrays whose largest work arrays, the (chunk, T, T) MDS
-# matrices, stay within this many bytes
-_CHUNK_BYTES = 1 << 20
+# matrices, stay within this many bytes. A larger budget raises peak
+# memory at M = N = 48; a smaller one adds fixed per-chunk cost at 8 x 8
+_CHUNK_BYTES = 384 << 10
 
 
 def _chunk_size(n_nodes: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_nodes * n_nodes))
 
 
-def _trial_chunk(config: ExperimentConfig, g: int, start: int, stop: int):
-    """Trials [start, stop) of grid point g as one batch; returns per-trial arrays.
+def _trial_chunk(config: ExperimentConfig, start: int, stop: int):
+    """Trials [start, stop) of the sweep as one batch; returns per-trial arrays.
 
-    Trial k draws only from its own stream, seeded by (master_seed, g, k),
-    in the order of a single trial (pose, then measurements), so no trial
-    depends on which others share its chunk.
+    Trials are numbered i = g * config.trials + k over the whole sweep, so
+    a chunk may span grid points; trial i runs at sigma_grid[g]. It draws
+    only from its own stream, seeded by (master_seed, g, k), in the order
+    of a single trial (pose, then measurements), so no trial depends on
+    which others share its chunk.
     """
-    noise = NoiseConfig(sigma=config.sigma_grid[g], rho=config.resolve_rho(),
+    g, k = np.divmod(np.arange(start, stop), config.trials)
+    noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.resolve_rho(),
                         tt_noisy=config.tt_noisy)
-    rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(g, k)))
-            for k in range(start, stop)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+            for key in zip(g.tolist(), k.tolist())]
     n = stop - start
-    # a fixed pose is one scene, shared by all trials, with one FIM
+    # a fixed pose is one scene, shared by all trials
     scene = reference_scene(config) if config.fixed_pose else random_scene(config.scene, rngs)
     meas = generate_measurements(scene, noise, rngs)
     fim = compute_fim(scene, noise)
-    crlb_t, crlb_q = np.broadcast_to(fim.crlb_t, (n,)), np.broadcast_to(fim.crlb_q, (n,))
 
     err_t = np.full((len(config.methods), n), np.nan)
     err_q = np.full((len(config.methods), n), np.nan)
@@ -182,7 +183,7 @@ def _trial_chunk(config: ExperimentConfig, g: int, start: int, stop: int):
         ok[j] = (est.status == 0) & ~np.isnan(pose.translation[:, 0])
         err_t[j, ok[j]] = e_t[ok[j]]
         err_q[j, ok[j]] = e_q[ok[j]]
-    return err_t, err_q, ok, crlb_t, crlb_q
+    return err_t, err_q, ok, fim.crlb_t, fim.crlb_q
 
 
 def run_experiment(config: ExperimentConfig,
@@ -201,50 +202,49 @@ def run_experiment(config: ExperimentConfig,
     list of ResultRow
         Grouped by grid point, methods in configured order.
     """
-    k = config.trials
-    # at most one worker's share, so even a one-point grid splits over the pool
-    size = min(_chunk_size(config.scene.n_anchors + config.scene.n_landmarks),
-               -(-k // config.workers))
-    starts = range(0, k, size)
-    tasks = [(config, g, a, min(a + size, k))
-             for g in range(len(config.sigma_grid)) for a in starts]
-    workers = min(config.workers, len(tasks))
+    trials = config.trials
+    total = len(config.sigma_grid) * trials
+    # balanced chunks within the size bound, and at least one per worker
+    size = _chunk_size(config.scene.n_anchors + config.scene.n_landmarks)
+    n = min(total, max(-(-total // size), config.workers))
+    cuts = [total * j // n for j in range(n + 1)]
+    workers = min(config.workers, n)
     if workers > 1:
         # imported here: the pool's modules cost a one-worker run start-up
         # time and memory for nothing
         from concurrent.futures import ProcessPoolExecutor
         config.resolve_rho()  # cached per process, so forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_chunk, *zip(*tasks)))
+            parts = list(pool.map(_trial_chunk, [config] * n, cuts[:-1], cuts[1:]))
     else:
-        parts = [_trial_chunk(*task) for task in tasks]
+        parts = [_trial_chunk(config, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    # in chunk order, trial k of grid point g sits at index g * trials + k
+    err_t, err_q, ok, crlb_t, crlb_q = (np.concatenate([p[i] for p in parts], axis=-1)
+                                        for i in range(5))
     rows: list[ResultRow] = []
     for g, sigma in enumerate(config.sigma_grid):
-        # the chunks of grid point g, in trial order, keep trial k at index k
-        chunks = parts[g * len(starts):(g + 1) * len(starts)]
-        err_t, err_q, ok, crlb_t, crlb_q = (np.concatenate([c[i] for c in chunks], axis=-1)
-                                            for i in range(5))
-        mean_crlb_t = float(np.mean(crlb_t))
-        mean_crlb_q = float(np.mean(crlb_q))
+        point = slice(g * trials, (g + 1) * trials)
+        mean_crlb_t = float(np.mean(crlb_t[point]))
+        mean_crlb_q = float(np.mean(crlb_q[point]))
         for j, method in enumerate(config.methods):
-            sel = ok[j]
+            sel = ok[j, point]
             n_ok = int(sel.sum())
             if n_ok:
-                mse_t = float(np.mean(err_t[j, sel]))
-                mse_q = float(np.mean(err_q[j, sel]))
+                mse_t = float(np.mean(err_t[j, point][sel]))
+                mse_q = float(np.mean(err_q[j, point][sel]))
             else:
                 mse_t = mse_q = float("nan")
-            conv = n_ok / config.trials
+            conv = n_ok / trials
             if conv < 0.5:
                 log.warning("method %s at sigma=%g: only %d/%d trials succeeded",
-                            method, sigma, n_ok, config.trials)
+                            method, sigma, n_ok, trials)
             rows.append(ResultRow(
                 method=method, sigma=float(sigma),
                 mse_t=mse_t, rmse_t=float(np.sqrt(mse_t)), mse_q=mse_q,
                 conv_rate=conv, crlb_t=mean_crlb_t, crlb_q=mean_crlb_q,
-                trials=config.trials,
-                trial_err_t=err_t[j].copy() if keep_trial_errors else None,
-                trial_err_q=err_q[j].copy() if keep_trial_errors else None,
+                trials=trials,
+                trial_err_t=err_t[j, point].copy() if keep_trial_errors else None,
+                trial_err_q=err_q[j, point].copy() if keep_trial_errors else None,
                 trial_ok=sel.copy() if keep_trial_errors else None,
             ))
     return rows

@@ -18,14 +18,16 @@ Anchor-anchor measurements are always exact (anchor positions are
 known), anchor-target always noisy, target-target exact by default with
 an optional noisy mode. `generate_measurements` measures one scene once,
 or each of K trials from its own generator at once (`measure`), and
-returns one `Measurements` type either way. Every draw goes through
-`sample_distance` and `sample_angle`'s noise model.
+returns one `Measurements` type either way. A `NoiseConfig` holds one
+sigma, or one per trial. Each trial's draws are bit for bit those of
+`sample_distance` and `sample_angle` at its sigma and rho.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +164,10 @@ def bessel_ratio(rho: float) -> float:
     return float(weights @ folded) / _half_mass(top, rho)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement noise levels.
@@ -173,8 +179,10 @@ class NoiseConfig:
 
     Attributes
     ----------
-    sigma : float
-        Distance noise standard deviation in meters; 0 disables it.
+    sigma : float or tuple of K floats
+        Distance noise standard deviation in meters; 0 disables it. A
+        1-D array or sequence holds one value per trial, for K trials
+        measured or bounded at once, and is stored as a tuple.
     rho : float
         Bearing concentration; 0 is uniform, inf disables bearing noise.
     zeta_theta : float or None
@@ -183,16 +191,28 @@ class NoiseConfig:
         Apply noise to target-target pairs too (default: exact).
     """
 
-    sigma: float
+    sigma: float | tuple
     rho: float | None = None
     zeta_theta: float | None = None
     tt_noisy: bool = False
 
     def __post_init__(self):
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma < 0:
+        sigma = self.sigma
+        if not _is_real(sigma):
+            sigma = np.asarray(sigma)
+            if sigma.dtype.kind not in "iuf" or sigma.ndim > 1 or sigma.ndim and not sigma.size:
+                raise ConfigurationError(
+                    "sigma must be a number or a nonempty 1-D array of numbers")
+        values = np.atleast_1d(np.asarray(sigma, dtype=float))
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ConfigurationError("sigma must be finite and nonnegative")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma",
+                           tuple(values.tolist()) if np.ndim(sigma) else float(sigma))
+        if not isinstance(self.tt_noisy, (bool, np.bool_)):
+            raise ConfigurationError("tt_noisy must be true or false")
+        for name in ("rho", "zeta_theta"):
+            if getattr(self, name) is not None and not _is_real(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a number")
         if self.rho is None and self.zeta_theta is None:
             raise ConfigurationError("specify bearing noise via rho or zeta_theta")
         if self.zeta_theta is not None:
@@ -238,6 +258,16 @@ class Measurements:
         self.distances, self.angles = d, th
 
 
+def sigma_squared(sigma) -> np.ndarray:
+    """sigma ** 2 for each value of a scalar or 1-D sigma, as a (K,) array.
+
+    Squares as Python's float power does (C `pow`, which differs from
+    x * x in the last bit for about one value in a thousand), so K values
+    at once give exactly what K one-value configs give.
+    """
+    return np.array([s ** 2 for s in np.atleast_1d(sigma).tolist()])
+
+
 def sample_distance(true_d, sigma: float, rng: np.random.Generator):
     """Draw gamma distance samples with mean true_d and std sigma.
 
@@ -252,13 +282,8 @@ def sample_distance(true_d, sigma: float, rng: np.random.Generator):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return d.copy() if d.ndim else float(d)
-    out = _draw_distances(d, sigma, rng)
+    out = rng.gamma((d / sigma) ** 2, sigma ** 2 / d)
     return out if d.ndim else float(out)
-
-
-def _draw_distances(d: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma
-    return rng.gamma((d / sigma) ** 2, sigma ** 2 / d)
 
 
 def sample_angle(true_theta, rho: float, rng: np.random.Generator):
@@ -269,12 +294,8 @@ def sample_angle(true_theta, rho: float, rng: np.random.Generator):
     th = np.asarray(true_theta, dtype=float)
     if rho < 0 or np.isnan(rho):
         raise ValueError("rho must be nonnegative")
-    out = wrap_angle(th) if np.isinf(rho) else _draw_angles(th, rho, rng)
+    out = wrap_angle(th if np.isinf(rho) else rng.vonmises(th, rho))
     return out if th.ndim else float(out)
-
-
-def _draw_angles(th: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
-    return wrap_angle(rng.vonmises(th, rho))
 
 
 def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
@@ -286,9 +307,12 @@ def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
         Node positions, anchors first; one row is shared by all trials.
     index : PairIndex
     noise : NoiseConfig
+        A 1-D `sigma` gives trial k the distance noise `sigma[k]`.
     rngs : sequence of K numpy.random.Generator
         Trial k draws from `rngs[k]` alone, in a fixed order: AT
         distances, AT angles, then TT distances and angles if noisy.
+        A trial with sigma 0 draws no distances, and rho = inf draws no
+        angles.
 
     Returns
     -------
@@ -300,27 +324,43 @@ def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
     ------
     DegenerateGeometryError
         If two nodes coincide (a zero edge).
+    ValueError
+        If a 1-D `sigma` does not hold one value per trial.
     """
+    n = len(rngs)
+    if np.ndim(noise.sigma) and len(noise.sigma) != n:
+        raise ValueError(f"{len(noise.sigma)} sigma values for {n} trials")
     v = x[:, index.second] - x[:, index.first]
     d = np.abs(v)
     if np.any(d == 0.0):
         raise DegenerateGeometryError("scene contains coincident nodes")
     theta = wrap_angle(np.angle(v))
-    shape = (len(rngs), index.n_pairs)
-    d_out = np.array(np.broadcast_to(d, shape))
-    th_out = np.array(np.broadcast_to(theta, shape))
+    d_out = np.array(np.broadcast_to(d, (n, index.n_pairs)))
+    th_out = np.array(np.broadcast_to(theta, (n, index.n_pairs)))
     blocks = [index.at]
     if noise.tt_noisy and index.n_tt:
         blocks.append(index.tt)
-    sigma, rho = noise.sigma, noise.rho
-    noisy_bearings = not math.isinf(rho)
+    sigma = np.broadcast_to(noise.sigma, (n,))[:, None]
+    noisy = sigma[:, 0] > 0  # trials that draw distances
+    noisy_bearings = not math.isinf(noise.rho)
+    # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma;
+    # numpy's gamma(shape, scale) is scale * standard_gamma(shape), draw
+    # for draw, so only the standard draws run per trial
+    with np.errstate(divide="ignore"):  # shapes of noiseless trials go unused
+        shapes = [(d[:, b] / sigma) ** 2 for b in blocks]
+    gammas = [np.zeros(shape.shape) for shape in shapes]
     for k, rng in enumerate(rngs):
         row = k if len(d) > 1 else 0
-        for b in blocks:
-            if sigma:
-                d_out[k, b] = _draw_distances(d[row, b], sigma, rng)
+        for b, shape, gamma in zip(blocks, shapes, gammas):
+            if noisy[k]:
+                rng.standard_gamma(shape[k], out=gamma[k])
             if noisy_bearings:
-                th_out[k, b] = _draw_angles(theta[row, b], rho, rng)
+                th_out[k, b] = rng.vonmises(theta[row, b], noise.rho)
+    variance = np.broadcast_to(sigma_squared(noise.sigma), (n,))[:, None]
+    for b, gamma in zip(blocks, gammas):
+        d_out[:, b] = np.where(noisy[:, None], gamma * (variance / d[:, b]), d_out[:, b])
+        if noisy_bearings:
+            th_out[:, b] = wrap_angle(th_out[:, b])
     return d_out, th_out
 
 
@@ -336,6 +376,7 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     scene : Scene
         One pose, or K poses.
     noise : NoiseConfig
+        A 1-D sigma holds one value per generator.
     rng : int, seed sequence, numpy.random.Generator, or list of Generator
         One seed or generator measures a one-pose scene once. A list (or
         tuple) of generators gives one row of measurements per generator:
@@ -351,7 +392,8 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     ------
     ValueError
         If a scene of K poses does not get a list of exactly K
-        Generators, or a list holds anything else.
+        Generators, a list holds anything else, or a 1-D sigma does not
+        hold one value per generator (one for a single seed).
     """
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
     x = scene.complex_positions()

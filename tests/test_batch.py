@@ -1,11 +1,12 @@
 """The batch harness against the per-trial functions, trial by trial.
 
-`harness._trial_chunk` runs a span of a grid point's trials as one batch
-on stacked arrays; `trial_reference.trial_block` runs the same trials one
-at a time through `random_scene`, `generate_measurements`, `compute_fim`,
-`solve_landmarks` and `estimate_pose`. Both draw trial k from its own
-(master_seed, g, k) stream, and every batch step applies the per-trial
-arithmetic row by row, so the two must agree bit for bit.
+`harness._trial_chunk` runs a span of a sweep's trials, numbered
+i = g * trials + k across the grid, as one batch on stacked arrays;
+`trial_reference.trial_block` runs a grid point's trials one at a time
+through `random_scene`, `generate_measurements`, `compute_fim`,
+`solve_landmarks` and `estimate_pose`. Both draw trial k of grid point g
+from its own (master_seed, g, k) stream, and every batch step applies
+the per-trial arithmetic row by row, so the two must agree bit for bit.
 """
 
 from dataclasses import replace
@@ -37,11 +38,22 @@ def assert_bitwise(got, want):
         assert np.array_equal(a, b, equal_nan=True), name
 
 
+def reference(config, start, stop):
+    """Flat trials [start, stop) run one at a time, grid point by grid point."""
+    blocks = []
+    for g, sigma in enumerate(config.sigma_grid):
+        a, b = max(start - g * config.trials, 0), min(stop - g * config.trials, config.trials)
+        if a < b:
+            blocks.append(trial_block(config, g, sigma, config.resolve_rho(), a, b))
+    return tuple(np.concatenate([blk[i] for blk in blocks], axis=-1) for i in range(5))
+
+
 def check(config, g=0, start=0, stop=None):
+    """Trials [start, stop) of grid point g, against the per-trial loop."""
     stop = config.trials if stop is None else stop
-    got = harness._trial_chunk(config, g, start, stop)
-    assert_bitwise(got, trial_block(config, g, config.sigma_grid[g], config.resolve_rho(),
-                                    start, stop))
+    first = g * config.trials
+    got = harness._trial_chunk(config, first + start, first + stop)
+    assert_bitwise(got, reference(config, first + start, first + stop))
     return got
 
 
@@ -71,6 +83,28 @@ def test_batch_matches_per_trial_noise_and_pose_modes(tt_noisy, fixed_pose):
                            tt_noisy=tt_noisy, fixed_pose=fixed_pose))
 
 
+SPANNING = {
+    "default": ExperimentConfig(sigma_grid=(0.2, 0.7, 1.6), trials=10, master_seed=22),
+    "tt_noisy": ExperimentConfig(sigma_grid=(0.2, 0.7, 1.6), trials=10, master_seed=23,
+                                 tt_noisy=True),
+    "fixed_pose": ExperimentConfig(sigma_grid=(0.2, 0.7, 1.6), trials=10, master_seed=24,
+                                   fixed_pose=True),
+    "48x48": ExperimentConfig(scene=SceneConfig(n_anchors=48, n_landmarks=48),
+                              sigma_grid=(0.1, 0.5, 2.0), trials=4, master_seed=25),
+}
+
+
+@pytest.mark.parametrize("name", SPANNING)
+def test_batch_spanning_grid_points_matches_per_trial(name):
+    config = SPANNING[name]
+    k = config.trials
+    # trials [K - 3, K + 5): the end of grid point 0 and what follows it
+    got = harness._trial_chunk(config, k - 3, k + 5)
+    assert_bitwise(got, reference(config, k - 3, k + 5))
+    # each trial keeps its own sigma's bound
+    assert len(set(got[3].tolist())) >= 2
+
+
 @pytest.mark.parametrize("rho", [0.0, 3.0, 1e6])
 def test_batch_matches_per_trial_bearing_extremes(rho):
     check(ExperimentConfig(sigma_grid=(0.3,), rho=rho, trials=20, master_seed=16))
@@ -84,7 +118,7 @@ def test_batch_matches_per_trial_method_subsets(methods):
     got = check(replace(base, methods=methods))
     # a method's results do not depend on which other methods ran
     for j, method in enumerate(methods):
-        alone = harness._trial_chunk(replace(base, methods=(method,)), 0, 0, 20)
+        alone = harness._trial_chunk(replace(base, methods=(method,)), 0, 20)
         for i in range(3):
             assert np.array_equal(got[i][j], alone[i][0], equal_nan=True)
 
@@ -96,7 +130,7 @@ def test_batch_matches_per_trial_on_any_span():
         parts = [check(config, 0, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
         assert_bitwise(tuple(np.concatenate([p[i] for p in parts], axis=-1)
                              for i in range(5)), whole)
-    assert_bitwise(harness._trial_chunk(config, 0, 7, 19),
+    assert_bitwise(harness._trial_chunk(config, 7, 19),
                    tuple(a[..., 7:19] for a in whole))
 
 
@@ -109,8 +143,10 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         return harness.format_results(rows), [
             (r.trial_err_t, r.trial_err_q, r.trial_ok) for r in rows]
 
-    text, trials = sweep()  # the default: one chunk per grid point
-    for chunk_bytes in (1, 8 * 16 * 16 * 4):  # chunks of 1 and of 4 trials
+    text, trials = sweep()  # the default: one chunk for the whole sweep
+    # chunks of 1, 4 and 7 trials; the 7 chunks of 6 or 7 trials cut the
+    # 2 x 23 trials at 19 and 26, so one spans both grid points
+    for chunk_bytes in (1, 8 * 16 * 16 * 4, 8 * 16 * 16 * 7):
         monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
         got_text, got_trials = sweep()
         assert got_text == text
@@ -169,7 +205,7 @@ def test_placement_gives_up_after_100_draws(monkeypatch):
     check(config)
     landing_on_anchor(monkeypatch, 100)
     with pytest.raises(ConfigurationError, match="after 100 attempts"):
-        harness._trial_chunk(config, 0, 0, 3)
+        harness._trial_chunk(config, 0, 3)
     with pytest.raises(ConfigurationError, match="after 100 attempts"):
         trial_block(config, 0, 0.5, config.resolve_rho(), 0, 3)
 
@@ -262,9 +298,11 @@ def test_sweep_calls_the_public_layer_functions(monkeypatch):
     counting(solvers, "fit_alignment")
     counting(measurements, "build_pair_index")
     harness.run_experiment(ExperimentConfig(sigma_grid=(0.3, 0.9), trials=4))
-    assert calls == {"random_scene": 2, "generate_measurements": 2, "compute_fim": 2,
-                     "solve_landmarks": 6, "estimate_pose": 6, "fit_alignment": 4,
-                     "build_pair_index": 2}
+    # both grid points run as one chunk, so each function runs once per
+    # sweep, or once per method
+    assert calls == {"random_scene": 1, "generate_measurements": 1, "compute_fim": 1,
+                     "solve_landmarks": 3, "estimate_pose": 3, "fit_alignment": 2,
+                     "build_pair_index": 1}
 
 
 def test_generate_measurements_checks_the_generator_list():

@@ -102,8 +102,10 @@ def test_rerun_is_bit_identical():
 
 
 def test_worker_count_does_not_change_results():
-    text1 = format_results(run_experiment(small_config(workers=1)))
-    text2 = format_results(run_experiment(small_config(workers=2)))
+    # 3 x 7 trials in two chunks, cut at trial 10, inside grid point 1
+    config = small_config(sigma_grid=(0.3, 0.6, 1.2), trials=7)
+    text1 = format_results(run_experiment(replace(config, workers=1)))
+    text2 = format_results(run_experiment(replace(config, workers=2)))
     assert text1 == text2
 
 
@@ -118,16 +120,16 @@ def test_one_process_pool_per_run(monkeypatch):
             super().__init__(*args, **kwargs)
 
         def map(self, *args, **kwargs):
-            mapped.append(len(args[1]))  # map(fn, configs, gs, starts, stops)
+            mapped.append(len(args[1]))  # map(fn, configs, starts, stops)
             return super().map(*args, **kwargs)
 
     # run_experiment imports the pool class when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     run_experiment(small_config(sigma_grid=(0.2, 0.5, 1.0), trials=6, workers=2))
-    # one map over the whole sweep: two chunks of 3 trials per grid point
-    assert opened == [2] and mapped == [6]
+    # one map over the whole sweep: two chunks of 9 trials, one per worker
+    assert opened == [2] and mapped == [2]
     run_experiment(small_config(trials=6, workers=1))
-    assert opened == [2] and mapped == [6]
+    assert opened == [2] and mapped == [2]
 
 
 def test_one_embedding_per_trial(monkeypatch):

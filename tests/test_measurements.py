@@ -147,6 +147,26 @@ def test_noise_config_validation():
         NoiseConfig(sigma=0.5, zeta_theta=3.2)
     cfg = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(5.0))
     assert cfg.rho == pytest.approx(zeta_to_rho(np.deg2rad(5.0)))
+    # strings and bools are not numbers, even where they would convert
+    for bad in (dict(sigma="0.5", rho=1.0), dict(sigma=True, rho=1.0),
+                dict(sigma=0.5, rho="1"), dict(sigma=0.5, rho=True),
+                dict(sigma=0.5, zeta_theta="0.1"), dict(sigma=0.5, zeta_theta=True),
+                dict(sigma=[0.5, "1"], rho=1.0), dict(sigma=[True, False], rho=1.0)):
+        with pytest.raises(ConfigurationError, match="must be a number"):
+            NoiseConfig(**bad)
+    # flags are booleans, not truthy values
+    for flag in ("false", 1, None):
+        with pytest.raises(ConfigurationError, match="tt_noisy"):
+            NoiseConfig(sigma=0.5, rho=1.0, tt_noisy=flag)
+    assert NoiseConfig(sigma=0.5, rho=1.0, tt_noisy=np.True_).tt_noisy
+    # one sigma per trial: a finite, nonnegative, nonempty 1-D array
+    for sigma in (np.ones((2, 2)), [], [0.5, np.nan], [0.5, np.inf], [0.5, -0.1]):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            NoiseConfig(sigma=sigma, rho=1.0)
+    cfg = NoiseConfig(sigma=np.array([0.5, 0, 2]), rho=np.float32(1.0))
+    assert cfg.sigma == (0.5, 0.0, 2.0) and type(cfg.rho) is float
+    assert cfg == NoiseConfig(sigma=[0.5, 0.0, 2.0], rho=1.0)
+    assert type(NoiseConfig(sigma=np.float32(0.5), rho=1).sigma) is float
 
 
 def test_generate_measurements_noiseless():
@@ -211,3 +231,38 @@ def test_measurement_set_validation():
     for values in (meas.distances, meas.angles):
         with pytest.raises(ValueError):
             values[0] = 5.0
+
+
+def test_generate_measurements_takes_one_sigma_per_trial():
+    config = SceneConfig()
+    sigmas = np.array([0.2, 0.0, 1.5])
+    scenes = random_scene(config, [np.random.default_rng(k) for k in range(3)])
+    fixed = random_scene(config, seed=4)
+    for scene in (scenes, fixed):
+        for tt_noisy in (False, True):
+            batch = generate_measurements(
+                scene, NoiseConfig(sigma=sigmas, rho=30.0, tt_noisy=tt_noisy),
+                [np.random.default_rng(k) for k in range(3)])
+            for k, sigma in enumerate(sigmas):
+                one = generate_measurements(
+                    scene if scene is fixed else random_scene(config, k),
+                    NoiseConfig(sigma=sigma, rho=30.0, tt_noisy=tt_noisy),
+                    [np.random.default_rng(k)])
+                assert np.array_equal(batch.distances[k], one.distances[0])
+                assert np.array_equal(batch.angles[k], one.angles[0])
+    # trial 1 has sigma 0: exact distances, noisy bearings
+    x = fixed.complex_positions()
+    assert np.array_equal(batch.distances[1], np.abs(x[batch.index.second]
+                                                     - x[batch.index.first]))
+    # one sigma per generator, or one seed for one sigma
+    rngs = [np.random.default_rng(k) for k in range(4)]
+    for scene, sigma, rng in ((scenes, [0.2, 0.3], rngs[:3]),
+                              (scenes, [0.2, 0.3, 0.4, 0.5], rngs[:3]),
+                              (fixed, [0.2, 0.3, 0.4], rngs),
+                              (fixed, [0.2, 0.3], 7)):
+        with pytest.raises(ValueError, match="sigma values"):
+            generate_measurements(scene, NoiseConfig(sigma=sigma, rho=30.0), rng)
+    one = generate_measurements(fixed, NoiseConfig(sigma=[0.3], rho=30.0), 7)
+    assert np.array_equal(one.distances,
+                          generate_measurements(fixed, NoiseConfig(sigma=0.3, rho=30.0),
+                                                7).distances)

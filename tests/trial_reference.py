@@ -1,9 +1,10 @@
 """Reference copy of the per-trial Monte Carlo loop the batch harness replaces.
 
-`harness._trial_chunk` runs a span of a grid point's trials as one batch
-on stacked arrays. This module keeps the loop it replaced, one trial at a
-time through the public per-trial functions, so that the tests can pin
-the batch to those functions trial by trial. The noisy measurements are
+`harness._trial_chunk` runs a span of a sweep's trials, which may cross
+grid points, as one batch on stacked arrays. This module keeps the loop
+it replaced, one trial of one grid point at a time through the public
+per-trial functions, so that the tests can pin the batch to those
+functions trial by trial. The noisy measurements are
 drawn as the per-trial code drew them, slice by slice through the public
 `sample_distance` and `sample_angle`, so the batch's draws are pinned to
 those samplers rather than to the batch code itself. It is test support
