@@ -8,8 +8,8 @@ reference scene.
 
 import numpy as np
 
-from rigidloc import (ExperimentConfig, NoiseConfig, compute_fim, crlb_curve,
-                      format_results, reference_scene, run_experiment)
+from rigidloc import (ExperimentConfig, NoiseConfig, compute_fim, format_results,
+                      reference_scene, run_experiment)
 
 
 def demo_sweep():
@@ -34,15 +34,15 @@ def demo_bound_curve():
     print("Demo 2: Bound curves on the fixed reference scene")
     print("=" * 70)
 
-    config = ExperimentConfig()
+    config = ExperimentConfig(sigma_grid=np.geomspace(0.05, 2.0, 9))
     scene = reference_scene(config)
-    grid = np.geomspace(0.05, 2.0, 9)
+    curve = compute_fim(scene, NoiseConfig(sigma=config.sigma_grid, rho=config.resolve_rho()))
     print(f"\nreference pose: angle {scene.pose.rotation.angle:+.3f} rad, "
           f"translation ({scene.pose.translation[0]:.2f}, "
           f"{scene.pose.translation[1]:.2f})")
     print("\nsigma     crlb_t       crlb_Q")
-    for sigma, fim in zip(grid, crlb_curve(scene, grid, config.zeta_theta)):
-        print(f"{sigma:5.2f}   {fim.crlb_t:9.3e}   {fim.crlb_q:9.3e}")
+    for sigma, crlb_t, crlb_q in zip(config.sigma_grid, curve.crlb_t, curve.crlb_q):
+        print(f"{sigma:5.2f}   {crlb_t:9.3e}   {crlb_q:9.3e}")
 
 
 def demo_information_split():
@@ -52,7 +52,7 @@ def demo_information_split():
 
     config = ExperimentConfig()
     scene = reference_scene(config)
-    noise = NoiseConfig(sigma=0.5, zeta_theta=config.zeta_theta)
+    noise = NoiseConfig(sigma=0.5, rho=config.resolve_rho())
     both = compute_fim(scene, noise)
     ranges = compute_fim(scene, noise, use_bearings=False)
     bearings = compute_fim(scene, noise, use_distances=False)

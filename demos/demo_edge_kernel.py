@@ -12,7 +12,8 @@ built here with numpy only to show the reduction.
 import numpy as np
 
 from rigidloc import (NoiseConfig, SceneConfig, SolverConfig,
-                      generate_measurements, random_scene, solve_landmarks)
+                      generate_measurements, random_scene, solve_landmarks,
+                      zeta_to_rho)
 from rigidloc.edges import build_pair_index
 
 
@@ -41,7 +42,7 @@ def demo_minor_returns_at_edges():
     print("=" * 70)
 
     scene = random_scene(SceneConfig(), seed=5)
-    noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8.0))
+    noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(8.0)))
     meas = generate_measurements(scene, noise, 42)
     index = meas.index
     v = meas.distances * np.exp(1j * meas.angles)

@@ -10,7 +10,7 @@ import numpy as np
 
 from rigidloc import (METHODS, NoiseConfig, SceneConfig, SolverConfig,
                       estimate_pose, generate_measurements, random_scene,
-                      rotation_mse, solve_landmarks)
+                      rotation_mse, solve_landmarks, zeta_to_rho)
 
 
 def landmark_rmse(est, scene):
@@ -23,7 +23,7 @@ def demo_single_scene():
     print("=" * 70)
 
     scene = random_scene(SceneConfig(), seed=11)
-    noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8.0))
+    noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(8.0)))
     meas = generate_measurements(scene, noise, 2024)
     print(f"\nsigma = {noise.sigma} m, zeta = 8 deg, "
           f"{scene.n_anchors} anchors, {scene.n_landmarks} landmarks\n")
@@ -48,7 +48,7 @@ def demo_noise_sweep():
     scene = random_scene(SceneConfig(), seed=12)
     print("\nsigma    mds rmse   smds_full rmse")
     for sigma in (0.1, 0.3, 0.6, 1.2):
-        noise = NoiseConfig(sigma=sigma, zeta_theta=np.deg2rad(8.0))
+        noise = NoiseConfig(sigma=sigma, rho=zeta_to_rho(np.deg2rad(8.0)))
         errs = {m: [] for m in ("mds", "smds_full")}
         for k in range(200):
             meas = generate_measurements(scene, noise, 10000 + k)
@@ -69,7 +69,7 @@ def demo_bearing_value():
     print("\nsigma = 0.6 m fixed, 200 draws per bearing accuracy\n")
     print("zeta (deg)   smds_full landmark rmse")
     for deg in (30.0, 15.0, 8.0, 4.0):
-        noise = NoiseConfig(sigma=0.6, zeta_theta=np.deg2rad(deg))
+        noise = NoiseConfig(sigma=0.6, rho=zeta_to_rho(np.deg2rad(deg)))
         errs = []
         for k in range(200):
             meas = generate_measurements(scene, noise, 20000 + k)

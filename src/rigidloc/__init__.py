@@ -11,7 +11,7 @@ building blocks (pose and scene types, the pair index, the samplers)
 are imported from their submodules.
 """
 
-from .crlb import compute_fim, crlb_curve
+from .crlb import compute_fim
 from .errors import (ConfigurationError, DegenerateGeometryError,
                      NumericalFailureError)
 from .geometry import SceneConfig, random_scene
@@ -27,9 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigurationError", "DegenerateGeometryError", "ExperimentConfig",
     "METHODS", "NoiseConfig", "NumericalFailureError", "SceneConfig",
-    "SolverConfig", "compute_fim", "crlb_curve", "estimate_pose",
-    "format_results", "generate_measurements", "load_scenario",
-    "random_scene", "reference_scene", "rho_to_zeta", "rotation_mse",
-    "run_experiment", "solve_landmarks", "write_results", "zeta_to_rho",
-    "__version__",
+    "SolverConfig", "compute_fim", "estimate_pose", "format_results",
+    "generate_measurements", "load_scenario", "random_scene",
+    "reference_scene", "rho_to_zeta", "rotation_mse", "run_experiment",
+    "solve_landmarks", "write_results", "zeta_to_rho", "__version__",
 ]

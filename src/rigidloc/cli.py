@@ -20,11 +20,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crlb import crlb_curve
+from .crlb import compute_fim
 from .errors import ConfigurationError
-from .harness import (DEFAULT_ZETA_THETA, ExperimentConfig, format_results,
-                      reference_scene, run_experiment, write_results)
-from .measurements import rho_to_zeta
+from .harness import (ExperimentConfig, format_results, reference_scene, run_experiment,
+                      write_results)
+from .measurements import NoiseConfig
 from .scenario import load_scenario
 from .solvers import METHODS
 
@@ -97,25 +97,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_crlb(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
-    scene = reference_scene(config)
-    zeta = config.zeta_theta if config.rho is None else rho_to_zeta(config.rho)
-    bounds = crlb_curve(scene, config.sigma_grid, zeta)
+    fim = compute_fim(reference_scene(config),
+                      NoiseConfig(sigma=config.sigma_grid, rho=config.resolve_rho()))
     lines = ["sigma,crlb_t,crlb_alpha,crlb_Q"]
-    for sigma, b in zip(config.sigma_grid, bounds):
-        lines.append(f"{sigma:.9g},{b.crlb_t:.9g},{b.crlb_alpha:.9g},{b.crlb_q:.9g}")
+    for row in zip(config.sigma_grid, fim.crlb_t, fim.crlb_alpha, fim.crlb_q):
+        lines.append(",".join(f"{x:.9g}" for x in row))
     text = "\n".join(lines) + "\n"
     if config.output_path:
         with open(config.output_path, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
-        print(f"wrote {len(bounds)} rows to {config.output_path}")
+        print(f"wrote {len(config.sigma_grid)} rows to {config.output_path}")
     else:
         print(text, end="")
     return 0
 
 
 def _cmd_demo() -> int:
-    config = ExperimentConfig(sigma_grid=(0.1, 0.25, 0.5, 1.0), trials=200,
-                              zeta_theta=DEFAULT_ZETA_THETA)
+    config = ExperimentConfig(sigma_grid=(0.1, 0.25, 0.5, 1.0), trials=200)
     print("default scene: 10m x 10m room, 8 perimeter anchors, "
           "8-point polygon body, 200 trials per point")
     rows = run_experiment(config)

@@ -17,7 +17,9 @@ converts zeta to rho, and is computed once per rho.
 leading trial axis, and returns one `FisherInformation` holding all K;
 a one-pose scene is the K = 1 case of the same code. A noise config
 with one sigma per trial scales each trial's range term by its own
-1/sigma^2, so one pose under K sigma values also gives K bounds.
+1/sigma^2, so one pose under K sigma values also gives K bounds: the
+bound curve over a sigma grid is one `compute_fim` call, and entry k
+equals the one-sigma call at sigma_k bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Scene
-from .measurements import NoiseConfig, bessel_ratio, sigma_squared, zeta_to_rho
+from .measurements import NoiseConfig, bessel_ratio, sigma_squared
 
 _SINGULAR_RTOL = 1e-12
 
@@ -185,24 +187,3 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
         return FisherInformation(fim, *bounds)
     return FisherInformation(fim[0], *(float(b[0]) for b in bounds))
 
-
-def crlb_curve(scene: Scene, sigma_grid, zeta: float) -> list[FisherInformation]:
-    """Evaluate the bounds over a sigma sweep at fixed bearing accuracy.
-
-    Parameters
-    ----------
-    scene : Scene
-    sigma_grid : iterable of float
-        Positive range noise levels; must be non-empty.
-    zeta : float
-        Bearing 90th-percentile half-width in radians.
-    """
-    grid = [float(s) for s in sigma_grid]
-    if not grid:
-        raise ValueError("sigma grid must not be empty")
-    rho = zeta_to_rho(zeta)
-    out = []
-    for sigma in grid:
-        noise = NoiseConfig(sigma=sigma, rho=rho)
-        out.append(compute_fim(scene, noise))
-    return out

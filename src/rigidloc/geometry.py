@@ -16,6 +16,7 @@ also read-only."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -26,6 +27,14 @@ from .errors import ConfigurationError, DegenerateGeometryError
 
 # nodes closer than this count as coincident
 _MIN_SEPARATION = 1e-9
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -257,6 +266,13 @@ class SceneConfig:
     body_points: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("n_anchors", "n_landmarks"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer")
+        for name in ("room_width", "room_height", "body_radius", "wall_clearance"):
+            value = getattr(self, name)
+            if not _is_real(value) or not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number")
         if self.room_width <= 0 or self.room_height <= 0:
             raise ConfigurationError("room dimensions must be positive")
         if self.anchor_positions is not None:

@@ -24,7 +24,6 @@ trial depends on which others share its chunk.
 from __future__ import annotations
 
 import logging
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -32,9 +31,8 @@ import numpy as np
 
 from .crlb import compute_fim
 from .errors import ConfigurationError
-from .geometry import Scene, SceneConfig, random_scene
-from .measurements import (ZETA_MAX, NoiseConfig, _is_real, generate_measurements,
-                           zeta_to_rho)
+from .geometry import Scene, SceneConfig, _is_int, _is_real, random_scene
+from .measurements import ZETA_MAX, NoiseConfig, generate_measurements, zeta_to_rho
 from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -48,10 +46,6 @@ CSV_HEADER = "method,sigma,mse_t,rmse_t,mse_Q,conv_rate,crlb_t,crlb_Q,trials"
 # spawn key reserved for the fixed-pose reference scene; grid indices
 # used as spawn keys stay far below it
 _SCENE_STREAM_KEY = 0xFFFFFFFF
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

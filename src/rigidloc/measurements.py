@@ -6,13 +6,14 @@ von Mises distributed around the true edge direction with concentration
 rho; all sensors share one global reference direction (the world x-axis),
 so a measured angle is directly the argument of the complex edge.
 
-Bearing accuracy can alternatively be stated as the half-width zeta of
-the interval around the true angle that captures 90 percent of the
+Bearing accuracy is often stated instead as the half-width zeta of the
+interval around the true angle that captures 90 percent of the
 probability mass; `zeta_to_rho` and `rho_to_zeta` convert between the
-two parameterizations. Both, and the Bessel ratio I1(rho)/I0(rho) that
-the bearing Fisher information needs (`bessel_ratio`), come from one
-exact quadrature of the von Mises density in numpy; `zeta_to_rho` and
-`bessel_ratio` compute each distinct argument once per process.
+two, and a `NoiseConfig` takes rho only. Both conversions, and the
+Bessel ratio I1(rho)/I0(rho) that the bearing Fisher information needs
+(`bessel_ratio`), come from one exact quadrature of the von Mises
+density in numpy; `zeta_to_rho` and `bessel_ratio` compute each
+distinct argument once per process.
 
 Anchor-anchor measurements are always exact (anchor positions are
 known), anchor-target always noisy, target-target exact by default with
@@ -27,14 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
-from .geometry import Scene
+from .geometry import Scene, _is_real
 
 ZETA_MAX = 0.9 * np.pi
 
@@ -164,18 +164,12 @@ def bessel_ratio(rho: float) -> float:
     return float(weights @ folded) / _half_mass(top, rho)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement noise levels.
 
-    Exactly one of `rho` and `zeta_theta` is required; if only the
-    half-width is given, the concentration is derived from it. When both
-    are set (as happens when a config is copied with a new sigma), `rho`
-    is the operative value.
+    Bearing noise is stated as the concentration `rho` alone; a caller
+    holding a 90th-percentile half-width converts it with `zeta_to_rho`.
 
     Attributes
     ----------
@@ -185,15 +179,13 @@ class NoiseConfig:
         measured or bounded at once, and is stored as a tuple.
     rho : float
         Bearing concentration; 0 is uniform, inf disables bearing noise.
-    zeta_theta : float or None
-        Bearing 90th-percentile half-width in radians, if specified.
+        Required.
     tt_noisy : bool
         Apply noise to target-target pairs too (default: exact).
     """
 
     sigma: float | tuple
     rho: float | None = None
-    zeta_theta: float | None = None
     tt_noisy: bool = False
 
     def __post_init__(self):
@@ -210,23 +202,14 @@ class NoiseConfig:
                            tuple(values.tolist()) if np.ndim(sigma) else float(sigma))
         if not isinstance(self.tt_noisy, (bool, np.bool_)):
             raise ConfigurationError("tt_noisy must be true or false")
-        for name in ("rho", "zeta_theta"):
-            if getattr(self, name) is not None and not _is_real(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a number")
-        if self.rho is None and self.zeta_theta is None:
-            raise ConfigurationError("specify bearing noise via rho or zeta_theta")
-        if self.zeta_theta is not None:
-            zeta = float(self.zeta_theta)
-            if not (0.0 < zeta <= ZETA_MAX + 1e-12):
-                raise ConfigurationError("zeta_theta must lie in (0, 0.9*pi]")
-            object.__setattr__(self, "zeta_theta", zeta)
         if self.rho is None:
-            object.__setattr__(self, "rho", zeta_to_rho(self.zeta_theta))
-        else:
-            rho = float(self.rho)
-            if np.isnan(rho) or rho < 0:
-                raise ConfigurationError("rho must be nonnegative")
-            object.__setattr__(self, "rho", rho)
+            raise ConfigurationError("specify bearing noise via rho")
+        if not _is_real(self.rho):
+            raise ConfigurationError("rho must be a number")
+        rho = float(self.rho)
+        if np.isnan(rho) or rho < 0:
+            raise ConfigurationError("rho must be nonnegative")
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(eq=False)

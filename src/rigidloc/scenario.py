@@ -3,7 +3,11 @@
 A scenario is a YAML mapping with up to five sections, all optional;
 missing values fall back to the defaults of the corresponding config
 dataclasses (a 10m x 10m room, 8 perimeter anchors, an 8-point polygon
-body, the standard sigma grid, 1000 trials).
+body, the standard sigma grid, 1000 trials). Values reach the configs
+as written, and the configs check them: a count must be an integer, a
+length a finite number and a flag a boolean. The loader only wraps a
+scalar sigma or a single method name in a list, and turns a numeric
+zeta_theta_degrees into radians.
 
     room:
       width: 10.0
@@ -36,8 +40,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigurationError
-from .geometry import SceneConfig
-from .harness import DEFAULT_SIGMA_GRID, DEFAULT_ZETA_THETA, ExperimentConfig
+from .geometry import SceneConfig, _is_real
+from .harness import ExperimentConfig
 
 _SECTIONS = {"room", "anchors", "body", "noise", "experiment", "seed"}
 
@@ -56,6 +60,11 @@ def _points_matrix(rows, what: str) -> np.ndarray:
     return arr.T
 
 
+def _fields(mapping: dict, names: dict) -> dict:
+    """The entries of `mapping` present in `names`, keyed by field name."""
+    return {names[key]: value for key, value in mapping.items() if key in names}
+
+
 def _parse_scene(doc: dict) -> SceneConfig:
     room = doc.get("room") or {}
     anchors = doc.get("anchors") or {}
@@ -65,21 +74,14 @@ def _parse_scene(doc: dict) -> SceneConfig:
     _check_keys("body", body, {"count", "radius", "wall_clearance", "points"})
     if anchors.get("layout", "perimeter") != "perimeter" and "positions" not in anchors:
         raise ConfigurationError("anchor layout must be 'perimeter' or explicit positions")
-    defaults = SceneConfig()
-    kwargs = dict(
-        room_width=float(room.get("width", defaults.room_width)),
-        room_height=float(room.get("height", defaults.room_height)),
-        n_anchors=int(anchors.get("count", defaults.n_anchors)),
-        n_landmarks=int(body.get("count", defaults.n_landmarks)),
-        body_radius=float(body.get("radius", defaults.body_radius)),
-        wall_clearance=float(body.get("wall_clearance", defaults.wall_clearance)),
-    )
+    kwargs = {**_fields(room, {"width": "room_width", "height": "room_height"}),
+              **_fields(anchors, {"count": "n_anchors"}),
+              **_fields(body, {"count": "n_landmarks", "radius": "body_radius",
+                               "wall_clearance": "wall_clearance"})}
     if "positions" in anchors:
         kwargs["anchor_positions"] = _points_matrix(anchors["positions"], "anchor positions")
-        kwargs["n_anchors"] = kwargs["anchor_positions"].shape[1]
     if "points" in body:
         kwargs["body_points"] = _points_matrix(body["points"], "body points")
-        kwargs["n_landmarks"] = kwargs["body_points"].shape[1]
     return SceneConfig(**kwargs)
 
 
@@ -103,45 +105,33 @@ def load_scenario(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario file must contain a mapping")
     _check_keys("top level", doc, _SECTIONS)
-
-    scene = _parse_scene(doc)
-
     noise = doc.get("noise") or {}
     _check_keys("noise", noise, {"sigma", "zeta_theta_degrees", "rho", "tt_noisy"})
     if "zeta_theta_degrees" in noise and "rho" in noise:
         raise ConfigurationError("give zeta_theta_degrees or rho, not both")
-    sigma = noise.get("sigma", list(DEFAULT_SIGMA_GRID))
-    sigma_grid = tuple(float(s) for s in np.atleast_1d(sigma))
-    zeta = DEFAULT_ZETA_THETA
-    rho = None
-    if "rho" in noise:
-        rho = float(noise["rho"])
-        zeta = None
-    elif "zeta_theta_degrees" in noise:
-        zeta = float(np.deg2rad(float(noise["zeta_theta_degrees"])))
-
     exp = doc.get("experiment") or {}
     _check_keys("experiment", exp,
                 {"trials", "methods", "master_seed", "fixed_pose", "workers", "output"})
-    defaults = ExperimentConfig(scene=scene)
-    seed = exp.get("master_seed", doc.get("seed", defaults.master_seed))
-    methods = exp.get("methods", list(defaults.methods))
-    if isinstance(methods, str):
-        methods = [methods]
+
     try:
-        return ExperimentConfig(
-            scene=scene,
-            sigma_grid=sigma_grid,
-            zeta_theta=zeta,
-            rho=rho,
-            tt_noisy=noise.get("tt_noisy", False),
-            trials=exp.get("trials", defaults.trials),
-            methods=tuple(methods),
-            master_seed=seed,
-            fixed_pose=exp.get("fixed_pose", False),
-            workers=exp.get("workers", 1),
-            output_path=exp.get("output"),
-        )
+        kwargs = {**_fields(noise, {"rho": "rho", "tt_noisy": "tt_noisy"}),
+                  **_fields(exp, {"trials": "trials", "fixed_pose": "fixed_pose",
+                                  "workers": "workers", "output": "output_path"}),
+                  "scene": _parse_scene(doc)}
+        if "sigma" in noise:
+            sigma = noise["sigma"]
+            kwargs["sigma_grid"] = sigma if isinstance(sigma, list) else [sigma]
+        if "rho" in noise:
+            kwargs["zeta_theta"] = None
+        elif "zeta_theta_degrees" in noise:
+            zeta = noise["zeta_theta_degrees"]
+            kwargs["zeta_theta"] = float(np.deg2rad(zeta)) if _is_real(zeta) else zeta
+        if "master_seed" in exp or "seed" in doc:
+            kwargs["master_seed"] = exp.get("master_seed", doc.get("seed"))
+        if "methods" in exp:
+            methods = exp["methods"]
+            kwargs["methods"] = [methods] if isinstance(methods, str) else methods
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigurationError):
             raise

@@ -94,7 +94,7 @@ def test_criterion_2_turbo_fixed_point():
 def test_smds_closed_form_matches_reference_pipeline_under_noise():
     worst = 0.0
     for sigma, tt_noisy in ((0.1, False), (0.5, True), (2.0, False)):
-        noise = NoiseConfig(sigma=sigma, zeta_theta=np.deg2rad(8.0), tt_noisy=tt_noisy)
+        noise = NoiseConfig(sigma=sigma, rho=zeta_to_rho(np.deg2rad(8.0)), tt_noisy=tt_noisy)
         for k in range(20):
             rng = np.random.default_rng(np.random.SeedSequence(606, spawn_key=(k,)))
             scene = random_scene(SceneConfig(), rng)
@@ -205,7 +205,7 @@ def test_criterion_6_fim_correctness(ordering_run, bound_run):
     for seed in range(100):
         scene = random_scene(SceneConfig(), seed=seed)
         noise = NoiseConfig(sigma=rng.uniform(0.1, 1.0),
-                            zeta_theta=rng.uniform(np.deg2rad(2), np.deg2rad(30)))
+                            rho=zeta_to_rho(rng.uniform(np.deg2rad(2), np.deg2rad(30))))
         fim = compute_fim(scene, noise).matrix
         oracle = _fd_fim(scene, noise)
         worst_rel = max(worst_rel,

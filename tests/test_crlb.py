@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import i0e, i1e, iv
 
-from rigidloc.crlb import _pose_bounds, bearing_intensity, compute_fim, crlb_curve
+from rigidloc.crlb import _pose_bounds, bearing_intensity, compute_fim
+from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, Scene,
                                SceneConfig, random_scene)
-from rigidloc.measurements import NoiseConfig, generate_measurements, wrap_angle
+from rigidloc.measurements import NoiseConfig, generate_measurements, wrap_angle, zeta_to_rho
 from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import SolverConfig, solve_landmarks
 
@@ -69,7 +70,7 @@ def test_fim_matches_finite_differences():
     for seed in range(20):
         scene = random_scene(SceneConfig(), seed=seed)
         noise = NoiseConfig(sigma=rng.uniform(0.1, 1.0),
-                            zeta_theta=rng.uniform(np.deg2rad(2), np.deg2rad(30)))
+                            rho=zeta_to_rho(rng.uniform(np.deg2rad(2), np.deg2rad(30))))
         fim = compute_fim(scene, noise).matrix
         oracle = fd_fim(scene, noise)
         rel = np.linalg.norm(fim - oracle) / np.linalg.norm(oracle)
@@ -79,7 +80,7 @@ def test_fim_matches_finite_differences():
 def test_fim_positive_semidefinite():
     for seed in range(100):
         scene = random_scene(SceneConfig(), seed=seed)
-        noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8))
+        noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(8)))
         w = np.linalg.eigvalsh(compute_fim(scene, noise).matrix)
         assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
@@ -164,7 +165,7 @@ def test_singularity_test_does_not_depend_on_units():
         config = SceneConfig(room_width=10.0 * s, room_height=10.0 * s,
                              body_radius=s, wall_clearance=3.0 * s)
         f = compute_fim(random_scene(config, seed=3),
-                        NoiseConfig(sigma=0.5 * s, zeta_theta=np.deg2rad(8.0)))
+                        NoiseConfig(sigma=0.5 * s, rho=zeta_to_rho(np.deg2rad(8.0))))
         return f.crlb_t / s ** 2, f.crlb_q
 
     base = bounds(1.0)
@@ -177,24 +178,25 @@ def test_singularity_test_does_not_depend_on_units():
         assert np.all(np.isinf(_pose_bounds(fim[None])))
 
 
-def test_crlb_curve_monotone_and_consistent():
+def test_sigma_grid_bound_monotone_and_consistent():
+    # one call with a 1-D sigma bounds one pose over a whole sigma grid
     scene = random_scene(SceneConfig(), seed=13)
     grid = [0.1, 0.3, 0.6, 1.2]
-    zeta = np.deg2rad(8)
-    curve = crlb_curve(scene, grid, zeta)
-    assert len(curve) == len(grid)
-    bounds = [f.crlb_t for f in curve]
-    assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
-    rho = NoiseConfig(sigma=1.0, zeta_theta=zeta).rho
+    rho = zeta_to_rho(np.deg2rad(8))
+    curve = compute_fim(scene, NoiseConfig(sigma=grid, rho=rho))
+    assert curve.matrix.shape == (len(grid), 3, 3) and curve.crlb_t.shape == (len(grid),)
+    assert np.all(np.diff(curve.crlb_t) > 0)
     direct = compute_fim(scene, NoiseConfig(sigma=grid[2], rho=rho))
-    assert curve[2].crlb_t == pytest.approx(direct.crlb_t, rel=1e-12)
-    with pytest.raises(ValueError):
-        crlb_curve(scene, [], zeta)
+    assert np.array_equal(curve.matrix[2], direct.matrix)
+    assert (curve.crlb_t[2], curve.crlb_alpha[2], curve.crlb_q[2]) == (
+        direct.crlb_t, direct.crlb_alpha, direct.crlb_q)
+    with pytest.raises(ConfigurationError):
+        compute_fim(scene, NoiseConfig(sigma=[], rho=rho))
 
 
 def test_estimator_respects_bound():
     scene = random_scene(SceneConfig(), seed=21)
-    noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8))
+    noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(8)))
     bound = compute_fim(scene, noise).crlb_t
     sq_err = []
     for k in range(300):

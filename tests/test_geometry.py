@@ -207,3 +207,15 @@ def test_scene_config_failed_build_raises_every_call():
             cfg.build_anchors()
         with pytest.raises(DegenerateGeometryError):
             random_scene(cfg, seed=0)
+
+
+def test_scene_config_checks_value_types():
+    # counts are integers and lengths finite real numbers, not values
+    # that would convert (8.7 -> 8, True -> 1.0) or fail later on
+    for bad in (dict(n_anchors=8.7), dict(n_landmarks=True), dict(n_anchors="8"),
+                dict(room_width=np.nan), dict(room_height=np.inf), dict(room_width=True),
+                dict(body_radius="1.5"), dict(wall_clearance=np.nan)):
+        with pytest.raises(ConfigurationError, match="must be an integer|finite number"):
+            SceneConfig(**bad)
+    config = SceneConfig(n_anchors=np.int64(6), room_width=np.float64(12.0), room_height=9)
+    assert random_scene(config, seed=0).n_anchors == 6

@@ -303,8 +303,9 @@ def test_runs_without_scipy():
         rows = rl.run_experiment(rl.ExperimentConfig(trials=2))
         assert len(rows) == 24 and all(np.isfinite(r.crlb_t) for r in rows)
         scene = rl.random_scene(rl.SceneConfig(), seed=3)
-        curve = rl.crlb_curve(scene, [0.2, 0.5], np.deg2rad(8.0))
-        assert curve[0].crlb_t < curve[1].crlb_t
+        noise = rl.NoiseConfig(sigma=[0.2, 0.5], rho=rl.zeta_to_rho(np.deg2rad(8.0)))
+        curve = rl.compute_fim(scene, noise)
+        assert curve.crlb_t[0] < curve.crlb_t[1]
         assert 0.0 < rl.rho_to_zeta(100.0) < rl.rho_to_zeta(10.0)
         assert not [m for m in sys.modules if m.startswith("scipy.")]
         print("ok")

@@ -143,14 +143,9 @@ def test_noise_config_validation():
         NoiseConfig(sigma=-0.1, rho=10.0)
     with pytest.raises(ConfigurationError):
         NoiseConfig(sigma=0.5)
-    with pytest.raises(ConfigurationError):
-        NoiseConfig(sigma=0.5, zeta_theta=3.2)
-    cfg = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(5.0))
-    assert cfg.rho == pytest.approx(zeta_to_rho(np.deg2rad(5.0)))
     # strings and bools are not numbers, even where they would convert
     for bad in (dict(sigma="0.5", rho=1.0), dict(sigma=True, rho=1.0),
                 dict(sigma=0.5, rho="1"), dict(sigma=0.5, rho=True),
-                dict(sigma=0.5, zeta_theta="0.1"), dict(sigma=0.5, zeta_theta=True),
                 dict(sigma=[0.5, "1"], rho=1.0), dict(sigma=[True, False], rho=1.0)):
         with pytest.raises(ConfigurationError, match="must be a number"):
             NoiseConfig(**bad)
@@ -182,7 +177,7 @@ def test_generate_measurements_noiseless():
 
 def test_generate_measurements_aa_exact():
     scene = random_scene(SceneConfig(), seed=7)
-    noise = NoiseConfig(sigma=1.0, zeta_theta=np.deg2rad(5.0))
+    noise = NoiseConfig(sigma=1.0, rho=zeta_to_rho(np.deg2rad(5.0)))
     meas = generate_measurements(scene, noise, 1)
     idx = meas.index
     x = scene.complex_positions()

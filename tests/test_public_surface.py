@@ -16,7 +16,7 @@ PUBLIC = {
     "NoiseConfig", "generate_measurements", "rho_to_zeta", "zeta_to_rho",
     "METHODS", "SolverConfig", "solve_landmarks",
     "estimate_pose", "rotation_mse",
-    "compute_fim", "crlb_curve",
+    "compute_fim",
     "ExperimentConfig", "run_experiment", "format_results", "write_results",
     "reference_scene", "load_scenario", "__version__",
 }

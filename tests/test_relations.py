@@ -32,12 +32,12 @@ from rigidloc.edges import build_pair_index
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.harness import ExperimentConfig, run_experiment
 from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
-                                   wrap_angle)
+                                   wrap_angle, zeta_to_rho)
 from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 
 CONFIGS = (SceneConfig(), SceneConfig(n_anchors=6, n_landmarks=5))
-NOISE = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(8.0), tt_noisy=True)
+NOISE = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(8.0)), tt_noisy=True)
 TRIALS = 6
 # positions agree to this fraction of the room size, rotations to this
 # absolute amount

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,10 @@ from rigidloc.cli import main
 from rigidloc.errors import ConfigurationError
 from rigidloc.harness import DEFAULT_SIGMA_GRID, DEFAULT_ZETA_THETA
 from rigidloc.scenario import load_scenario
+
+
+SCENARIO_DEFAULT = (pathlib.Path(__file__).resolve().parent.parent
+                    / "demos" / "scenario_default.yaml")
 
 
 def write_scenario(tmp_path, text, name="scenario.yaml"):
@@ -119,6 +125,18 @@ def test_scenario_values_are_not_coerced(tmp_path):
                  "experiment:\n  methods: [mds, mds]\n"):
         with pytest.raises(ConfigurationError):
             load_scenario(write_scenario(tmp_path, text))
+    # nor is a fractional count, a flag for a number or a quoted number:
+    # each reaches its config as written, not as 8, 1.0 or 1.5
+    for text in ("anchors:\n  count: 8.7\n", "body:\n  count: 5.9\n",
+                 "room:\n  width: true\n", "noise:\n  rho: true\n",
+                 "noise:\n  sigma: [true, 0.5]\n", "noise:\n  zeta_theta_degrees: '8'\n",
+                 "body:\n  radius: '1.5'\n", "room:\n  height: .nan\n"):
+        with pytest.raises(ConfigurationError):
+            load_scenario(write_scenario(tmp_path, text))
+    config = load_scenario(write_scenario(
+        tmp_path, "noise:\n  sigma: 1\n  zeta_theta_degrees: 8\nanchors:\n  count: 6\n"))
+    assert config.sigma_grid == (1.0,) and config.zeta_theta == DEFAULT_ZETA_THETA
+    assert config.scene.n_anchors == 6
     # a quoted flag is an error, not True
     for text in ('noise:\n  tt_noisy: "false"\n', 'experiment:\n  fixed_pose: "no"\n'):
         with pytest.raises(ConfigurationError, match="true or false"):
@@ -184,6 +202,25 @@ def test_cli_crlb(tmp_path, capsys):
     second = [float(x) for x in lines[2].split(",")]
     assert first[0] == 0.2 and second[0] == 0.5
     assert second[1] > first[1] > 0.0
+
+
+def test_cli_crlb_matches_the_fixed_pose_sweep(tmp_path, capsys):
+    # `rigidloc crlb` and a fixed-pose sweep bound the same reference scene
+    # on the same sigma grid, for a zeta scenario and a rho scenario
+    shipped = SCENARIO_DEFAULT.read_text(encoding="utf-8")
+    rho = shipped.replace("zeta_theta_degrees: 8.0", "rho: 40")
+    assert rho != shipped
+    grid = ["--sigma-grid", "0.3,0.6,1.2"]
+    for scenario in (str(SCENARIO_DEFAULT), write_scenario(tmp_path, rho)):
+        assert main(["crlb", scenario, *grid]) == 0
+        bounds = capsys.readouterr().out.splitlines()[1:]
+        assert main(["run", scenario, "--fixed-pose", "--trials", "3", "--methods", "mds",
+                     *grid]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(bounds) == len(rows) == 3
+        for bound, row in zip(bounds, rows):
+            bound, row = bound.split(","), row.split(",")
+            assert [bound[0], bound[1], bound[3]] == [row[1], row[6], row[7]]
 
 
 def test_cli_crlb_writes_file(tmp_path, capsys):

@@ -9,7 +9,8 @@ from rigidloc.errors import (COINCIDENT_EDGES, NOT_FINITE, ConfigurationError,
                              DegenerateGeometryError, NumericalFailureError,
                              raise_failure)
 from rigidloc.geometry import SceneConfig, random_scene
-from rigidloc.measurements import Measurements, NoiseConfig, generate_measurements
+from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
+                                   zeta_to_rho)
 from rigidloc.solvers import (SolverConfig, _anchored_mean, _distance_matrices,
                               _edge_angles, _embed, _mds, solve_landmarks)
 
@@ -155,7 +156,7 @@ def test_turbo_converges_from_init():
 
 
 def test_turbo_converges_under_noise():
-    noise = NoiseConfig(sigma=0.5, zeta_theta=np.deg2rad(5.0))
+    noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(5.0)))
     for seed in range(20):
         scene = random_scene(SceneConfig(), seed=seed)
         es = edges_from_measurements(generate_measurements(scene, noise, seed))
