@@ -9,7 +9,7 @@ reference scene.
 import numpy as np
 
 from rigidloc import (ExperimentConfig, NoiseConfig, compute_fim, format_results,
-                      reference_scene, run_experiment)
+                      reference_scene, rho_to_zeta, run_experiment)
 
 
 def demo_sweep():
@@ -36,7 +36,7 @@ def demo_bound_curve():
 
     config = ExperimentConfig(sigma_grid=np.geomspace(0.05, 2.0, 9))
     scene = reference_scene(config)
-    curve = compute_fim(scene, NoiseConfig(sigma=config.sigma_grid, rho=config.resolve_rho()))
+    curve = compute_fim(scene, NoiseConfig(sigma=config.sigma_grid, rho=config.rho))
     print(f"\nreference pose: angle {scene.pose.rotation.angle:+.3f} rad, "
           f"translation ({scene.pose.translation[0]:.2f}, "
           f"{scene.pose.translation[1]:.2f})")
@@ -52,11 +52,11 @@ def demo_information_split():
 
     config = ExperimentConfig()
     scene = reference_scene(config)
-    noise = NoiseConfig(sigma=0.5, rho=config.resolve_rho())
+    noise = NoiseConfig(sigma=0.5, rho=config.rho)
     both = compute_fim(scene, noise)
     ranges = compute_fim(scene, noise, use_bearings=False)
     bearings = compute_fim(scene, noise, use_distances=False)
-    print(f"\nsigma = 0.5 m, zeta = {np.rad2deg(config.zeta_theta):.0f} deg")
+    print(f"\nsigma = 0.5 m, zeta = {np.rad2deg(rho_to_zeta(config.rho)):.0f} deg")
     print("\nchannel importance for the translation bound:")
     print(f"  ranges only     crlb_t = {ranges.crlb_t:.3e}")
     print(f"  bearings only   crlb_t = {bearings.crlb_t:.3e}")

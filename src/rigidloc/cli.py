@@ -10,6 +10,8 @@ Subcommands:
         deterministic reference scene.
     rigidloc demo
         Run a reduced default-scenario sweep and print the results.
+
+`--zeta-deg X` replaces the scenario's rho with zeta_to_rho of X degrees.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .crlb import compute_fim
 from .errors import ConfigurationError
 from .harness import (ExperimentConfig, format_results, reference_scene, run_experiment,
                       write_results)
-from .measurements import NoiseConfig
+from .measurements import NoiseConfig, zeta_to_rho
 from .scenario import load_scenario
 from .solvers import METHODS
 
@@ -67,8 +69,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.sigma_grid is not None:
         changes["sigma_grid"] = tuple(float(s) for s in args.sigma_grid.split(","))
     if args.zeta_deg is not None:
-        changes["zeta_theta"] = float(np.deg2rad(args.zeta_deg))
-        changes["rho"] = None
+        changes["rho"] = zeta_to_rho(np.deg2rad(args.zeta_deg))
     if getattr(args, "seed", None) is not None:
         changes["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
@@ -98,7 +99,7 @@ def _cmd_run(args) -> int:
 def _cmd_crlb(args) -> int:
     config = _apply_overrides(load_scenario(args.scenario), args)
     fim = compute_fim(reference_scene(config),
-                      NoiseConfig(sigma=config.sigma_grid, rho=config.resolve_rho()))
+                      NoiseConfig(sigma=config.sigma_grid, rho=config.rho))
     lines = ["sigma,crlb_t,crlb_alpha,crlb_Q"]
     for row in zip(config.sigma_grid, fim.crlb_t, fim.crlb_alpha, fim.crlb_q):
         lines.append(",".join(f"{x:.9g}" for x in row))

@@ -32,14 +32,15 @@ import numpy as np
 from .crlb import compute_fim
 from .errors import ConfigurationError
 from .geometry import Scene, SceneConfig, _is_int, _is_real, random_scene
-from .measurements import ZETA_MAX, NoiseConfig, generate_measurements, zeta_to_rho
+from .measurements import NoiseConfig, generate_measurements
 from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SIGMA_GRID = tuple(float(s) for s in np.geomspace(0.1, 2.0, 8))
-DEFAULT_ZETA_THETA = float(np.deg2rad(8.0))
+# zeta_to_rho(np.deg2rad(8.0)) bit for bit: an 8 degree 90th-percentile half-width
+DEFAULT_RHO = 139.2547123458694
 
 CSV_HEADER = "method,sigma,mse_t,rmse_t,mse_Q,conv_rate,crlb_t,crlb_Q,trials"
 
@@ -50,12 +51,11 @@ _SCENE_STREAM_KEY = 0xFFFFFFFF
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one benchmark run."""
+    """Full description of one benchmark run; bearing noise is the concentration rho."""
 
     scene: SceneConfig = SceneConfig()
     sigma_grid: tuple = DEFAULT_SIGMA_GRID
-    zeta_theta: float = DEFAULT_ZETA_THETA
-    rho: float | None = None
+    rho: float = DEFAULT_RHO
     tt_noisy: bool = False
     trials: int = 1000
     methods: tuple = METHODS
@@ -90,18 +90,13 @@ class ExperimentConfig:
             raise ConfigurationError("need at least one worker")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be nonnegative")
-        if self.rho is None and self.zeta_theta is None:
-            raise ConfigurationError("specify bearing noise via zeta_theta or rho")
-        # checked here, not per trial: the FIM needs a finite rho, and
-        # zeta_to_rho accepts only (0, 0.9 pi]
-        if self.rho is not None:
-            if not _is_real(self.rho) or not np.isfinite(self.rho) or self.rho < 0:
-                raise ConfigurationError("rho must be a finite nonnegative number")
-        elif not _is_real(self.zeta_theta) or not 0.0 < self.zeta_theta <= ZETA_MAX + 1e-12:
-            raise ConfigurationError("zeta_theta must be a number in (0, 0.9*pi]")
+        # checked here, not per trial: the FIM needs a finite rho
+        if not _is_real(self.rho) or not np.isfinite(self.rho) or self.rho < 0:
+            raise ConfigurationError("rho must be a finite nonnegative number")
 
     def resolve_rho(self) -> float:
-        return float(self.rho) if self.rho is not None else zeta_to_rho(self.zeta_theta)
+        """`rho` as a float; kept only for the benchmark, which calls it."""
+        return float(self.rho)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def _trial_chunk(config: ExperimentConfig, start: int, stop: int):
     which others share its chunk.
     """
     g, k = np.divmod(np.arange(start, stop), config.trials)
-    noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.resolve_rho(),
+    noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.rho,
                         tt_noisy=config.tt_noisy)
     rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
             for key in zip(g.tolist(), k.tolist())]
@@ -207,7 +202,6 @@ def run_experiment(config: ExperimentConfig,
         # imported here: the pool's modules cost a one-worker run start-up
         # time and memory for nothing
         from concurrent.futures import ProcessPoolExecutor
-        config.resolve_rho()  # cached per process, so forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_chunk, [config] * n, cuts[:-1], cuts[1:]))
     else:

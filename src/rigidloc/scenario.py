@@ -5,9 +5,9 @@ missing values fall back to the defaults of the corresponding config
 dataclasses (a 10m x 10m room, 8 perimeter anchors, an 8-point polygon
 body, the standard sigma grid, 1000 trials). Values reach the configs
 as written, and the configs check them: a count must be an integer, a
-length a finite number and a flag a boolean. The loader only wraps a
-scalar sigma or a single method name in a list, and turns a numeric
-zeta_theta_degrees into radians.
+length a finite number, a coordinate a number and a flag a boolean.
+The loader only wraps a scalar sigma or a single method name in a list,
+and turns a numeric zeta_theta_degrees into the concentration rho.
 
     room:
       width: 10.0
@@ -42,8 +42,9 @@ import yaml
 from .errors import ConfigurationError
 from .geometry import SceneConfig, _is_real
 from .harness import ExperimentConfig
+from .measurements import zeta_to_rho
 
-_SECTIONS = {"room", "anchors", "body", "noise", "experiment", "seed"}
+_SECTIONS = {"room", "anchors", "body", "noise", "experiment"}
 
 
 def _check_keys(section: str, mapping: dict, allowed: set):
@@ -54,10 +55,11 @@ def _check_keys(section: str, mapping: dict, allowed: set):
 
 
 def _points_matrix(rows, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigurationError(f"{what} must be a list of [x, y] pairs")
-    return arr.T
+    # checked before converting: "0" and true are not coordinates
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(row, list) and len(row) == 2 and all(map(_is_real, row)) for row in rows):
+        raise ConfigurationError(f"{what} must be a list of [x, y] number pairs")
+    return np.asarray(rows, dtype=float).T
 
 
 def _fields(mapping: dict, names: dict) -> dict:
@@ -115,19 +117,18 @@ def load_scenario(path) -> ExperimentConfig:
 
     try:
         kwargs = {**_fields(noise, {"rho": "rho", "tt_noisy": "tt_noisy"}),
-                  **_fields(exp, {"trials": "trials", "fixed_pose": "fixed_pose",
-                                  "workers": "workers", "output": "output_path"}),
+                  **_fields(exp, {"trials": "trials", "master_seed": "master_seed",
+                                  "fixed_pose": "fixed_pose", "workers": "workers",
+                                  "output": "output_path"}),
                   "scene": _parse_scene(doc)}
         if "sigma" in noise:
             sigma = noise["sigma"]
             kwargs["sigma_grid"] = sigma if isinstance(sigma, list) else [sigma]
-        if "rho" in noise:
-            kwargs["zeta_theta"] = None
-        elif "zeta_theta_degrees" in noise:
+        if "zeta_theta_degrees" in noise:
             zeta = noise["zeta_theta_degrees"]
-            kwargs["zeta_theta"] = float(np.deg2rad(zeta)) if _is_real(zeta) else zeta
-        if "master_seed" in exp or "seed" in doc:
-            kwargs["master_seed"] = exp.get("master_seed", doc.get("seed"))
+            if not _is_real(zeta):
+                raise ConfigurationError("zeta_theta_degrees must be a number")
+            kwargs["rho"] = zeta_to_rho(np.deg2rad(zeta))
         if "methods" in exp:
             methods = exp["methods"]
             kwargs["methods"] = [methods] if isinstance(methods, str) else methods

@@ -36,7 +36,7 @@ def check(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def ordering_run():
-    cfg = ExperimentConfig(sigma_grid=(0.5, 1.0), zeta_theta=np.deg2rad(5.0),
+    cfg = ExperimentConfig(sigma_grid=(0.5, 1.0), rho=zeta_to_rho(np.deg2rad(5.0)),
                            trials=1000, methods=METHODS, master_seed=12345)
     t0 = time.perf_counter()
     rows = run_experiment(cfg, keep_trial_errors=True)
@@ -155,7 +155,7 @@ def test_criterion_3_method_ordering(ordering_run):
 
 
 def test_criterion_4_small_sigma_smoke():
-    cfg = ExperimentConfig(sigma_grid=(0.05,), zeta_theta=np.deg2rad(5.0),
+    cfg = ExperimentConfig(sigma_grid=(0.05,), rho=zeta_to_rho(np.deg2rad(5.0)),
                            trials=200, methods=METHODS, master_seed=12345)
     rows = run_experiment(cfg)
     finite = all(np.isfinite(r.rmse_t) and np.isfinite(r.mse_q) for r in rows)

@@ -16,10 +16,10 @@ import rigidloc.solvers as solvers
 from rigidloc.crlb import compute_fim
 from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import SceneConfig
-from rigidloc.harness import (CSV_HEADER, ExperimentConfig, ResultRow,
+from rigidloc.harness import (CSV_HEADER, DEFAULT_RHO, ExperimentConfig, ResultRow,
                               format_results, reference_scene, run_experiment,
                               write_results)
-from rigidloc.measurements import NoiseConfig
+from rigidloc.measurements import NoiseConfig, zeta_to_rho
 from rigidloc.solvers import METHODS
 
 
@@ -58,19 +58,23 @@ def test_config_validation():
             ExperimentConfig(**bad)
     assert ExperimentConfig(sigma_grid=np.array([0.5, 1.0]), fixed_pose=np.True_).fixed_pose
     assert ExperimentConfig(trials=np.int64(3), master_seed=0).trials == 3
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(zeta_theta=None, rho=None)
     # bearing noise is checked when the config is built, not per trial
     # strings and bools are not numbers, even where they would convert
-    for rho in (np.inf, -1.0, np.nan, "1", True, False):
+    for rho in (None, np.inf, -1.0, np.nan, "1", True, False):
         with pytest.raises(ConfigurationError, match="rho"):
             ExperimentConfig(rho=rho)
-    for zeta in (0.0, -0.1, 4.0, np.nan, "8", True):
-        with pytest.raises(ConfigurationError, match="zeta_theta"):
-            ExperimentConfig(zeta_theta=zeta)
-    assert ExperimentConfig(rho=np.float32(2.0), zeta_theta=None).resolve_rho() == 2.0
+    assert ExperimentConfig(rho=np.float32(2.0)).resolve_rho() == 2.0
     assert ExperimentConfig(rho=0.0).resolve_rho() == 0.0
-    assert ExperimentConfig(zeta_theta=0.9 * np.pi).resolve_rho() == 0.0
+    assert zeta_to_rho(0.9 * np.pi) == 0.0
+    # rho is the one bearing field: a half-width is converted where it
+    # enters, so a config can no longer hold a zeta that disagrees with rho
+    with pytest.raises(TypeError):
+        ExperimentConfig(zeta_theta=0.5)
+
+
+def test_default_rho_is_the_eight_degree_half_width():
+    assert DEFAULT_RHO == zeta_to_rho(np.deg2rad(8.0))
+    assert ExperimentConfig().rho == DEFAULT_RHO
 
 
 def test_row_layout_and_rmse():
@@ -159,8 +163,10 @@ def test_bearing_scalars_computed_once(monkeypatch):
         return real(f, lo, hi)
 
     monkeypatch.setattr(measurements, "_bisect", counting)
-    # a zeta no other test uses, so the first run has to solve for it
-    cfg = small_config(zeta_theta=0.1234567, trials=5)
+    # a zeta no other test uses, so building the config has to solve for
+    # it, once; the runs only read rho
+    cfg = small_config(rho=zeta_to_rho(0.1234567), trials=5)
+    assert len(solves) == 1
     misses = measurements.bessel_ratio.cache_info().misses
     first = format_results(run_experiment(cfg))
     assert len(solves) == 1

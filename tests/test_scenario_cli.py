@@ -5,7 +5,8 @@ import pytest
 
 from rigidloc.cli import main
 from rigidloc.errors import ConfigurationError
-from rigidloc.harness import DEFAULT_SIGMA_GRID, DEFAULT_ZETA_THETA
+from rigidloc.harness import DEFAULT_RHO, DEFAULT_SIGMA_GRID, ExperimentConfig
+from rigidloc.measurements import zeta_to_rho
 from rigidloc.scenario import load_scenario
 
 
@@ -46,8 +47,7 @@ experiment:
 def test_empty_scenario_gives_defaults(tmp_path):
     cfg = load_scenario(write_scenario(tmp_path, ""))
     assert cfg.sigma_grid == DEFAULT_SIGMA_GRID
-    assert cfg.zeta_theta == pytest.approx(DEFAULT_ZETA_THETA)
-    assert cfg.rho is None
+    assert cfg.rho == DEFAULT_RHO
     assert cfg.trials == 1000
     assert cfg.scene.n_anchors == 8 and cfg.scene.n_landmarks == 8
     assert cfg.workers == 1
@@ -61,7 +61,7 @@ def test_full_scenario_parses(tmp_path):
     assert cfg.scene.body_radius == 0.8
     assert cfg.scene.wall_clearance == 2.0
     assert cfg.sigma_grid == (0.2, 0.4)
-    assert cfg.zeta_theta == pytest.approx(np.deg2rad(10.0))
+    assert cfg.rho == zeta_to_rho(np.deg2rad(10.0))
     assert cfg.tt_noisy
     assert cfg.trials == 50
     assert cfg.methods == ("mds", "smds_full")
@@ -79,15 +79,41 @@ def test_scalar_sigma_becomes_grid(tmp_path):
 def test_rho_excludes_zeta(tmp_path):
     cfg = load_scenario(write_scenario(tmp_path, "noise:\n  rho: 120.0\n"))
     assert cfg.rho == 120.0
-    assert cfg.zeta_theta is None
     both = "noise:\n  rho: 120.0\n  zeta_theta_degrees: 5.0\n"
     with pytest.raises(ConfigurationError):
         load_scenario(write_scenario(tmp_path, both, name="both.yaml"))
 
 
-def test_top_level_seed_alias(tmp_path):
-    cfg = load_scenario(write_scenario(tmp_path, "seed: 4242\n"))
-    assert cfg.master_seed == 4242
+def test_zeta_and_rho_scenarios_load_equal_configs(tmp_path):
+    # zeta_theta_degrees is converted once, on loading, to the rho it means
+    for degrees in (2, 8, 30, 60):
+        rho = zeta_to_rho(np.deg2rad(degrees))
+        by_zeta = load_scenario(write_scenario(
+            tmp_path, f"noise:\n  zeta_theta_degrees: {degrees}\n", name="zeta.yaml"))
+        by_rho = load_scenario(write_scenario(
+            tmp_path, f"noise:\n  rho: {rho!r}\n", name="rho.yaml"))
+        assert by_zeta == by_rho == ExperimentConfig(rho=rho)
+
+
+def test_zeta_is_checked_where_it_enters(tmp_path, capsys):
+    # outside (0, 162] degrees, that is (0, 0.9 pi], or not a number, in the
+    # file and on the command line; a string or a flag is rejected before
+    # any conversion
+    for zeta in ("0", "-0.1", "229.2", ".nan", "'8'", "true"):
+        with pytest.raises(ConfigurationError, match="zeta"):
+            load_scenario(write_scenario(tmp_path, f"noise:\n  zeta_theta_degrees: {zeta}\n"))
+    for zeta in ("0", "-0.1", "229.2", "nan"):
+        assert main(["crlb", str(SCENARIO_DEFAULT), f"--zeta-deg={zeta}"]) == 1
+        assert "zeta" in capsys.readouterr().err
+    # the widest half-width is the uniform limit
+    cfg = load_scenario(write_scenario(tmp_path, "noise:\n  zeta_theta_degrees: 162\n"))
+    assert cfg.rho == 0.0
+
+
+def test_top_level_seed_is_rejected(tmp_path):
+    # experiment.master_seed is the one spelling of the seed
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        load_scenario(write_scenario(tmp_path, "seed: 4242\n"))
 
 
 def test_explicit_anchor_positions(tmp_path):
@@ -121,7 +147,7 @@ def test_unknown_keys_rejected(tmp_path):
 def test_scenario_values_are_not_coerced(tmp_path):
     # a fractional trial count or a negative seed is an error, not 2 or a crash
     for text in ("experiment:\n  trials: 2.5\n", "experiment:\n  master_seed: -1\n",
-                 "seed: -1\n", "experiment:\n  workers: 1.5\n",
+                 "experiment:\n  workers: 1.5\n",
                  "experiment:\n  methods: [mds, mds]\n"):
         with pytest.raises(ConfigurationError):
             load_scenario(write_scenario(tmp_path, text))
@@ -130,12 +156,14 @@ def test_scenario_values_are_not_coerced(tmp_path):
     for text in ("anchors:\n  count: 8.7\n", "body:\n  count: 5.9\n",
                  "room:\n  width: true\n", "noise:\n  rho: true\n",
                  "noise:\n  sigma: [true, 0.5]\n", "noise:\n  zeta_theta_degrees: '8'\n",
-                 "body:\n  radius: '1.5'\n", "room:\n  height: .nan\n"):
+                 "body:\n  radius: '1.5'\n", "room:\n  height: .nan\n",
+                 'anchors:\n  positions: [["0", "0"], ["10", "0"], [true, 10]]\n',
+                 'body:\n  points: [[0.0, 0.0], [1.0, "0"], [0.0, 1.0]]\n'):
         with pytest.raises(ConfigurationError):
             load_scenario(write_scenario(tmp_path, text))
     config = load_scenario(write_scenario(
         tmp_path, "noise:\n  sigma: 1\n  zeta_theta_degrees: 8\nanchors:\n  count: 6\n"))
-    assert config.sigma_grid == (1.0,) and config.zeta_theta == DEFAULT_ZETA_THETA
+    assert config.sigma_grid == (1.0,) and config.rho == DEFAULT_RHO
     assert config.scene.n_anchors == 6
     # a quoted flag is an error, not True
     for text in ('noise:\n  tt_noisy: "false"\n', 'experiment:\n  fixed_pose: "no"\n'):
