@@ -7,7 +7,8 @@ Subcommands:
         write the results CSV.
     rigidloc crlb <scenario.yaml> [--out bounds.csv]
         Evaluate only the Cramer-Rao bound curves on the scenario's
-        deterministic reference scene.
+        deterministic reference scene. They go to --out, or to stdout;
+        never to the scenario's experiment.output, which is the sweep's.
     rigidloc demo
         Run a reduced default-scenario sweep and print the results.
 
@@ -104,10 +105,10 @@ def _cmd_crlb(args) -> int:
     for row in zip(config.sigma_grid, fim.crlb_t, fim.crlb_alpha, fim.crlb_q):
         lines.append(",".join(f"{x:.9g}" for x in row))
     text = "\n".join(lines) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="ascii", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
-        print(f"wrote {len(config.sigma_grid)} rows to {config.output_path}")
+        print(f"wrote {len(config.sigma_grid)} rows to {args.out}")
     else:
         print(text, end="")
     return 0

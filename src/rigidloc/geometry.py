@@ -10,23 +10,24 @@ follow from a pose (rotation Q in SO(2) plus translation t):
 All positions are 2D, in meters. A `Pose` and a `Scene` hold one pose,
 or K poses of one body with a leading trial axis on their arrays.
 `random_scene` given a list of K generators draws K poses, one per
-generator; given one seed it draws one, through the same placement code
-(`place_bodies`). The types are frozen; the anchor and body arrays are
-also read-only."""
+generator; given one seed it draws one, through the same placement code.
+A `SceneConfig` builds and checks its anchors and body once, when it is
+made. Every point set passes one check whose tolerances scale with the
+set, so a scene behaves the same in any unit. The types are frozen; the
+anchor and body arrays are also read-only."""
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGeometryError
 
-# nodes closer than this count as coincident
-_MIN_SEPARATION = 1e-9
+# points closer than this fraction of their set's extent count as
+# coincident, and a set this thin relative to its extent as collinear
+_REL_TOL = 1e-9
 
 
 def _is_real(value) -> bool:
@@ -37,13 +38,35 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _frozen_array(values) -> np.ndarray:
-    """Copy `values` into a read-only float array."""
-    arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("array entries must be finite")
-    arr.flags.writeable = False
-    return arr
+def _extent(points: np.ndarray) -> float:
+    """Largest distance from the centroid of a 2xN point set to any point."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    return float(np.max(np.linalg.norm(centered, axis=0)))
+
+
+def _point_set(values, label: str) -> np.ndarray:
+    """`values` as a read-only 2xN float matrix of N >= 3 usable points.
+
+    The points must be finite, pairwise distinct and not collinear, each
+    to within 1e-9 of the set's extent: two points count as coincident
+    when their distance is at most that, and the set as collinear when
+    its centred second singular value is.
+    """
+    pts = np.array(values, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] != 2 or pts.shape[1] < 3:
+        raise ValueError(f"{label} must form a 2xN matrix of at least 3 points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{label} must be finite")
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    tol = _REL_TOL * np.max(np.linalg.norm(centered, axis=0))
+    gaps = np.linalg.norm(pts[:, :, None] - pts[:, None, :], axis=0)
+    gaps[np.diag_indices(pts.shape[1])] = np.inf
+    if np.min(gaps) <= tol:
+        raise DegenerateGeometryError(f"{label} contain coincident points")
+    if np.linalg.svd(centered, compute_uv=False)[1] <= tol:
+        raise DegenerateGeometryError(f"{label} are collinear")
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -102,16 +125,7 @@ class Conformation:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] != 2:
-            raise ValueError("conformation points must form a 2xN matrix")
-        if pts.shape[1] < 3:
-            raise ValueError("conformation needs at least 3 points")
-        _check_pairwise_distinct(pts, "conformation points")
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-            raise DegenerateGeometryError("conformation points are collinear")
-        object.__setattr__(self, "points", _frozen_array(pts))
+        object.__setattr__(self, "points", _point_set(self.points, "conformation points"))
 
     @property
     def n_points(self) -> int:
@@ -120,14 +134,11 @@ class Conformation:
     @property
     def radius(self) -> float:
         """Largest distance from the shape centroid to any point."""
-        centered = self.points - self.points.mean(axis=1, keepdims=True)
-        return float(np.max(np.linalg.norm(centered, axis=0)))
+        return _extent(self.points)
 
     @classmethod
     def regular_polygon(cls, n_points: int, radius: float) -> "Conformation":
         """Vertices of a regular polygon of given circumradius, centered at 0."""
-        if n_points < 3:
-            raise ValueError("polygon needs at least 3 vertices")
         if radius <= 0:
             raise ValueError("polygon radius must be positive")
         ang = 2.0 * np.pi * np.arange(n_points) / n_points
@@ -141,16 +152,7 @@ class AnchorSet:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[0] != 2:
-            raise ValueError("anchor positions must form a 2xM matrix")
-        if pos.shape[1] < 3:
-            raise ValueError("at least 3 anchors are required")
-        _check_pairwise_distinct(pos, "anchors")
-        centered = pos - pos.mean(axis=1, keepdims=True)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-            raise DegenerateGeometryError("anchors are collinear")
-        object.__setattr__(self, "positions", _frozen_array(pos))
+        object.__setattr__(self, "positions", _point_set(self.positions, "anchors"))
 
     @property
     def n_anchors(self) -> int:
@@ -159,8 +161,6 @@ class AnchorSet:
     @classmethod
     def perimeter(cls, n_anchors: int, width: float, height: float) -> "AnchorSet":
         """Place anchors evenly along the room boundary, starting at (0, 0)."""
-        if n_anchors < 3:
-            raise ValueError("at least 3 anchors are required")
         if width <= 0 or height <= 0:
             raise ValueError("room dimensions must be positive")
         per = 2.0 * (width + height)
@@ -178,15 +178,6 @@ class AnchorSet:
         return cls(pos)
 
 
-def _check_pairwise_distinct(points: np.ndarray, label: str):
-    diff = points[:, :, None] - points[:, None, :]
-    dist = np.linalg.norm(diff, axis=0)
-    n = points.shape[1]
-    dist[np.diag_indices(n)] = np.inf
-    if np.min(dist) <= _MIN_SEPARATION:
-        raise DegenerateGeometryError(f"{label} contain coincident points")
-
-
 def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
     """World positions S = Q C + t 1^T of the body's points under `pose`.
 
@@ -199,12 +190,13 @@ def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
 def _on_anchor(anchors: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
     """Whether a landmark lies on an anchor, per pose of a (..., 2, N) stack.
 
-    Only anchor-landmark pairs need checking: `AnchorSet` and
-    `Conformation` reject coincident anchors and coincident body points
-    when they are built.
+    A landmark within 1e-9 of the anchors' extent counts as on one. Only
+    anchor-landmark pairs need checking: `AnchorSet` and `Conformation`
+    reject coincident anchors and coincident body points when they are
+    built.
     """
     gaps = np.linalg.norm(landmarks[..., None, :] - anchors[:, :, None], axis=-3)
-    return np.any(gaps <= _MIN_SEPARATION, axis=(-2, -1))
+    return np.any(gaps <= _REL_TOL * _extent(anchors), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -214,7 +206,7 @@ class Scene:
     For K poses the pose arrays lead with a trial axis and `landmarks`
     is (K, 2, N); one scene holds a (2, 2) rotation, a (2,) translation
     and (2, N) landmarks. `landmarks` is computed from the pose, and
-    checked against the anchors, when it is not given; `place_bodies`
+    checked against the anchors, when it is not given; `random_scene`
     gives the landmarks it has already checked.
     """
 
@@ -247,69 +239,84 @@ class Scene:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Parameters for the default scene generator.
+    """Parameters for the default scene generator, each given one way.
 
-    Anchors are placed evenly on the room perimeter unless explicit
-    positions are given. The body is a regular polygon of `body_radius`
-    unless explicit body-frame points are given. Poses are sampled with
-    the body centroid at least `body radius + wall_clearance` away from
-    every wall, which keeps the whole body inside the room with margin.
+    The anchors are `n_anchors` evenly on the room perimeter or explicit
+    `anchor_positions` (2xM); the body is a regular polygon of
+    `n_landmarks` points and circumradius `body_radius`, or explicit
+    body-frame `body_points` (2xN). A count or radius beside explicit
+    points is an error. None means not given; with neither spelling, 8
+    anchors and an 8-point body of radius 1. Explicit points are stored
+    as two-row tuples, so configs compare and hash.
+
+    `anchors` and `conformation` are built when the config is made. The
+    body centroid is sampled at least `body radius + wall_clearance`
+    from every wall, so a body that cannot fit fails here too.
     """
 
     room_width: float = 10.0
     room_height: float = 10.0
-    n_anchors: int = 8
-    n_landmarks: int = 8
-    body_radius: float = 1.0
+    n_anchors: int | None = None
+    n_landmarks: int | None = None
+    body_radius: float | None = None
     wall_clearance: float = 3.0
-    anchor_positions: np.ndarray | None = None
-    body_points: np.ndarray | None = None
+    anchor_positions: tuple | None = None
+    body_points: tuple | None = None
+    anchors: AnchorSet = field(init=False, repr=False, compare=False)
+    conformation: Conformation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n_anchors", "n_landmarks"):
-            if not _is_int(getattr(self, name)):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
                 raise ConfigurationError(f"{name} must be an integer")
         for name in ("room_width", "room_height", "body_radius", "wall_clearance"):
             value = getattr(self, name)
-            if not _is_real(value) or not np.isfinite(value):
+            if (value is not None or name != "body_radius") and not (
+                    _is_real(value) and np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be a finite number")
         if self.room_width <= 0 or self.room_height <= 0:
             raise ConfigurationError("room dimensions must be positive")
-        if self.anchor_positions is not None:
-            object.__setattr__(self, "anchor_positions", _frozen_array(self.anchor_positions))
-            object.__setattr__(self, "n_anchors", self.anchor_positions.shape[1])
-        if self.body_points is not None:
-            object.__setattr__(self, "body_points", _frozen_array(self.body_points))
-            object.__setattr__(self, "n_landmarks", self.body_points.shape[1])
-        if self.n_anchors < 3 or self.n_landmarks < 3:
+        if any(n is not None and n < 3 for n in (self.n_anchors, self.n_landmarks)):
             raise ConfigurationError("need at least 3 anchors and 3 landmarks")
-        if self.body_radius <= 0:
+        if self.body_radius is not None and self.body_radius <= 0:
             raise ConfigurationError("body radius must be positive")
         if self.wall_clearance < 0:
             raise ConfigurationError("wall clearance cannot be negative")
+        if self.anchor_positions is not None and self.n_anchors is not None:
+            raise ConfigurationError("give anchor_positions or n_anchors, not both")
+        if self.body_points is not None and (self.n_landmarks, self.body_radius) != (None, None):
+            raise ConfigurationError("give body_points or n_landmarks and body_radius, not both")
 
-    def build_anchors(self) -> AnchorSet:
-        """The config's anchor set, built on first use and then shared."""
-        return self._anchors
+        # a count or radius given is positive by now, so `or` only fills in None
+        if self.anchor_positions is None:
+            anchors = AnchorSet.perimeter(self.n_anchors or 8, self.room_width, self.room_height)
+        else:
+            anchors = AnchorSet(self.anchor_positions)
+            object.__setattr__(self, "anchor_positions", _rows(anchors.positions))
+        if self.body_points is None:
+            conformation = Conformation.regular_polygon(self.n_landmarks or 8,
+                                                        self.body_radius or 1.0)
+        else:
+            conformation = Conformation(self.body_points)
+            object.__setattr__(self, "body_points", _rows(conformation.points))
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "conformation", conformation)
+        lo_x, hi_x, lo_y, hi_y = _centroid_box(self)
+        if lo_x > hi_x or lo_y > hi_y:
+            raise ConfigurationError(
+                "body does not fit in the room with the requested wall clearance")
 
-    def build_conformation(self) -> Conformation:
-        """The config's body shape, built on first use and then shared."""
-        return self._conformation
 
-    # Cached in the instance: the config is frozen, what it builds is
-    # immutable, and `dataclasses.replace` makes a new instance. A build
-    # that raises is not cached.
-    @cached_property
-    def _anchors(self) -> AnchorSet:
-        if self.anchor_positions is not None:
-            return AnchorSet(self.anchor_positions)
-        return AnchorSet.perimeter(self.n_anchors, self.room_width, self.room_height)
+def _rows(points: np.ndarray) -> tuple:
+    """A 2xN matrix as a hashable tuple of its two rows."""
+    return tuple(map(tuple, points.tolist()))
 
-    @cached_property
-    def _conformation(self) -> Conformation:
-        if self.body_points is not None:
-            return Conformation(self.body_points)
-        return Conformation.regular_polygon(self.n_landmarks, self.body_radius)
+
+def _centroid_box(config: SceneConfig) -> tuple:
+    """Where the body centroid may go: (lo_x, hi_x, lo_y, hi_y)."""
+    margin = config.conformation.radius + config.wall_clearance
+    return (margin, config.room_width - margin, margin, config.room_height - margin)
 
 
 def _draw_pose(rng: np.random.Generator, box) -> tuple:
@@ -318,53 +325,13 @@ def _draw_pose(rng: np.random.Generator, box) -> tuple:
     return (rng.uniform(-np.pi, np.pi), rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
 
 
-def place_bodies(config: SceneConfig, rngs: Sequence[np.random.Generator]) -> Scene:
-    """Draw one feasible pose of the config's body per generator.
-
-    Trial k draws from `rngs[k]` alone: an angle and a centroid, redrawn
-    (at most 100 draws in all) while a landmark lands on an anchor. The
-    body centroid stays at least `body radius + wall_clearance` from
-    every wall. Returns the K poses as one `Scene`.
-
-    Raises
-    ------
-    ConfigurationError
-        If the body does not fit in the room, or some trial finds no
-        non-degenerate placement within 100 draws.
-    """
-    anchors = config.build_anchors()
-    conformation = config.build_conformation()
-    margin = conformation.radius + config.wall_clearance
-    box = (margin, config.room_width - margin, margin, config.room_height - margin)
-    if box[0] > box[1] or box[2] > box[3]:
-        raise ConfigurationError(
-            "body does not fit in the room with the requested wall clearance")
-    center = conformation.points.mean(axis=1)
-
-    def place(draws):
-        rotations = _rotation_matrices(draws[:, 0])
-        # the translation puts the shape centroid at the drawn point
-        translations = draws[:, 1:] - rotations @ center
-        landmarks = apply_pose(conformation, Pose(RotationMatrix(rotations), translations))
-        return (rotations, translations, landmarks), _on_anchor(anchors.positions, landmarks)
-
-    placed, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
-    for k in np.flatnonzero(clash):
-        for _ in range(99):
-            redraw, clash_k = place(np.array([_draw_pose(rngs[k], box)]))
-            if not clash_k[0]:
-                for part, new in zip(placed, redraw):
-                    part[k] = new[0]
-                break
-        else:
-            raise ConfigurationError("could not place the body after 100 attempts")
-    rotations, translations, landmarks = placed
-    pose = Pose(RotationMatrix(rotations), translations)
-    return Scene(anchors, conformation, pose, landmarks)
-
-
 def random_scene(config: SceneConfig, seed) -> Scene:
     """Generate a scene with a randomly posed body.
+
+    Trial k draws from its own generator alone: an angle and a centroid,
+    redrawn (at most 100 draws in all) while a landmark lands on an
+    anchor. The body centroid stays at least `body radius +
+    wall_clearance` from every wall.
 
     Parameters
     ----------
@@ -384,7 +351,7 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     Raises
     ------
     ConfigurationError
-        If no non-degenerate placement is found within bounded retries.
+        If some trial finds no non-degenerate placement within 100 draws.
     ValueError
         If `seed` is an empty list or holds anything but Generators.
     """
@@ -393,7 +360,31 @@ def random_scene(config: SceneConfig, seed) -> Scene:
             raise ValueError("random_scene needs at least one generator")
         if not all(isinstance(r, np.random.Generator) for r in seed):
             raise ValueError("a list of seeds must hold only numpy Generators")
-        return place_bodies(config, seed)
-    scene = place_bodies(config, [np.random.default_rng(seed)])
-    pose = Pose(RotationMatrix(scene.pose.rotation.matrix[0]), scene.pose.translation[0])
-    return Scene(scene.anchors, scene.conformation, pose, scene.landmarks[0])
+        rngs = seed
+    else:
+        rngs = [np.random.default_rng(seed)]
+    anchors, conformation = config.anchors, config.conformation
+    box = _centroid_box(config)
+    center = conformation.points.mean(axis=1)
+
+    def place(draws):
+        rotations = _rotation_matrices(draws[:, 0])
+        # the translation puts the shape centroid at the drawn point
+        translations = draws[:, 1:] - rotations @ center
+        landmarks = apply_pose(conformation, Pose(RotationMatrix(rotations), translations))
+        return (rotations, translations, landmarks), _on_anchor(anchors.positions, landmarks)
+
+    placed, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
+    for k in np.flatnonzero(clash):
+        for _ in range(99):
+            redraw, clash_k = place(np.array([_draw_pose(rngs[k], box)]))
+            if not clash_k[0]:
+                for part, new in zip(placed, redraw):
+                    part[k] = new[0]
+                break
+        else:
+            raise ConfigurationError("could not place the body after 100 attempts")
+    if not isinstance(seed, list):
+        placed = [part[0] for part in placed]
+    rotations, translations, landmarks = placed
+    return Scene(anchors, conformation, Pose(RotationMatrix(rotations), translations), landmarks)

@@ -194,7 +194,7 @@ def run_experiment(config: ExperimentConfig,
     trials = config.trials
     total = len(config.sigma_grid) * trials
     # balanced chunks within the size bound, and at least one per worker
-    size = _chunk_size(config.scene.n_anchors + config.scene.n_landmarks)
+    size = _chunk_size(config.scene.anchors.n_anchors + config.scene.conformation.n_points)
     n = min(total, max(-(-total // size), config.workers))
     cuts = [total * j // n for j in range(n + 1)]
     workers = min(config.workers, n)

@@ -13,12 +13,12 @@ and turns a numeric zeta_theta_degrees into the concentration rho.
       width: 10.0
       height: 10.0
     anchors:
-      count: 8
-      layout: perimeter          # or explicit positions: [[x, y], ...]
+      count: 8                   # on the perimeter, the one layout; or
+      layout: perimeter          # instead, positions: [[x, y], ...]
     body:
-      count: 8
-      radius: 1.0
-      wall_clearance: 3.0        # or explicit points: [[x, y], ...]
+      count: 8                   # a regular polygon; or instead,
+      radius: 1.0                # body-frame points: [[x, y], ...]
+      wall_clearance: 3.0
     noise:
       sigma: [0.1, 0.5, 1.0]     # scalar or list; becomes the sweep grid
       zeta_theta_degrees: 8.0    # or rho: <concentration>
@@ -29,9 +29,11 @@ and turns a numeric zeta_theta_degrees into the concentration rho.
       master_seed: 12345
       fixed_pose: false
       workers: 1
-      output: results.csv
+      output: results.csv        # the sweep's CSV; crlb writes only to --out
 
-Unknown keys are rejected so typos fail loudly.
+Each scene setting is given one way: explicit anchor `positions` stand
+alone, without `count` or `layout`, and explicit body `points` without
+`count` or `radius`. Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ def _parse_scene(doc: dict) -> SceneConfig:
     _check_keys("room", room, {"width", "height"})
     _check_keys("anchors", anchors, {"count", "layout", "positions"})
     _check_keys("body", body, {"count", "radius", "wall_clearance", "points"})
-    if anchors.get("layout", "perimeter") != "perimeter" and "positions" not in anchors:
+    if "layout" in anchors and "positions" in anchors:
+        raise ConfigurationError("give anchors.layout or anchors.positions, not both")
+    if anchors.get("layout", "perimeter") != "perimeter":
         raise ConfigurationError("anchor layout must be 'perimeter' or explicit positions")
     kwargs = {**_fields(room, {"width": "room_width", "height": "room_height"}),
               **_fields(anchors, {"count": "n_anchors"}),

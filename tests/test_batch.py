@@ -191,7 +191,7 @@ def test_degenerate_placements_are_redrawn_from_the_trial_stream(monkeypatch):
     box = (4.0, 6.0, 4.0, 6.0)  # centroid range of the default room and body
     third = [[REAL_DRAW(rng, box) for _ in range(3)][2] for rng in streams(config, 6)]
     landing_on_anchor(monkeypatch, 2)
-    bodies = geometry.place_bodies(config.scene, streams(config, 6))
+    bodies = geometry.random_scene(config.scene, streams(config, 6))
     # each trial keeps its stream's third draw, the first that fits
     assert np.array_equal(bodies.pose.rotation.matrix,
                           geometry._rotation_matrices(np.array([a for a, _, _ in third])))

@@ -125,12 +125,10 @@ def test_conformation_rejects_coincident_points():
     points = np.array([[1.0, 0.0, -1.0, 1.0], [0.0, 1.0, 0.0, 0.0]])
     with pytest.raises(DegenerateGeometryError):
         Conformation(points)
-    # the body is rejected when it is built, not after 100 placement draws
-    cfg = SceneConfig(body_points=points)
+    # the body is rejected when its config is built, not after 100
+    # placement draws
     with pytest.raises(DegenerateGeometryError):
-        cfg.build_conformation()
-    with pytest.raises(DegenerateGeometryError):
-        random_scene(cfg, seed=0)
+        SceneConfig(body_points=points)
 
 
 def test_anchorset_rejects_degenerate():
@@ -165,10 +163,9 @@ def test_perimeter_anchors_on_boundary():
 
 
 def test_infeasible_clearance_raises():
-    cfg = SceneConfig(room_width=4.0, room_height=4.0, body_radius=1.0,
-                      wall_clearance=3.0)
-    with pytest.raises(ConfigurationError):
-        random_scene(cfg, seed=0)
+    # found when the config is built, not when a pose is drawn
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        SceneConfig(room_width=4.0, room_height=4.0, body_radius=1.0, wall_clearance=3.0)
 
 
 def test_scene_positions_order():
@@ -188,25 +185,26 @@ def test_scene_positions_order():
 
 def test_scene_config_builds_once():
     cfg = SceneConfig()
-    assert cfg.build_anchors() is cfg.build_anchors()
-    assert cfg.build_conformation() is cfg.build_conformation()
     scene = random_scene(cfg, seed=1)
-    assert scene.anchors is cfg.build_anchors()
-    assert scene.conformation is cfg.build_conformation()
+    assert scene.anchors is cfg.anchors
+    assert scene.conformation is cfg.conformation
     # replace() gives a new config, which builds its own objects
     other = replace(cfg, n_anchors=6)
-    assert other.build_anchors() is not cfg.build_anchors()
-    assert other.build_anchors().n_anchors == 6
-    assert cfg.build_anchors().n_anchors == 8
+    assert other.anchors is not cfg.anchors
+    assert other.anchors.n_anchors == 6
+    assert cfg.anchors.n_anchors == 8
 
 
 def test_scene_config_failed_build_raises_every_call():
-    cfg = SceneConfig(anchor_positions=np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))
-    for _ in range(2):
+    # a coincident or collinear explicit set fails when the config is
+    # built, so no later call meets it
+    coincident = np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    collinear = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+    for bad in (coincident, collinear):
         with pytest.raises(DegenerateGeometryError):
-            cfg.build_anchors()
+            SceneConfig(anchor_positions=bad * 10.0)
         with pytest.raises(DegenerateGeometryError):
-            random_scene(cfg, seed=0)
+            SceneConfig(body_points=bad)
 
 
 def test_scene_config_checks_value_types():
@@ -219,3 +217,49 @@ def test_scene_config_checks_value_types():
             SceneConfig(**bad)
     config = SceneConfig(n_anchors=np.int64(6), room_width=np.float64(12.0), room_height=9)
     assert random_scene(config, seed=0).n_anchors == 6
+
+
+P5 = np.array([[0.0, 10.0, 10.0, 0.0, 5.0], [0.0, 0.0, 10.0, 10.0, 5.0]])
+BODY = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_scene_config_takes_one_spelling():
+    # explicit points do not silently override a count or a radius
+    for bad in (dict(anchor_positions=P5, n_anchors=12), dict(body_points=BODY, n_landmarks=3),
+                dict(body_points=BODY, body_radius=7.0)):
+        with pytest.raises(ConfigurationError, match="not both"):
+            SceneConfig(**bad)
+    with pytest.raises(ConfigurationError, match="not both"):
+        replace(SceneConfig(anchor_positions=P5), n_anchors=20)
+    # settings not given are None; the counts are read from the built sets
+    cfg = SceneConfig(anchor_positions=P5, body_points=BODY)
+    assert cfg.n_anchors is None and cfg.n_landmarks is None and cfg.body_radius is None
+    assert cfg.anchors.n_anchors == 5 and cfg.conformation.n_points == 3
+    assert np.array_equal(np.asarray(cfg.anchor_positions), P5)
+    default = SceneConfig()
+    assert (default.anchors.n_anchors, default.conformation.n_points) == (8, 8)
+    assert default.conformation.radius == pytest.approx(1.0)
+
+
+def test_scene_configs_with_equal_points_compare_and_hash_equal():
+    a = SceneConfig(anchor_positions=P5, body_points=BODY)
+    b = SceneConfig(anchor_positions=P5.tolist(), body_points=BODY.copy())
+    assert a == b and hash(a) == hash(b)
+    assert a != SceneConfig(anchor_positions=P5 + 1.0, body_points=BODY)
+    assert SceneConfig() == SceneConfig() and hash(SceneConfig()) == hash(SceneConfig())
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_point_set_tolerances_scale_with_the_set(s):
+    # a set is usable or degenerate the same way in any unit
+    triangle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(Conformation(s * triangle).points, s * triangle)
+    assert AnchorSet(s * triangle).n_anchors == 3
+    near = np.array([[0.0, 1.0, 0.0, 1e-11], [0.0, 0.0, 1.0, 0.0]])
+    thin = np.array([[0.0, 1.0, 2.0], [0.0, 1e-11, 0.0]])
+    for bad, message in ((near, "coincident"), (thin, "collinear")):
+        with pytest.raises(DegenerateGeometryError, match=message):
+            Conformation(s * bad)
+        with pytest.raises(DegenerateGeometryError, match=message):
+            AnchorSet(s * bad)
+    assert not AnchorSet(s * triangle).positions.flags.writeable

@@ -80,8 +80,8 @@ def rows(meas):
 @pytest.mark.parametrize("method", METHODS)
 def test_world_rigid_motion_moves_the_estimates(config, method):
     scale = max(config.room_width, config.room_height)
-    anchors = config.build_anchors().positions
-    points = config.build_conformation().points
+    anchors = config.anchors.positions
+    points = config.conformation.points
     for seed in range(3):
         rng = np.random.default_rng(100 + seed)
         beta = rng.uniform(-np.pi, np.pi)
@@ -113,8 +113,8 @@ def relabelled_pairs(index, node_of):
 @pytest.mark.parametrize("method", METHODS)
 def test_relabelling_permutes_the_estimates(config, method):
     scale = max(config.room_width, config.room_height)
-    anchors = config.build_anchors().positions
-    points = config.build_conformation().points
+    anchors = config.anchors.positions
+    points = config.conformation.points
     m, n = anchors.shape[1], points.shape[1]
     index = build_pair_index(m, n)
     for seed in range(3):
@@ -142,10 +142,11 @@ def scaled(config, s):
                                  wall_clearance=s * scene.wall_clearance))
 
 
-@pytest.mark.parametrize("s", [1e-8, 1e-4, 1e4, 1e8])
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e12])
 def test_scale_leaves_the_sweep_unchanged(s):
-    config = ExperimentConfig(sigma_grid=(0.1, 0.5, 2.0), trials=60, methods=METHODS,
-                              master_seed=3)
+    # the default scene, with its body radius given so that it can scale
+    config = ExperimentConfig(scene=SceneConfig(body_radius=1.0), sigma_grid=(0.1, 0.5, 2.0),
+                              trials=60, methods=METHODS, master_seed=3)
     base = run_experiment(config)
     rows = run_experiment(scaled(config, s))
     assert len(rows) == len(base) == 3 * len(METHODS)

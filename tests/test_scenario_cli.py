@@ -5,6 +5,7 @@ import pytest
 
 from rigidloc.cli import main
 from rigidloc.errors import ConfigurationError
+from rigidloc.geometry import SceneConfig
 from rigidloc.harness import DEFAULT_RHO, DEFAULT_SIGMA_GRID, ExperimentConfig
 from rigidloc.measurements import zeta_to_rho
 from rigidloc.scenario import load_scenario
@@ -49,7 +50,8 @@ def test_empty_scenario_gives_defaults(tmp_path):
     assert cfg.sigma_grid == DEFAULT_SIGMA_GRID
     assert cfg.rho == DEFAULT_RHO
     assert cfg.trials == 1000
-    assert cfg.scene.n_anchors == 8 and cfg.scene.n_landmarks == 8
+    assert cfg.scene == SceneConfig()
+    assert cfg.scene.anchors.n_anchors == 8 and cfg.scene.conformation.n_points == 8
     assert cfg.workers == 1
     assert not cfg.fixed_pose
 
@@ -122,9 +124,9 @@ anchors:
   positions: [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]
 """
     cfg = load_scenario(write_scenario(tmp_path, text))
-    assert cfg.scene.n_anchors == 4
-    assert cfg.scene.anchor_positions.shape == (2, 4)
-    assert cfg.scene.anchor_positions[0, 1] == 10.0
+    assert cfg.scene.anchors.n_anchors == 4
+    assert np.asarray(cfg.scene.anchor_positions).shape == (2, 4)
+    assert cfg.scene.anchor_positions[0][1] == 10.0
 
 
 def test_explicit_body_points(tmp_path):
@@ -133,8 +135,36 @@ body:
   points: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 """
     cfg = load_scenario(write_scenario(tmp_path, text))
-    assert cfg.scene.n_landmarks == 3
-    assert cfg.scene.body_points.shape == (2, 3)
+    assert cfg.scene.conformation.n_points == 3
+    assert np.asarray(cfg.scene.body_points).shape == (2, 3)
+
+
+def test_scene_is_given_one_way(tmp_path):
+    # a count, radius or layout beside explicit points is an error, not
+    # silently overridden by the points
+    positions = "  positions: [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]\n"
+    points = "  points: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]\n"
+    for text in ("anchors:\n  layout: grid\n  count: 12\n" + positions,
+                 "anchors:\n  count: 12\n" + positions,
+                 "anchors:\n  layout: perimeter\n" + positions,
+                 "anchors:\n  layout: grid\n",
+                 "body:\n  count: 5\n" + points,
+                 "body:\n  radius: 7.0\n" + points):
+        with pytest.raises(ConfigurationError):
+            load_scenario(write_scenario(tmp_path, text))
+    config = load_scenario(write_scenario(tmp_path, "anchors:\n  layout: perimeter\n"))
+    assert config.scene.anchors.n_anchors == 8
+
+
+def test_explicit_points_load_equal_configs(tmp_path):
+    # two loads of one positions file compare and hash equal
+    text = ("anchors:\n  positions: [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]\n"
+            "body:\n  points: [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]\n")
+    path = write_scenario(tmp_path, text)
+    first, second = load_scenario(path), load_scenario(path)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.scene.anchors is not second.scene.anchors
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -256,6 +286,20 @@ def test_cli_crlb_writes_file(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert main(["crlb", scenario, "--out", str(out)]) == 0
     assert out.read_text().startswith("sigma,crlb_t,")
+
+
+def test_cli_crlb_leaves_the_sweep_output_alone(tmp_path, capsys):
+    # experiment.output names the sweep's results; the bounds go to --out
+    # or to stdout, so `crlb` after `run` keeps the run's file
+    results = tmp_path / "results.csv"
+    scenario = write_scenario(tmp_path, SMALL_RUN + f"  output: {results}\n")
+    assert main(["run", scenario]) == 0
+    sweep = results.read_text()
+    assert sweep.startswith("method,sigma,")
+    capsys.readouterr()
+    assert main(["crlb", scenario]) == 0
+    assert capsys.readouterr().out.startswith("sigma,crlb_t,")
+    assert results.read_text() == sweep
 
 
 def test_cli_missing_file(tmp_path, capsys):
