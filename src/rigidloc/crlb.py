@@ -4,7 +4,8 @@ The unknown parameter is the pose (t_x, t_y, alpha); landmark positions
 are a deterministic function of it through the known conformation. Only
 anchor-target measurements inform the pose: anchor-anchor pairs involve
 no unknowns, and exact target-target values are already encoded by the
-known shape.
+known shape. The (K, M, N) AT block is differentiated in complex form
+(see `_pose_gradients`).
 
 Measurement intensities follow the simulated models: 1/sigma^2 for
 ranges (Gaussian approximation of the gamma model, valid for
@@ -80,51 +81,24 @@ def bearing_intensity(rho: float) -> float:
 def _pose_gradients(anchors, points, landmarks, rotations):
     """d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
 
-    `rotations` holds the (K, 2, 2) rotation matrices, whose first column
-    is (cos alpha, sin alpha). Returns two (K, 3, M, N) arrays, for
-    ranges and for bearings.
+    In complex form, with e = s_n - a_m, u = e/|e| and w_n = j q c_n the
+    derivative of s_n = q c_n + t in alpha (q = exp(j alpha), the first
+    column of each of the (K, 2, 2) `rotations`): a range moves by
+    (Re u, Im u, Re(conj(u) w_n)) and a bearing by
+    (-Im u, Re u, Im(conj(u) w_n)) / |e|. Returns two (K, 3, M, N)
+    arrays, for ranges and for bearings.
     """
-    ca, sa = rotations[:, 0, 0], rotations[:, 1, 0]
-    qprime = np.empty(ca.shape + (2, 2))
-    qprime[:, 0, 0] = -sa
-    qprime[:, 0, 1] = -ca
-    qprime[:, 1, 0] = ca
-    qprime[:, 1, 1] = -sa
-    # ds_n/dalpha, one column per landmark
-    dsda = qprime @ points
-
-    e = landmarks[:, :, None, :] - anchors[None, :, :, None]
-    d = np.linalg.norm(e, axis=1)
-    u = e / d[:, None]
-    uperp = np.stack([-u[:, 1], u[:, 0]], axis=1)
-    proj_d = np.einsum("Kkmn,Kkn->Kmn", u, dsda)
-    proj_psi = np.einsum("Kkmn,Kkn->Kmn", uperp, dsda)
-    g_d = np.stack([u[:, 0], u[:, 1], proj_d], axis=1)
-    g_psi = np.stack([uperp[:, 0] / d, uperp[:, 1] / d, proj_psi / d], axis=1)
+    q = rotations[:, 0, 0] + 1j * rotations[:, 1, 0]
+    # elementwise, so K poses give each pose's one-pose values bit for bit
+    w = 1j * q[:, None] * (points[0] + 1j * points[1])
+    s = landmarks[:, 0] + 1j * landmarks[:, 1]
+    e = s[:, None, :] - (anchors[0] + 1j * anchors[1])[:, None]
+    d = np.abs(e)
+    u = e / d
+    uw = np.conj(u) * w[:, None, :]
+    g_d = np.stack([u.real, u.imag, uw.real], axis=1)
+    g_psi = np.stack([-u.imag, u.real, uw.imag], axis=1) / d[:, None]
     return g_d, g_psi
-
-
-def _pose_fims(anchors: np.ndarray, points: np.ndarray, landmarks: np.ndarray,
-              rotations: np.ndarray, noise: NoiseConfig, use_distances: bool = True,
-              use_bearings: bool = True) -> np.ndarray:
-    """Pose Fisher information of K scenes with one anchor set and body.
-
-    `landmarks` is (K, 2, N) and `rotations` (K, 2, 2), or (1, 2, N) and
-    (1, 2, 2) for one pose under K sigma values. Returns the (K, 3, 3)
-    matrices; see `compute_fim`.
-    """
-    g_d, g_psi = _pose_gradients(anchors, points, landmarks, rotations)
-    variance = sigma_squared(noise.sigma)
-    fim = np.zeros((max(len(rotations), len(variance)), 3, 3))
-    if use_distances:
-        if np.any(variance <= 0):
-            raise ValueError("distance terms require sigma > 0")
-        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
-    if use_bearings:
-        lam = bearing_intensity(noise.rho)
-        if lam > 0:
-            fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
-    return 0.5 * (fim + fim.transpose(0, 2, 1))
 
 
 def _pose_bounds(fims: np.ndarray):
@@ -179,11 +153,21 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     sigmas = np.ndim(noise.sigma) and len(noise.sigma)
     if sigmas and lm.ndim == 3 and sigmas != len(lm):
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
-    fim = _pose_fims(scene.anchors.positions, scene.conformation.points,
-                     lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2), noise,
-                     use_distances, use_bearings)
+    g_d, g_psi = _pose_gradients(scene.anchors.positions, scene.conformation.points,
+                                 lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2))
+    variance = sigma_squared(noise.sigma)
+    # one pose under K sigma values broadcasts its gradients over them
+    fim = np.zeros((max(len(g_d), len(variance)), 3, 3))
+    if use_distances:
+        if np.any(variance <= 0):
+            raise ValueError("distance terms require sigma > 0")
+        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
+    if use_bearings:
+        lam = bearing_intensity(noise.rho)
+        if lam > 0:
+            fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
+    fim = 0.5 * (fim + fim.transpose(0, 2, 1))
     bounds = _pose_bounds(fim)
     if lm.ndim == 3 or sigmas:
         return FisherInformation(fim, *bounds)
     return FisherInformation(fim[0], *(float(b[0]) for b in bounds))
-

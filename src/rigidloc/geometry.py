@@ -9,8 +9,8 @@ follow from a pose (rotation Q in SO(2) plus translation t):
 
 All positions are 2D, in meters. A `Pose` and a `Scene` hold one pose,
 or K poses of one body with a leading trial axis on their arrays.
-`random_scene` given a list of K generators draws K poses, one per
-generator; given one seed it draws one, through the same placement code.
+`random_scene` given a list or tuple of K generators draws K poses, one
+per generator; given one seed it draws one, through the same placement code.
 A `SceneConfig` builds and checks its anchors and body once, when it is
 made. Every point set passes one check whose tolerances scale with the
 set, so a scene behaves the same in any unit. The types are frozen; the
@@ -38,28 +38,42 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _centred_unit(points: np.ndarray):
+    """The 2xN set centred and scaled by 2**-e into [-1, 1], exactly; and e.
+
+    The scaling keeps the squares of the coordinates in range at any scale.
+    """
+    e = np.frexp(np.max(np.abs(points)))[1]
+    unit = np.ldexp(points, -e)
+    return unit - unit.mean(axis=1, keepdims=True), e
+
+
 def _extent(points: np.ndarray) -> float:
     """Largest distance from the centroid of a 2xN point set to any point."""
-    centered = points - points.mean(axis=1, keepdims=True)
-    return float(np.max(np.linalg.norm(centered, axis=0)))
+    centered, e = _centred_unit(points)
+    return float(np.ldexp(np.max(np.linalg.norm(centered, axis=0)), e))
 
 
 def _point_set(values, label: str) -> np.ndarray:
     """`values` as a read-only 2xN float matrix of N >= 3 usable points.
 
-    The points must be finite, pairwise distinct and not collinear, each
-    to within 1e-9 of the set's extent: two points count as coincident
-    when their distance is at most that, and the set as collinear when
-    its centred second singular value is.
+    Coordinates must be real numbers, not strings or flags. The points
+    must be finite, pairwise distinct and not collinear, each to within
+    1e-9 of the set's extent: two points count as coincident when their
+    distance is at most that, and the set as collinear when its centred
+    second singular value is.
     """
-    pts = np.array(values, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != 2 or pts.shape[1] < 3:
+    raw = np.array(values, dtype=object)
+    if raw.ndim != 2 or raw.shape[0] != 2 or raw.shape[1] < 3:
         raise ValueError(f"{label} must form a 2xN matrix of at least 3 points")
+    if not all(map(_is_real, raw.flat)):
+        raise ConfigurationError(f"{label} must be real numbers")
+    pts = raw.astype(float)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{label} must be finite")
-    centered = pts - pts.mean(axis=1, keepdims=True)
+    centered, _ = _centred_unit(pts)
     tol = _REL_TOL * np.max(np.linalg.norm(centered, axis=0))
-    gaps = np.linalg.norm(pts[:, :, None] - pts[:, None, :], axis=0)
+    gaps = np.linalg.norm(centered[:, :, None] - centered[:, None, :], axis=0)
     gaps[np.diag_indices(pts.shape[1])] = np.inf
     if np.min(gaps) <= tol:
         raise DegenerateGeometryError(f"{label} contain coincident points")
@@ -325,6 +339,17 @@ def _draw_pose(rng: np.random.Generator, box) -> tuple:
     return (rng.uniform(-np.pi, np.pi), rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
 
 
+def _generators(seed):
+    """(generators, batched): the K Generators of a list or tuple, or one from a seed."""
+    if not isinstance(seed, (list, tuple)):
+        return [np.random.default_rng(seed)], False
+    if not seed:
+        raise ValueError("a list of generators must hold at least one generator")
+    if not all(isinstance(r, np.random.Generator) for r in seed):
+        raise ValueError("a list of generators must hold only numpy Generators")
+    return seed, True
+
+
 def random_scene(config: SceneConfig, seed) -> Scene:
     """Generate a scene with a randomly posed body.
 
@@ -338,10 +363,10 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     config : SceneConfig
         Layout parameters; defaults describe a 10m x 10m room with 8
         perimeter anchors and an 8-point polygon body.
-    seed : int, numpy.random.Generator, or list of Generator
+    seed : int, numpy.random.Generator, or list or tuple of Generator
         Source of randomness. The same seed yields an identical scene.
-        A list of K generators poses the body once per generator, each
-        drawing from its own generator only.
+        A list (or tuple) of K generators poses the body once per
+        generator, each drawing from its own generator only.
 
     Returns
     -------
@@ -355,14 +380,7 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     ValueError
         If `seed` is an empty list or holds anything but Generators.
     """
-    if isinstance(seed, list):
-        if not seed:
-            raise ValueError("random_scene needs at least one generator")
-        if not all(isinstance(r, np.random.Generator) for r in seed):
-            raise ValueError("a list of seeds must hold only numpy Generators")
-        rngs = seed
-    else:
-        rngs = [np.random.default_rng(seed)]
+    rngs, batched = _generators(seed)
     anchors, conformation = config.anchors, config.conformation
     box = _centroid_box(config)
     center = conformation.points.mean(axis=1)
@@ -384,7 +402,7 @@ def random_scene(config: SceneConfig, seed) -> Scene:
                 break
         else:
             raise ConfigurationError("could not place the body after 100 attempts")
-    if not isinstance(seed, list):
+    if not batched:
         placed = [part[0] for part in placed]
     rotations, translations, landmarks = placed
     return Scene(anchors, conformation, Pose(RotationMatrix(rotations), translations), landmarks)

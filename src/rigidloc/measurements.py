@@ -34,7 +34,7 @@ import numpy as np
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
-from .geometry import Scene, _is_real
+from .geometry import Scene, _generators, _is_real
 
 ZETA_MAX = 0.9 * np.pi
 
@@ -234,8 +234,9 @@ class Measurements:
         th = np.asarray(self.angles, dtype=float)
         if d.ndim not in (1, 2) or d.shape[-1] != self.index.n_pairs or th.shape != d.shape:
             raise ValueError("measurement arrays must have one entry per pair")
-        if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise ValueError("distances must be finite and positive")
+        # a gamma draw may underflow to 0.0; no estimator divides by it
+        if np.any(d < 0) or not np.all(np.isfinite(d)):
+            raise ValueError("distances must be finite and nonnegative")
         # read-only, so the cached embedding always matches the distances
         d.flags.writeable = th.flags.writeable = False
         self.distances, self.angles = d, th
@@ -380,13 +381,12 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     """
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
     x = scene.complex_positions()
-    if not isinstance(rng, (list, tuple)):
+    rngs, batched = _generators(rng)
+    if not batched:
         if x.ndim > 1:
             raise ValueError("a scene of K poses needs a list of K numpy generators")
-        d, theta = measure(x[None], index, noise, [np.random.default_rng(rng)])
+        d, theta = measure(x[None], index, noise, rngs)
         return Measurements(index, d[0], theta[0])
-    if not rng or not all(isinstance(r, np.random.Generator) for r in rng):
-        raise ValueError("a list of generators must be nonempty and hold only numpy Generators")
-    if x.ndim > 1 and len(rng) != len(x):
-        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {len(rng)}")
-    return Measurements(index, *measure(np.atleast_2d(x), index, noise, rng))
+    if x.ndim > 1 and len(rngs) != len(x):
+        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {len(rngs)}")
+    return Measurements(index, *measure(np.atleast_2d(x), index, noise, rngs))

@@ -56,12 +56,9 @@ def _check_keys(section: str, mapping: dict, allowed: set):
             f"unknown key(s) {sorted(unknown)} in scenario section {section!r}")
 
 
-def _points_matrix(rows, what: str) -> np.ndarray:
-    # checked before converting: "0" and true are not coordinates
-    if not isinstance(rows, list) or not rows or not all(
-            isinstance(row, list) and len(row) == 2 and all(map(_is_real, row)) for row in rows):
-        raise ConfigurationError(f"{what} must be a list of [x, y] number pairs")
-    return np.asarray(rows, dtype=float).T
+def _points_matrix(rows) -> np.ndarray:
+    """YAML [x, y] rows as a 2xN matrix, values as written; `SceneConfig` checks them."""
+    return np.array(rows, dtype=object).T
 
 
 def _fields(mapping: dict, names: dict) -> dict:
@@ -85,9 +82,9 @@ def _parse_scene(doc: dict) -> SceneConfig:
               **_fields(body, {"count": "n_landmarks", "radius": "body_radius",
                                "wall_clearance": "wall_clearance"})}
     if "positions" in anchors:
-        kwargs["anchor_positions"] = _points_matrix(anchors["positions"], "anchor positions")
+        kwargs["anchor_positions"] = _points_matrix(anchors["positions"])
     if "points" in body:
-        kwargs["body_points"] = _points_matrix(body["points"], "body points")
+        kwargs["body_points"] = _points_matrix(body["points"])
     return SceneConfig(**kwargs)
 
 

@@ -17,9 +17,9 @@ code:
     block itself. Landmark positions are then the anchored least squares
     of those edges: x_n = mean_m(a_m + d_mn exp(j theta_mn)).
 ``smds_distance_only``
-    Bootstrap for bearing-free operation: run MDS first, reconstruct
-    edge angles from the embedded coordinates, and feed those synthetic
-    bearings through the ``smds_full`` path.
+    Bootstrap for bearing-free operation: run MDS first, take the M*N
+    AT bearings angle(x_n - a_m) from its target estimates, and feed
+    them with the measured AT distances through the ``smds_full`` mean.
 
 A `Measurements` keeps its MDS embedding once computed, so ``mds`` and
 ``smds_distance_only`` on one set share one eigendecomposition per
@@ -71,13 +71,22 @@ class Landmarks:
     iterations_used: int = 0
 
 
-def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """x_n = mean_m(a_m + v_mn) for (K, M, N) complex AT edges; returns (K, 2, N)."""
+def _anchored_mean(d_at: np.ndarray, th_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """x_n = mean_m(a_m + d_mn exp(j theta_mn)) for (K, M, N) AT edges; returns (K, 2, N)."""
     a = anchors[0] + 1j * anchors[1]
-    x_hat = (a[:, None] + v_at).mean(axis=1)
+    x_hat = (a[:, None] + d_at * np.exp(1j * th_at)).mean(axis=1)
     out = np.empty((len(x_hat), 2, x_hat.shape[1]))
     out[:, 0], out[:, 1] = x_hat.real, x_hat.imag
     return out
+
+
+def _at_bearings(targets: np.ndarray, anchors: np.ndarray):
+    """AT bearings angle(x_n - a_m), (K, M, N), of (K, 2, N) targets.
+
+    Also returns which trials put a target on an anchor (no bearing)."""
+    x = targets[:, 0] + 1j * targets[:, 1]
+    e = x[:, None, :] - (anchors[0] + 1j * anchors[1])[:, None]
+    return np.angle(e), np.any(e == 0.0, axis=(1, 2))
 
 
 def _embed(dmats: np.ndarray):
@@ -128,35 +137,20 @@ def _mds(embedding, anchors: np.ndarray, m: int):
     return aligned[:, :, m:], status
 
 
-def _edge_angles(x: np.ndarray, index: PairIndex):
-    """Pair angles (K, P) of (K, T) complex positions, and which rows have a zero edge."""
-    v = x[:, index.second] - x[:, index.first]
-    return np.angle(v), np.any(np.abs(v) == 0.0, axis=1)
-
-
-def _smds(distances: np.ndarray, angles: np.ndarray, anchors: np.ndarray,
-          index: PairIndex) -> np.ndarray:
-    """Closed-form SMDS estimates (K, 2, N) from (K, P) polar edge data."""
-    at = index.at
-    v_at = distances[:, at] * np.exp(1j * angles[:, at])
-    return _anchored_mean(v_at.reshape(-1, index.n_anchors, index.n_targets), anchors)
-
-
 def _solve(meas: Measurements, anchors: np.ndarray, method: str):
     """One method's (K, 2, N) estimates and (K,) failure codes; one trial is K = 1."""
     index = meas.index
-    distances = np.atleast_2d(meas.distances)
+    m, n = index.n_anchors, index.n_targets
+    d_at = np.atleast_2d(meas.distances)[:, index.at].reshape(-1, m, n)
     if method == "smds_full":
-        coords = _smds(distances, np.atleast_2d(meas.angles), anchors, index)
+        th_at = np.atleast_2d(meas.angles)[:, index.at].reshape(-1, m, n)
+        coords = _anchored_mean(d_at, th_at, anchors)
         status = np.zeros(len(coords), dtype=int)
     else:
-        coords, status = _mds(_embedding(meas), anchors, index.n_anchors)
+        coords, status = _mds(_embedding(meas), anchors, m)
         if method == "smds_distance_only":
-            # bootstrap bearings from the MDS estimate
-            nodes = np.concatenate(
-                [np.broadcast_to(anchors, (len(coords),) + anchors.shape), coords], axis=2)
-            angles, coincident = _edge_angles(nodes[:, 0] + 1j * nodes[:, 1], index)
-            coords = _smds(distances, angles, anchors, index)
+            th_at, coincident = _at_bearings(coords, anchors)
+            coords = _anchored_mean(d_at, th_at, anchors)
             status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
     finite = np.all(np.isfinite(coords), axis=(1, 2))
     return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)

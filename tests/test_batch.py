@@ -323,10 +323,22 @@ def test_generate_measurements_checks_the_generator_list():
 
 
 def test_random_scene_rejects_an_empty_generator_list():
-    with pytest.raises(ValueError, match="at least one generator"):
-        random_scene(SceneConfig(), [])
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="at least one generator"):
+            random_scene(SceneConfig(), empty)
 
 
 def test_random_scene_rejects_a_list_mixing_generators_and_seeds():
-    with pytest.raises(ValueError, match="only numpy Generators"):
-        random_scene(SceneConfig(), [np.random.default_rng(1), 2])
+    for mixed in ([np.random.default_rng(1), 2], (np.random.default_rng(1), 2)):
+        with pytest.raises(ValueError, match="only numpy Generators"):
+            random_scene(SceneConfig(), mixed)
+
+
+def test_random_scene_takes_a_tuple_of_generators_as_a_list():
+    # one rule for K generators, shared with generate_measurements
+    def rngs():
+        return [np.random.default_rng(k) for k in range(2)]
+    from_tuple = random_scene(SceneConfig(), tuple(rngs()))
+    from_list = random_scene(SceneConfig(), rngs())
+    assert from_tuple.landmarks.shape == (2, 2, 8)
+    assert np.array_equal(from_tuple.landmarks, from_list.landmarks)

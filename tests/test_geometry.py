@@ -217,6 +217,15 @@ def test_scene_config_checks_value_types():
             SceneConfig(**bad)
     config = SceneConfig(n_anchors=np.int64(6), room_width=np.float64(12.0), room_height=9)
     assert random_scene(config, seed=0).n_anchors == 6
+    # coordinates are real numbers too: "0" is not 0.0 and True is not 1.0
+    for bad in (dict(anchor_positions=(("0", "10", "0", "10"), ("0", "0", "10", "10"))),
+                dict(anchor_positions=((True, 10, 0, 10), (0, 0, 10, 10))),
+                dict(anchor_positions=np.array([[1, 10, 0, 10], [0, 0, 10, 10]], dtype=bool)),
+                dict(body_points=((0.0, 1.0, "0"), (0.0, 0.0, 1.0)))):
+        with pytest.raises(ConfigurationError, match="must be real numbers"):
+            SceneConfig(**bad)
+    config = SceneConfig(anchor_positions=((0, 10, 0, 10), (np.int64(0), 0, 10.0, 10)))
+    assert config.anchor_positions == ((0.0, 10.0, 0.0, 10.0), (0.0, 0.0, 10.0, 10.0))
 
 
 P5 = np.array([[0.0, 10.0, 10.0, 0.0, 5.0], [0.0, 0.0, 10.0, 10.0, 5.0]])
@@ -263,3 +272,18 @@ def test_point_set_tolerances_scale_with_the_set(s):
         with pytest.raises(DegenerateGeometryError, match=message):
             AnchorSet(s * bad)
     assert not AnchorSet(s * triangle).positions.flags.writeable
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e160])
+def test_point_sets_are_measured_at_any_float_scale(s):
+    # squaring coordinates of 1e161 overflows and of 1e-170 underflows;
+    # the sets are measured in units near their largest coordinate
+    config = SceneConfig(room_width=10.0 * s, room_height=10.0 * s, body_radius=s,
+                         wall_clearance=3.0 * s)
+    assert config.anchors.n_anchors == 8
+    assert config.conformation.radius == pytest.approx(s, rel=1e-15)
+    coincident = np.array([[0.0, 10.0, 10.0, 0.0, 10.0], [0.0, 0.0, 10.0, 10.0, 10.0]])
+    with pytest.raises(DegenerateGeometryError, match="coincident"):
+        SceneConfig(anchor_positions=s * coincident)
+    with pytest.raises(DegenerateGeometryError, match="coincident"):
+        SceneConfig(body_points=s * coincident / 10.0)

@@ -1,3 +1,7 @@
+import pathlib
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,10 +10,15 @@ from scipy.special import i0e, iv
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import SceneConfig, random_scene
+from rigidloc.harness import run_experiment
 from rigidloc.measurements import (ZETA_MAX, Measurements, NoiseConfig,
                                    generate_measurements, rho_to_zeta,
                                    sample_angle, sample_distance, wrap_angle,
                                    zeta_to_rho)
+from rigidloc.scenario import load_scenario
+
+SCENARIO_DEFAULT = (pathlib.Path(__file__).resolve().parent.parent
+                    / "demos" / "scenario_default.yaml")
 
 
 def vonmises_mass_oracle(zeta, rho):
@@ -215,6 +224,8 @@ def test_measurement_set_validation():
         Measurements(idx, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         Measurements(idx, np.array([1.0, -2.0, 1.0]), np.zeros(3))
+    # a gamma draw may underflow to 0.0, which is measured, not invalid
+    assert Measurements(idx, np.array([1.0, 0.0, 1.0]), np.zeros(3)).distances[1] == 0.0
     # K trials are K rows on the same index, and each row is checked
     assert Measurements(idx, np.ones((2, 3)), np.zeros((2, 3))).distances.shape == (2, 3)
     for d, th in ((np.ones((2, 3)), np.zeros(3)), (np.ones((1, 2, 3)), np.zeros((1, 2, 3))),
@@ -261,3 +272,14 @@ def test_generate_measurements_takes_one_sigma_per_trial():
     assert np.array_equal(one.distances,
                           generate_measurements(fixed, NoiseConfig(sigma=0.3, rho=30.0),
                                                 7).distances)
+
+
+def test_a_zero_distance_draw_does_not_end_the_sweep():
+    # at sigma = 50 the AT gamma shapes (d/sigma)^2 are about 0.01, and
+    # some draws underflow to 0.0: trial 23 of the first grid point here
+    config = replace(load_scenario(SCENARIO_DEFAULT), sigma_grid=(50.0,),
+                     trials=30, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_experiment(config)
+    assert [row.conv_rate for row in rows] == [1.0] * len(config.methods)

@@ -16,7 +16,11 @@ trials at once:
   mse_t and crlb_t scale by s^2 and its mse_Q and crlb_Q do not move.
 
 `smds_full` followed by `estimate_pose` also equals its one-step complex
-form (`test_smds_full_pose_is_the_one_step_form`).
+form (`test_smds_full_pose_is_the_one_step_form`), and the paper's minor
+holds bit for bit: the SMDS estimates read only the anchor-target block,
+so replacing every AA and TT distance and angle leaves `smds_full`
+unchanged, and replacing every AA and TT angle leaves every method
+unchanged (`test_estimates_read_only_the_anchor_target_block`).
 
 Only roundoff separates the two solves, so the tolerances, fixed before
 any run, are tiny: 1e-10 of the room size for positions, 1e-10 for
@@ -95,6 +99,30 @@ def test_world_rigid_motion_moves_the_estimates(config, method):
             assert np.max(np.abs(x2 - (rot @ x + shift[:, None]))) < POSITION_TOL * scale
             assert np.max(np.abs(q2 - rot @ q)) < ROTATION_TOL
             assert np.max(np.abs(t2 - (t @ rot.T + shift))) < POSITION_TOL * scale
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=("8x8", "6x5"))
+def test_estimates_read_only_the_anchor_target_block(config):
+    anchors = config.anchors.positions
+
+    def coordinates(meas, method):
+        return solve_landmarks(meas, anchors, config=SolverConfig(method)).coordinates
+
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        for meas in problems(config, seed):
+            distances, angles = rows(meas)
+            other = np.ones(meas.index.n_pairs, dtype=bool)
+            other[meas.index.at] = False
+            size = (len(angles), np.count_nonzero(other))
+            new_distances, new_angles = distances.copy(), angles.copy()
+            new_distances[:, other] = rng.uniform(0.5, 20.0, size)
+            new_angles[:, other] = rng.uniform(-np.pi, np.pi, size)
+            turned = with_edges(meas, distances, new_angles)
+            for method in METHODS:
+                assert np.array_equal(coordinates(turned, method), coordinates(meas, method))
+            both = with_edges(meas, new_distances, new_angles)
+            assert np.array_equal(coordinates(both, "smds_full"), coordinates(meas, "smds_full"))
 
 
 def relabelled_pairs(index, node_of):

@@ -11,8 +11,8 @@ from rigidloc.errors import (COINCIDENT_EDGES, NOT_FINITE, ConfigurationError,
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
                                    zeta_to_rho)
-from rigidloc.solvers import (SolverConfig, _anchored_mean, _distance_matrices,
-                              _edge_angles, _embed, _mds, solve_landmarks)
+from rigidloc.solvers import (SolverConfig, _anchored_mean, _at_bearings,
+                              _distance_matrices, _embed, _mds, solve_landmarks)
 
 from kernel_reference import (EdgeSet, MinorBlocks, build_kernel,
                               edges_from_coordinates, edges_from_measurements,
@@ -77,7 +77,8 @@ def test_coordinates_from_edges_exact():
 
 def test_coordinates_from_edges_single_anchor():
     # AnchorSet needs three anchors, so one anchor goes to the mean itself
-    coords = _anchored_mean(np.array([[[1.0 + 1.0j]]]), np.zeros((2, 1)))[0]
+    coords = _anchored_mean(np.array([[[np.sqrt(2.0)]]]), np.array([[[np.pi / 4]]]),
+                            np.zeros((2, 1)))[0]
     assert np.allclose(coords, [[1.0], [1.0]])
 
 
@@ -221,27 +222,31 @@ def test_classic_mds_against_dense_oracle():
     assert np.max(np.abs(coords - oracle)) < 1e-10
 
 
-# smds_distance_only reconstructs its bearings from the MDS node
-# estimates with `_edge_angles`
+# smds_distance_only reconstructs its AT bearings from the MDS target
+# estimates with `_at_bearings`
 
 
 def test_reconstruct_angles_exact():
     scene, idx, es = scene_edges(12)
-    ang, coincident = _edge_angles(scene.complex_positions()[None], idx)
+    ang, coincident = _at_bearings(scene.landmarks[None], scene.anchors.positions)
     assert not coincident[0]
-    assert np.max(np.abs(ang[0] - es.angles)) < 1e-12
+    assert ang.shape == (1, idx.n_anchors, idx.n_targets)
+    assert np.max(np.abs(ang[0].ravel() - es.angles[idx.at])) < 1e-12
 
 
 def test_reconstruct_angles_diagonal():
-    idx = build_pair_index(2, 0)
-    ang, _ = _edge_angles(np.array([[0.0, 1.0 + 1.0j]]), idx)
-    assert ang[0, 0] == pytest.approx(np.pi / 4)
+    ang, _ = _at_bearings(np.array([[[1.0], [1.0]]]), np.zeros((2, 1)))
+    assert ang[0, 0, 0] == pytest.approx(np.pi / 4)
 
 
 def test_reconstruct_angles_coincident():
-    idx = build_pair_index(2, 0)
-    _, coincident = _edge_angles(np.array([[1.0 + 0j, 1.0 + 0j]]), idx)
-    assert coincident[0]
+    anchors = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
+    # only a target on an anchor leaves a bearing without direction; two
+    # targets on one point do not, since no TT bearing is read
+    on_anchor = np.array([[[4.0, 1.0], [0.0, 1.0]]])
+    shared = np.array([[[1.0, 1.0], [1.0, 1.0]]])
+    _, coincident = _at_bearings(np.concatenate([on_anchor, shared]), anchors)
+    assert list(coincident) == [True, False]
     # the code a coincident trial gets, which one measurement set raises
     with pytest.raises(DegenerateGeometryError):
         raise_failure(COINCIDENT_EDGES)
