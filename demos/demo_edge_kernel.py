@@ -15,6 +15,7 @@ from rigidloc import (NoiseConfig, SceneConfig, SolverConfig,
                       generate_measurements, random_scene, solve_landmarks,
                       zeta_to_rho)
 from rigidloc.edges import build_pair_index
+from rigidloc.measurements import wrap_angle
 
 
 def demo_rank_one():
@@ -46,7 +47,11 @@ def demo_minor_returns_at_edges():
     meas = generate_measurements(scene, noise, 42)
     index = meas.index
     v = meas.distances * np.exp(1j * meas.angles)
-    v_aa, v_at, v_tt = v[index.aa], v[index.at], v[index.tt]
+    v_aa, v_at = v[index.aa], v[index.at]
+    # TT pairs carry no bearing: their phases are the scene's exact angles
+    x = scene.complex_positions()
+    tt_angles = wrap_angle(np.angle(x[index.second[index.tt]] - x[index.first[index.tt]]))
+    v_tt = meas.distances[index.tt] * np.exp(1j * tt_angles)
     k1 = np.outer(np.conj(v_aa), v_at)   # AA x AT
     k3 = np.outer(np.conj(v_at), v_at)   # AT x AT
     k4 = np.outer(np.conj(v_at), v_tt)   # AT x TT

@@ -204,13 +204,15 @@ def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
 def _on_anchor(anchors: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
     """Whether a landmark lies on an anchor, per pose of a (..., 2, N) stack.
 
-    A landmark within 1e-9 of the anchors' extent counts as on one. Only
-    anchor-landmark pairs need checking: `AnchorSet` and `Conformation`
-    reject coincident anchors and coincident body points when they are
-    built.
+    A landmark within 1e-9 of the anchors' extent counts as on one. The
+    gaps are measured in the anchors' power-of-two unit, so their squares
+    stay in range at any scale. Only anchor-landmark pairs need checking:
+    `AnchorSet` and `Conformation` reject coincident anchors and
+    coincident body points when they are built.
     """
-    gaps = np.linalg.norm(landmarks[..., None, :] - anchors[:, :, None], axis=-3)
-    return np.any(gaps <= _REL_TOL * _extent(anchors), axis=(-2, -1))
+    unit, e = _centred_unit(anchors)
+    gaps = np.linalg.norm(np.ldexp(landmarks[..., None, :] - anchors[:, :, None], -e), axis=-3)
+    return np.any(gaps <= _REL_TOL * np.max(np.linalg.norm(unit, axis=0)), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -353,10 +355,12 @@ def _generators(seed):
 def random_scene(config: SceneConfig, seed) -> Scene:
     """Generate a scene with a randomly posed body.
 
-    Trial k draws from its own generator alone: an angle and a centroid,
-    redrawn (at most 100 draws in all) while a landmark lands on an
-    anchor. The body centroid stays at least `body radius +
-    wall_clearance` from every wall.
+    Trial k draws from its own generator alone: an angle, then a
+    centroid. The whole batch is placed at once; the trials where a
+    landmark lands on an anchor then draw again, each from its own
+    generator, round by round, at most 100 draws per trial. The body
+    centroid stays at least `body radius + wall_clearance` from every
+    wall.
 
     Parameters
     ----------
@@ -384,25 +388,20 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     anchors, conformation = config.anchors, config.conformation
     box = _centroid_box(config)
     center = conformation.points.mean(axis=1)
-
-    def place(draws):
+    draws = np.empty((len(rngs), 3))
+    clash = np.ones(len(rngs), dtype=bool)
+    for _ in range(100):
+        for k in np.flatnonzero(clash):
+            draws[k] = _draw_pose(rngs[k], box)
         rotations = _rotation_matrices(draws[:, 0])
         # the translation puts the shape centroid at the drawn point
-        translations = draws[:, 1:] - rotations @ center
-        landmarks = apply_pose(conformation, Pose(RotationMatrix(rotations), translations))
-        return (rotations, translations, landmarks), _on_anchor(anchors.positions, landmarks)
-
-    placed, clash = place(np.array([_draw_pose(rng, box) for rng in rngs]).reshape(-1, 3))
-    for k in np.flatnonzero(clash):
-        for _ in range(99):
-            redraw, clash_k = place(np.array([_draw_pose(rngs[k], box)]))
-            if not clash_k[0]:
-                for part, new in zip(placed, redraw):
-                    part[k] = new[0]
-                break
-        else:
-            raise ConfigurationError("could not place the body after 100 attempts")
+        pose = Pose(RotationMatrix(rotations), draws[:, 1:] - rotations @ center)
+        landmarks = apply_pose(conformation, pose)
+        clash = _on_anchor(anchors.positions, landmarks)
+        if not np.any(clash):
+            break
+    else:
+        raise ConfigurationError("could not place the body after 100 attempts")
     if not batched:
-        placed = [part[0] for part in placed]
-    rotations, translations, landmarks = placed
-    return Scene(anchors, conformation, Pose(RotationMatrix(rotations), translations), landmarks)
+        pose, landmarks = Pose(RotationMatrix(rotations[0]), pose.translation[0]), landmarks[0]
+    return Scene(anchors, conformation, pose, landmarks)

@@ -15,13 +15,15 @@ Bessel ratio I1(rho)/I0(rho) that the bearing Fisher information needs
 density in numpy; `zeta_to_rho` and `bessel_ratio` compute each
 distinct argument once per process.
 
-Anchor-anchor measurements are always exact (anchor positions are
-known), anchor-target always noisy, target-target exact by default with
-an optional noisy mode. `generate_measurements` measures one scene once,
-or each of K trials from its own generator at once (`measure`), and
-returns one `Measurements` type either way. A `NoiseConfig` holds one
-sigma, or one per trial. Each trial's draws are bit for bit those of
-`sample_distance` and `sample_angle` at its sigma and rho.
+Anchor-anchor (AA) pairs are known geometry and exact. Anchor-target
+(AT) pairs are the measurements: a noisy distance and a noisy bearing
+each. Target-target (TT) pairs carry a distance only, exact by default
+and noisy in an optional mode; no TT bearing is simulated, so their
+angles are NaN. `generate_measurements` measures one scene once, or each
+of K trials from its own generator at once, and returns one
+`Measurements` type either way. A `NoiseConfig` holds one sigma, or one
+per trial. Each trial's draws are bit for bit those of `sample_distance`
+and `sample_angle` at its sigma and rho.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ class NoiseConfig:
         Bearing concentration; 0 is uniform, inf disables bearing noise.
         Required.
     tt_noisy : bool
-        Apply noise to target-target pairs too (default: exact).
+        Apply distance noise to target-target pairs too (default: exact).
     """
 
     sigma: float | tuple
@@ -218,10 +220,12 @@ class Measurements:
 
     `distances` and `angles` are (P,) arrays for one trial, or (K, P)
     with a row per trial, on one pair index; the pair class (AA, AT, TT)
-    of each entry follows from `index`. The arrays are taken as given,
-    not copied, and made read-only. The solvers keep the MDS embedding
-    of the distances in `embedding` once they have computed it, so every
-    method solved on one set shares one eigendecomposition per trial.
+    of each entry follows from `index`. A TT pair has no bearing: its
+    angle is NaN in simulated measurements, and no estimator reads it.
+    The arrays are taken as given, not copied, and made read-only. The
+    solvers keep the MDS embedding of the distances in `embedding` once
+    they have computed it, so every method solved on one set shares one
+    eigendecomposition per trial.
     """
 
     index: PairIndex
@@ -282,78 +286,15 @@ def sample_angle(true_theta, rho: float, rng: np.random.Generator):
     return out if th.ndim else float(out)
 
 
-def measure(x: np.ndarray, index: PairIndex, noise: NoiseConfig, rngs):
-    """One noisy measurement of every node pair for each of K trials.
-
-    Parameters
-    ----------
-    x : ndarray of complex, shape (K, T) or (1, T)
-        Node positions, anchors first; one row is shared by all trials.
-    index : PairIndex
-    noise : NoiseConfig
-        A 1-D `sigma` gives trial k the distance noise `sigma[k]`.
-    rngs : sequence of K numpy.random.Generator
-        Trial k draws from `rngs[k]` alone, in a fixed order: AT
-        distances, AT angles, then TT distances and angles if noisy.
-        A trial with sigma 0 draws no distances, and rho = inf draws no
-        angles.
-
-    Returns
-    -------
-    (distances, angles) : two ndarray of shape (K, P)
-        AA pairs exact, AT noisy, TT exact unless `noise.tt_noisy`;
-        angles wrapped to [-pi, pi).
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If two nodes coincide (a zero edge).
-    ValueError
-        If a 1-D `sigma` does not hold one value per trial.
-    """
-    n = len(rngs)
-    if np.ndim(noise.sigma) and len(noise.sigma) != n:
-        raise ValueError(f"{len(noise.sigma)} sigma values for {n} trials")
-    v = x[:, index.second] - x[:, index.first]
-    d = np.abs(v)
-    if np.any(d == 0.0):
-        raise DegenerateGeometryError("scene contains coincident nodes")
-    theta = wrap_angle(np.angle(v))
-    d_out = np.array(np.broadcast_to(d, (n, index.n_pairs)))
-    th_out = np.array(np.broadcast_to(theta, (n, index.n_pairs)))
-    blocks = [index.at]
-    if noise.tt_noisy and index.n_tt:
-        blocks.append(index.tt)
-    sigma = np.broadcast_to(noise.sigma, (n,))[:, None]
-    noisy = sigma[:, 0] > 0  # trials that draw distances
-    noisy_bearings = not math.isinf(noise.rho)
-    # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma;
-    # numpy's gamma(shape, scale) is scale * standard_gamma(shape), draw
-    # for draw, so only the standard draws run per trial
-    with np.errstate(divide="ignore"):  # shapes of noiseless trials go unused
-        shapes = [(d[:, b] / sigma) ** 2 for b in blocks]
-    gammas = [np.zeros(shape.shape) for shape in shapes]
-    for k, rng in enumerate(rngs):
-        row = k if len(d) > 1 else 0
-        for b, shape, gamma in zip(blocks, shapes, gammas):
-            if noisy[k]:
-                rng.standard_gamma(shape[k], out=gamma[k])
-            if noisy_bearings:
-                th_out[k, b] = rng.vonmises(theta[row, b], noise.rho)
-    variance = np.broadcast_to(sigma_squared(noise.sigma), (n,))[:, None]
-    for b, gamma in zip(blocks, gammas):
-        d_out[:, b] = np.where(noisy[:, None], gamma * (variance / d[:, b]), d_out[:, b])
-        if noisy_bearings:
-            th_out[:, b] = wrap_angle(th_out[:, b])
-    return d_out, th_out
-
-
 def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements:
     """Simulate one measurement of every node pair in a scene.
 
-    AA pairs are exact, AT pairs noisy, TT pairs exact unless
-    `noise.tt_noisy`. Draw order is fixed (AT distances, AT angles, then
-    TT if noisy), so a given generator state yields reproducible output.
+    AA pairs keep their exact distances and angles, AT pairs get a noisy
+    distance and bearing, and TT pairs their exact distance, noisy under
+    `noise.tt_noisy`. No TT bearing is simulated: the TT angles are NaN.
+    Each trial draws from its own generator alone, in a fixed order: AT
+    distances, then AT bearings, then TT distances if `noise.tt_noisy`.
+    A trial with sigma 0 draws no distances, and rho = inf no bearings.
 
     Parameters
     ----------
@@ -370,10 +311,13 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     Returns
     -------
     Measurements
-        (P,) arrays for one seed, (K, P) for a list of K generators.
+        (P,) arrays for one seed, (K, P) for a list of K generators;
+        angles wrapped to [-pi, pi).
 
     Raises
     ------
+    DegenerateGeometryError
+        If two nodes coincide (a zero edge).
     ValueError
         If a scene of K poses does not get a list of exactly K
         Generators, a list holds anything else, or a 1-D sigma does not
@@ -382,11 +326,47 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
     x = scene.complex_positions()
     rngs, batched = _generators(rng)
+    n = len(rngs)
+    if x.ndim > 1 and not batched:
+        raise ValueError("a scene of K poses needs a list of K numpy generators")
+    if x.ndim > 1 and n != len(x):
+        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {n}")
+    if np.ndim(noise.sigma) and len(noise.sigma) != n:
+        raise ValueError(f"{len(noise.sigma)} sigma values for {n} trials")
+    x = np.atleast_2d(x)
+    v = x[:, index.second] - x[:, index.first]
+    d = np.abs(v)
+    if np.any(d == 0.0):
+        raise DegenerateGeometryError("scene contains coincident nodes")
+    theta = wrap_angle(np.angle(v))
+    theta[:, index.tt] = np.nan
+    d_out = np.array(np.broadcast_to(d, (n, index.n_pairs)))
+    th_out = np.array(np.broadcast_to(theta, (n, index.n_pairs)))
+    at = index.at
+    # distance noise covers the AT block, and the TT block behind it if noisy
+    noisy_d = slice(at.start, index.n_pairs if noise.tt_noisy else at.stop)
+    sigma = np.broadcast_to(noise.sigma, (n,))[:, None]
+    noisy = sigma[:, 0] > 0  # trials that draw distances
+    noisy_bearings = not math.isinf(noise.rho)
+    # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma;
+    # numpy's gamma(shape, scale) is scale * standard_gamma(shape), draw
+    # for draw, so only the standard draws run per trial
+    with np.errstate(divide="ignore"):  # shapes of noiseless trials go unused
+        shape = (d[:, noisy_d] / sigma) ** 2
+    gamma = np.zeros(shape.shape)
+    n_at = index.n_at
+    for k, rng in enumerate(rngs):
+        if noisy[k]:
+            rng.standard_gamma(shape[k, :n_at], out=gamma[k, :n_at])
+        if noisy_bearings:
+            th_out[k, at] = rng.vonmises(th_out[k, at], noise.rho)
+        if noisy[k] and noise.tt_noisy:
+            rng.standard_gamma(shape[k, n_at:], out=gamma[k, n_at:])
+    variance = np.broadcast_to(sigma_squared(noise.sigma), (n,))[:, None]
+    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (variance / d[:, noisy_d]),
+                                 d_out[:, noisy_d])
+    if noisy_bearings:
+        th_out[:, at] = wrap_angle(th_out[:, at])
     if not batched:
-        if x.ndim > 1:
-            raise ValueError("a scene of K poses needs a list of K numpy generators")
-        d, theta = measure(x[None], index, noise, rngs)
-        return Measurements(index, d[0], theta[0])
-    if x.ndim > 1 and len(rngs) != len(x):
-        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {len(rngs)}")
-    return Measurements(index, *measure(np.atleast_2d(x), index, noise, rngs))
+        d_out, th_out = d_out[0], th_out[0]
+    return Measurements(index, d_out, th_out)

@@ -126,8 +126,8 @@ def _mds(embedding, anchors: np.ndarray, m: int):
     """MDS target estimates (K, 2, N) from `_embed` output, with failure codes.
 
     The first `m` embedded nodes are the anchors. Each embedding is
-    mapped onto the known anchors by a similarity transform, reflection
-    allowed, since MDS chirality is arbitrary.
+    mapped onto the known anchors by an orthogonal map plus a shift, with
+    no scaling; the map may reflect, since MDS chirality is arbitrary.
     """
     coords, status = embedding
     rot, shift = fit_alignment(coords[:, :, :m], anchors, allow_reflection=True)

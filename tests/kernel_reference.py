@@ -79,15 +79,22 @@ def coordinates_from_edges(v_at, anchors, index: PairIndex) -> np.ndarray:
     return np.vstack([x.real, x.imag])
 
 
-def edges_from_measurements(meas) -> EdgeSet:
+def edges_from_measurements(meas, scene=None) -> EdgeSet:
     """Edges d * exp(j theta) from measured distances and angles.
+
+    A TT pair is measured as a distance only. Given the one-pose `scene`,
+    the TT edges take their phases from its exact geometry; without it,
+    `meas` must hold TT angles.
 
     Raises ValueError if any distance is not finite and positive.
     """
     d = np.asarray(meas.distances, dtype=float)
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise ValueError("measured distances must be finite and positive")
-    theta = np.asarray(meas.angles, dtype=float)
+    theta = np.array(meas.angles, dtype=float)
+    if scene is not None:
+        tt = meas.index.tt
+        theta[tt] = edges_from_coordinates(scene.complex_positions(), meas.index).angles[tt]
     return EdgeSet(meas.index, d * np.exp(1j * theta))
 
 

@@ -1,13 +1,15 @@
 """End-to-end acceptance checks.
 
 Each criterion test prints one PASS/FAIL line with the measured quantity
-so a full run reads as a nine-line scorecard. The two Monte Carlo
+so a full run reads as a ten-line scorecard. The two Monte Carlo
 fixtures are module scoped; everything downstream reuses their per-trial
 errors.
 
 The SMDS methods are computed in closed form. Criterion 2 and the noisy
 equivalence test pin them to the edge-kernel pipeline they replace,
-kept as a reference copy in `kernel_reference.py`.
+kept as a reference copy in `kernel_reference.py`. Criterion 10 holds
+the `smds_full` Monte Carlo to its exact per-scene moments, from
+`moments_reference.py`.
 """
 
 import time
@@ -27,6 +29,7 @@ from rigidloc.solvers import METHODS, SolverConfig, solve_landmarks
 from kernel_reference import (build_kernel, coordinates_from_edges,
                               edges_from_coordinates, edges_from_measurements,
                               extract_minor, reference_pipeline, turbo_iterate)
+from moments_reference import smds_full_mse_t
 
 
 def check(num, name, ok, detail):
@@ -77,7 +80,7 @@ def test_criterion_2_turbo_fixed_point():
         scene = random_scene(SceneConfig(), seed=seed)
         meas = generate_measurements(scene, noise, seed)
         idx = meas.index
-        es = edges_from_measurements(meas)
+        es = edges_from_measurements(meas, scene)
         closed = es.at  # the AT edges the closed form averages
         step = turbo_iterate(extract_minor(build_kernel(es)), es.aa, es.tt,
                              closed, max_iterations=1)
@@ -100,14 +103,16 @@ def test_smds_closed_form_matches_reference_pipeline_under_noise():
             scene = random_scene(SceneConfig(), rng)
             meas = generate_measurements(scene, noise, rng)
             idx = meas.index
+            # no TT bearing is measured: the kernel takes the exact TT phases
+            measured = edges_from_measurements(meas, scene).angles
             targets = solve_landmarks(meas, scene.anchors, scene.conformation,
                                       SolverConfig(method="mds")).coordinates
             nodes = np.hstack([scene.anchors.positions, targets])
             mds_angles = edges_from_coordinates(nodes[0] + 1j * nodes[1], idx).angles
             mds_angles[idx.aa] = meas.angles[idx.aa]
             if not tt_noisy:
-                mds_angles[idx.tt] = meas.angles[idx.tt]
-            for method, angles in (("smds_full", meas.angles),
+                mds_angles[idx.tt] = measured[idx.tt]
+            for method, angles in (("smds_full", measured),
                                    ("smds_distance_only", mds_angles)):
                 est = solve_landmarks(meas, scene.anchors, scene.conformation,
                                       SolverConfig(method=method))
@@ -285,3 +290,38 @@ def test_criterion_9_deterministic_csv(tmp_path):
             and p1.read_bytes() == p3.read_bytes())
     check(9, "deterministic output", same,
           "CSV bytes identical across a rerun and worker counts 1, 2, 3")
+
+
+# seed and trial count of criterion 10, fixed before it was first run
+MOMENTS_SEED = 2210
+MOMENTS_TRIALS = 2000
+
+
+def test_criterion_10_smds_full_exact_moments():
+    # each trial's squared translation error against its scene's exact
+    # expectation: the paired mean difference must lie within 4 standard
+    # errors in every (zeta, sigma) cell, about 4e-4 false alarms in six
+    sigmas = (0.1, 0.5, 2.0)
+    worst, cell = 0.0, None
+    all_ok = same_tt = True
+    for zeta in (8.0, 60.0):
+        rho = zeta_to_rho(np.deg2rad(zeta))
+        runs = [run_experiment(ExperimentConfig(
+                    sigma_grid=sigmas, rho=rho, tt_noisy=tt_noisy, trials=MOMENTS_TRIALS,
+                    methods=("smds_full",), master_seed=MOMENTS_SEED), keep_trial_errors=True)
+                for tt_noisy in (False, True)]
+        for g, (row, row_tt) in enumerate(zip(*runs)):
+            # smds_full reads only the AT draws, which come before the TT ones
+            same_tt &= np.array_equal(row.trial_err_t, row_tt.trial_err_t, equal_nan=True)
+            all_ok &= bool(row.trial_ok.all())
+            rngs = [np.random.default_rng(np.random.SeedSequence(MOMENTS_SEED, spawn_key=(g, k)))
+                    for k in range(MOMENTS_TRIALS)]
+            exact = smds_full_mse_t(random_scene(SceneConfig(), rngs), row.sigma, rho)
+            diff = row.trial_err_t - exact
+            z = diff.mean() / (diff.std(ddof=1) / np.sqrt(diff.size))
+            if abs(z) >= worst:
+                worst, cell = abs(z), (zeta, row.sigma)
+    check(10, "exact moments of smds_full", worst < 4.0 and all_ok and same_tt,
+          f"worst |z| {worst:.2f} at zeta = {cell[0]:g} deg, sigma = {cell[1]:g} "
+          f"over 6 cells of {MOMENTS_TRIALS} trials; all trials ok: {all_ok}; "
+          f"errors unchanged by tt_noisy: {same_tt}")

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -287,3 +288,18 @@ def test_point_sets_are_measured_at_any_float_scale(s):
         SceneConfig(anchor_positions=s * coincident)
     with pytest.raises(DegenerateGeometryError, match="coincident"):
         SceneConfig(body_points=s * coincident / 10.0)
+    # poses are placed and checked against the anchors in the same units
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = random_scene(config, 0)
+        batch = random_scene(config, [np.random.default_rng(k) for k in range(5)])
+    assert np.array_equal(batch.landmarks[0], one.landmarks)
+    assert np.all(np.abs(batch.pose.translation / s - 5.0) <= 1.0)
+    # vertex 0 of the polygon sits at (s, 0) from its centre, anchor 0 at the origin
+    for offset, clash in ((0.0, True), (1e-12, True), (1e-6, False)):
+        pose = Pose.from_angle(0.0, (-s, offset * s))
+        if clash:
+            with pytest.raises(DegenerateGeometryError, match="coincident"):
+                Scene(config.anchors, config.conformation, pose)
+        else:
+            Scene(config.anchors, config.conformation, pose)

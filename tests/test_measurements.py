@@ -180,7 +180,10 @@ def test_generate_measurements_noiseless():
     x = scene.complex_positions()
     v = x[idx.second] - x[idx.first]
     assert np.max(np.abs(meas.distances - np.abs(v))) < 1e-12
-    assert np.max(np.abs(meas.angles - wrap_angle(np.angle(v)))) < 1e-12
+    # AA and AT angles are exact; no TT bearing is simulated
+    known = slice(idx.aa.start, idx.at.stop)
+    assert np.max(np.abs(meas.angles[known] - wrap_angle(np.angle(v))[known])) < 1e-12
+    assert np.all(np.isnan(meas.angles[idx.tt]))
     assert meas.index.n_pairs == 120
 
 
@@ -215,7 +218,33 @@ def test_generate_measurements_deterministic():
     a = generate_measurements(scene, noise, 42)
     b = generate_measurements(scene, noise, 42)
     assert np.array_equal(a.distances, b.distances)
-    assert np.array_equal(a.angles, b.angles)
+    assert np.array_equal(a.angles, b.angles, equal_nan=True)
+
+
+@pytest.mark.parametrize("tt_noisy", [False, True])
+def test_each_trial_draws_at_distances_then_at_bearings_then_tt_distances(tt_noisy):
+    # a generator used by generate_measurements is left where a twin is
+    # after exactly these draws: no TT bearing is simulated
+    sigma, rho = 0.4, 50.0
+    noise = NoiseConfig(sigma=sigma, rho=rho, tt_noisy=tt_noisy)
+    idx = build_pair_index(8, 8)
+    scenes = random_scene(SceneConfig(), [np.random.default_rng(k) for k in range(3)])
+    for k in range(3):
+        scene = random_scene(SceneConfig(), k)
+        x = scene.complex_positions()
+        v = x[idx.second] - x[idx.first]
+        rng, twin = np.random.default_rng(10 + k), np.random.default_rng(10 + k)
+        generate_measurements(scene, noise, rng)
+        twin.standard_gamma((np.abs(v[idx.at]) / sigma) ** 2)
+        twin.vonmises(wrap_angle(np.angle(v[idx.at])), rho)
+        if tt_noisy:
+            twin.standard_gamma((np.abs(v[idx.tt]) / sigma) ** 2)
+        after = twin.random()
+        assert rng.random() == after
+        # the same per trial of a batch
+        rngs = [np.random.default_rng(10 + j) for j in range(3)]
+        generate_measurements(scenes, noise, rngs)
+        assert rngs[k].random() == after
 
 
 def test_measurement_set_validation():
@@ -255,7 +284,7 @@ def test_generate_measurements_takes_one_sigma_per_trial():
                     NoiseConfig(sigma=sigma, rho=30.0, tt_noisy=tt_noisy),
                     [np.random.default_rng(k)])
                 assert np.array_equal(batch.distances[k], one.distances[0])
-                assert np.array_equal(batch.angles[k], one.angles[0])
+                assert np.array_equal(batch.angles[k], one.angles[0], equal_nan=True)
     # trial 1 has sigma 0: exact distances, noisy bearings
     x = fixed.complex_positions()
     assert np.array_equal(batch.distances[1], np.abs(x[batch.index.second]

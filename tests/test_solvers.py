@@ -160,7 +160,7 @@ def test_turbo_converges_under_noise():
     noise = NoiseConfig(sigma=0.5, rho=zeta_to_rho(np.deg2rad(5.0)))
     for seed in range(20):
         scene = random_scene(SceneConfig(), seed=seed)
-        es = edges_from_measurements(generate_measurements(scene, noise, seed))
+        es = edges_from_measurements(generate_measurements(scene, noise, seed), scene)
         minor = extract_minor(build_kernel(es))
         result = turbo_iterate(minor, es.aa, es.tt,
                                turbo_init(minor.k1, minor.k4, es.aa, es.tt))

@@ -27,7 +27,8 @@ from rigidloc.solvers import SolverConfig, solve_landmarks
 
 
 def generate_measurements(scene, noise, rng):
-    """One measurement of every node pair: AT noisy, TT noisy if asked."""
+    """One measurement of every node pair: AT noisy, TT distances noisy if
+    asked; no TT bearing is simulated, so the TT angles are NaN."""
     rng = np.random.default_rng(rng)
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
     x = scene.complex_positions()
@@ -39,13 +40,13 @@ def generate_measurements(scene, noise, rng):
 
     d_out = d.copy()
     th_out = theta.copy()
+    th_out[index.tt] = np.nan
     at = index.at
     d_out[at] = sample_distance(d[at], noise.sigma, rng)
     th_out[at] = sample_angle(theta[at], noise.rho, rng)
     if noise.tt_noisy and index.n_tt:
         tt = index.tt
         d_out[tt] = sample_distance(d[tt], noise.sigma, rng)
-        th_out[tt] = sample_angle(theta[tt], noise.rho, rng)
     return Measurements(index, d_out, th_out)
 
 
