@@ -10,7 +10,8 @@ import numpy as np
 
 from rigidloc import (METHODS, NoiseConfig, SceneConfig, SolverConfig,
                       estimate_pose, generate_measurements, random_scene,
-                      rotation_mse, solve_landmarks, zeta_to_rho)
+                      solve_landmarks, zeta_to_rho)
+from rigidloc.procrustes import pose_errors
 
 
 def landmark_rmse(est, scene):
@@ -33,7 +34,7 @@ def demo_single_scene():
                               SolverConfig(method=method))
         pose = estimate_pose(est.coordinates, scene.conformation)
         t_err = np.linalg.norm(pose.translation - scene.pose.translation)
-        q_err = rotation_mse(pose.rotation.matrix, scene.pose.rotation.matrix)
+        q_err = pose_errors(pose, scene.pose)[1][0]
         print(f"{method:<22} {landmark_rmse(est.coordinates, scene):11.4f}   "
               f"{t_err:9.4f}   {q_err:8.5f}")
     print("\nAll methods consume the same distances; only smds_full also")

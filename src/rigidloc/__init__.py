@@ -18,7 +18,7 @@ from .geometry import SceneConfig, random_scene
 from .harness import (ExperimentConfig, format_results, reference_scene,
                       run_experiment, write_results)
 from .measurements import NoiseConfig, generate_measurements, rho_to_zeta, zeta_to_rho
-from .procrustes import estimate_pose, rotation_mse
+from .procrustes import estimate_pose
 from .scenario import load_scenario
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -29,6 +29,6 @@ __all__ = [
     "METHODS", "NoiseConfig", "NumericalFailureError", "SceneConfig",
     "SolverConfig", "compute_fim", "estimate_pose", "format_results",
     "generate_measurements", "load_scenario", "random_scene",
-    "reference_scene", "rho_to_zeta", "rotation_mse", "run_experiment",
+    "reference_scene", "rho_to_zeta", "run_experiment",
     "solve_landmarks", "write_results", "zeta_to_rho", "__version__",
 ]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Scene
-from .measurements import NoiseConfig, bessel_ratio, sigma_squared
+from .measurements import NoiseConfig, bessel_ratio
 
 _SINGULAR_RTOL = 1e-12
 
@@ -155,7 +155,7 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
     g_d, g_psi = _pose_gradients(scene.anchors.positions, scene.conformation.points,
                                  lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2))
-    variance = sigma_squared(noise.sigma)
+    variance = np.square(np.atleast_1d(noise.sigma))
     # one pose under K sigma values broadcasts its gradients over them
     fim = np.zeros((max(len(g_d), len(variance)), 3, 3))
     if use_distances:

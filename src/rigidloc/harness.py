@@ -32,7 +32,7 @@ import numpy as np
 from .crlb import compute_fim
 from .errors import ConfigurationError
 from .geometry import Scene, SceneConfig, _is_int, _is_real, random_scene
-from .measurements import NoiseConfig, generate_measurements
+from .measurements import NoiseConfig, _has_finite_square, generate_measurements
 from .procrustes import estimate_pose, pose_errors
 from .solvers import METHODS, SolverConfig, solve_landmarks
 
@@ -69,8 +69,10 @@ class ExperimentConfig:
         if isinstance(grid, str) or not isinstance(grid, Iterable):
             raise ConfigurationError(f"sigma grid must be a sequence of numbers, not {grid!r}")
         grid = tuple(grid)
-        if not grid or any(not _is_real(s) or s <= 0 or not np.isfinite(s) for s in grid):
-            raise ConfigurationError("sigma grid entries must be positive finite numbers")
+        if not grid or any(not _is_real(s) or s <= 0 or not _has_finite_square(s) for s in grid):
+            raise ConfigurationError(
+                "sigma grid entries must be positive numbers with a finite square "
+                "(at most about 1.34e154)")
         object.__setattr__(self, "sigma_grid", tuple(float(s) for s in grid))
         methods = tuple(self.methods)
         if not methods or any(m not in METHODS for m in methods):

@@ -131,7 +131,10 @@ def _solve_rho(zeta: float) -> float:
         return 0.0
     # twice the normal-limit root (z_0.95 / zeta)^2 brackets it: there the
     # mass is 0.98 as zeta -> 0, and at least 0.96 anywhere in (0, 0.9*pi)
-    hi = max(4.0, 2.0 * (1.6449 / zeta) ** 2)
+    # squared by multiplication, which gives inf for tiny zeta (and so an
+    # infinite root) where a float power raises OverflowError
+    w = 1.6449 / zeta
+    hi = max(4.0, 2.0 * w * w)
     return _bisect(lambda r: _percentile_mass(zeta, r) - 0.9, 0.0, hi)
 
 
@@ -166,6 +169,15 @@ def bessel_ratio(rho: float) -> float:
     return float(weights @ folded) / _half_mass(top, rho)
 
 
+def _has_finite_square(sigma) -> bool:
+    """Whether every sigma has a finite square, the variance of its range.
+
+    True up to about 1.34e154; NaN and inf fail.
+    """
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(np.square(np.asarray(sigma, dtype=float)))))
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Measurement noise levels.
@@ -176,7 +188,8 @@ class NoiseConfig:
     Attributes
     ----------
     sigma : float or tuple of K floats
-        Distance noise standard deviation in meters; 0 disables it. A
+        Distance noise standard deviation in meters; 0 disables it, and
+        its square must be finite (sigma up to about 1.34e154). A
         1-D array or sequence holds one value per trial, for K trials
         measured or bounded at once, and is stored as a tuple.
     rho : float
@@ -198,8 +211,9 @@ class NoiseConfig:
                 raise ConfigurationError(
                     "sigma must be a number or a nonempty 1-D array of numbers")
         values = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ConfigurationError("sigma must be finite and nonnegative")
+        if not _has_finite_square(values) or np.any(values < 0):
+            raise ConfigurationError(
+                "sigma must be nonnegative with a finite square (at most about 1.34e154)")
         object.__setattr__(self, "sigma",
                            tuple(values.tolist()) if np.ndim(sigma) else float(sigma))
         if not isinstance(self.tt_noisy, (bool, np.bool_)):
@@ -246,16 +260,6 @@ class Measurements:
         self.distances, self.angles = d, th
 
 
-def sigma_squared(sigma) -> np.ndarray:
-    """sigma ** 2 for each value of a scalar or 1-D sigma, as a (K,) array.
-
-    Squares as Python's float power does (C `pow`, which differs from
-    x * x in the last bit for about one value in a thousand), so K values
-    at once give exactly what K one-value configs give.
-    """
-    return np.array([s ** 2 for s in np.atleast_1d(sigma).tolist()])
-
-
 def sample_distance(true_d, sigma: float, rng: np.random.Generator):
     """Draw gamma distance samples with mean true_d and std sigma.
 
@@ -270,7 +274,7 @@ def sample_distance(true_d, sigma: float, rng: np.random.Generator):
         raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return d.copy() if d.ndim else float(d)
-    out = rng.gamma((d / sigma) ** 2, sigma ** 2 / d)
+    out = rng.gamma((d / sigma) ** 2, sigma * sigma / d)
     return out if d.ndim else float(out)
 
 
@@ -362,8 +366,7 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
             th_out[k, at] = rng.vonmises(th_out[k, at], noise.rho)
         if noisy[k] and noise.tt_noisy:
             rng.standard_gamma(shape[k, n_at:], out=gamma[k, n_at:])
-    variance = np.broadcast_to(sigma_squared(noise.sigma), (n,))[:, None]
-    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (variance / d[:, noisy_d]),
+    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (np.square(sigma) / d[:, noisy_d]),
                                  d_out[:, noisy_d])
     if noisy_bearings:
         th_out[:, at] = wrap_angle(th_out[:, at])

@@ -15,9 +15,12 @@ correction is needed.
 
 `fit_alignment` and `estimate_pose` fit K pairs of point sets at once,
 given as stacks with a leading trial axis (`_fit`); one pair is the
-K = 1 case. A stack reports a trial with no orientation to fit as NaN;
-one pair raises instead. `estimate_pose` returns a `geometry.Pose`, the
-type a scene holds its true pose in.
+K = 1 case. The fit is numpy's elementwise complex arithmetic, except
+for the sums over points, which run row by row (`_dot`), so a trial's
+fit does not depend on the stack it sits in. A stack reports a trial
+with no orientation to fit as NaN; one pair raises instead.
+`estimate_pose` returns a `geometry.Pose`, the type a scene holds its
+true pose in.
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _complex(re, im):
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     """Closed-form fits of K validated point-set pairs at once.
 
@@ -100,49 +96,38 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     share one point set. Returns the maps
     (K, 2, 2), the shifts (K, 2), and (K,) masks `ambiguous` and
     `degenerate`; a degenerate fit (rank-0 cross-covariance) has no
-    meaningful map. Scalar steps divide, multiply and take moduli
-    componentwise, exactly as Python complex arithmetic does. Sums over
-    points are `_dot` products, with a vector of ones for plain sums.
+    meaningful map. Sums over points are `_dot` products, with a vector
+    of ones for plain sums; every other step is elementwise.
     """
     n = c.shape[2]
     ones = np.ones(n)
     cz = c[:, 0] + 1j * c[:, 1]
     sz = s[:, 0] + 1j * s[:, 1]
-    c_dot, s_dot = _dot(cz, ones), _dot(sz, ones)
-    cbr, cbi = c_dot.real / n, c_dot.imag / n
-    sbr, sbi = s_dot.real / n, s_dot.imag / n
-    cz = cz - _complex(cbr, cbi)[:, None]
-    sz = sz - _complex(sbr, sbi)[:, None]
+    c_bar, s_bar = _dot(cz, ones) / n, _dot(sz, ones) / n
+    cz = cz - c_bar[:, None]
+    sz = sz - s_bar[:, None]
     z = _dot(cz.conj(), sz)        # sum conj(c) s: rotations
     z_ref = _dot(cz, sz)           # sum c s: reflections c -> q conj(c)
-    az, az_ref = np.hypot(z.real, z.imag), np.hypot(z_ref.real, z_ref.imag)
+    az, az_ref = np.abs(z), np.abs(z_ref)
     # (|z| + |z'|) / 2 is the largest singular value of the 2x2
     # cross-covariance, so this is its rank-0 test
     scale = np.sqrt(_dot(cz.conj(), cz).real * _dot(sz.conj(), sz).real)
     degenerate = 0.5 * (az + az_ref) <= 1e-14 * np.maximum(scale, np.finfo(float).tiny)
     reflect = (az_ref > az) if allow_reflection else np.zeros(az.shape, dtype=bool)
-    zr = np.where(reflect, z_ref.real, z.real)
-    zi = np.where(reflect, z_ref.imag, z.imag)
-    modulus = np.where(reflect, az_ref, az)
     with np.errstate(invalid="ignore", divide="ignore"):
-        qr, qi = zr / modulus, zi / modulus
+        q = np.where(reflect, z_ref, z) / np.where(reflect, az_ref, az)
     # z = 0 leaves every rotation optimal; keep the identity then
-    still = ~reflect & (z.real == 0.0) & (z.imag == 0.0)
-    qr, qi = np.where(still, 1.0, qr), np.where(still, 0.0, qi)
-    r = np.empty(qr.shape + (2, 2))
-    r[:, 0, 0] = qr
-    r[:, 0, 1] = np.where(reflect, qi, -qi)
-    r[:, 1, 0] = qi
-    r[:, 1, 1] = np.where(reflect, -qr, qr)
+    q = np.where(~reflect & (z == 0.0), 1.0, q)
+    sign = np.where(reflect, -1.0, 1.0)
+    r = np.stack([q.real, -sign * q.imag, q.imag, sign * q.real], axis=-1).reshape(-1, 2, 2)
     # shift = s_bar - q c_bar, or s_bar - q conj(c_bar) for a reflection
-    cbi = np.where(reflect, -cbi, cbi)
-    shift = np.stack([sbr - (qr * cbr - qi * cbi), sbi - (qr * cbi + qi * cbr)], axis=-1)
+    shift = s_bar - q * np.where(reflect, c_bar.conj(), c_bar)
     if allow_reflection:
         ambiguous = np.zeros(az.shape, dtype=bool)
     else:
         # |z| <= ||c|| ||s|| = scale by Cauchy-Schwarz
         ambiguous = az <= _AMBIGUITY_RATIO * scale
-    return r, shift, ambiguous, degenerate
+    return r, np.stack([shift.real, shift.imag], axis=-1), ambiguous, degenerate
 
 
 def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
@@ -172,30 +157,15 @@ def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
     return Pose(RotationMatrix(r[0]), t[0]) if one else Pose(RotationMatrix(r), t)
 
 
-def rotation_mse(q_hat, q_true) -> float:
-    """Squared Frobenius norm of the rotation matrix error.
-
-    For rotations differing by an angle delta this equals
-    2(2 - 2 cos delta), so a quarter turn gives 4 and a half turn 8.
-    """
-    a = np.asarray(q_hat, dtype=float)
-    b = np.asarray(q_true, dtype=float)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("rotations must be 2x2 matrices")
-    return float(_rotation_errors(a[None], b[None])[0])
-
-
-def _rotation_errors(q_hat: np.ndarray, q_true: np.ndarray) -> np.ndarray:
-    d = q_hat - q_true
-    return np.sum((d * d).reshape(-1, 4), axis=1)
-
-
 def pose_errors(pose: Pose, truth: Pose):
     """Squared translation and rotation errors of K fitted poses.
 
     `truth` holds the K true poses, or one pose shared by all of them.
-    Returns two (K,) arrays; entry k is what `dt @ dt` and
-    `rotation_mse` give for trial k alone.
+    Returns two (K,) arrays: ||t_hat - t||^2, and the squared Frobenius
+    norm of the rotation matrix error ||Q_hat - Q||_F^2. For rotations
+    differing by an angle delta the latter is 2(2 - 2 cos delta), so a
+    quarter turn gives 4 and a half turn 8.
     """
     dt = pose.translation - truth.translation
-    return _dot(dt, dt), _rotation_errors(pose.rotation.matrix, truth.rotation.matrix)
+    dq = pose.rotation.matrix - truth.rotation.matrix
+    return _dot(dt, dt), np.sum((dq * dq).reshape(-1, 4), axis=1)

@@ -52,6 +52,11 @@ def test_config_validation():
     for grid in ("0.5", 0.5, ("0.5",), (True,)):
         with pytest.raises(ConfigurationError, match="sigma grid"):
             ExperimentConfig(sigma_grid=grid)
+    # the same rule as NoiseConfig: each sigma has a finite square
+    assert ExperimentConfig(sigma_grid=(1.34e154,)).sigma_grid == (1.34e154,)
+    for grid in ((1e155,), (0.5, 1.35e154)):
+        with pytest.raises(ConfigurationError, match="finite square"):
+            ExperimentConfig(sigma_grid=grid)
     for bad in (dict(tt_noisy="false"), dict(fixed_pose="no"), dict(fixed_pose=1),
                 dict(tt_noisy=None)):
         with pytest.raises(ConfigurationError, match="true or false"):

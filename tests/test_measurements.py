@@ -121,6 +121,13 @@ def test_zeta_to_rho_tiny_zeta_is_normal_limit():
     assert rho == pytest.approx((z95 / zeta) ** 2, rel=1e-6)
 
 
+def test_zeta_to_rho_below_the_float_range_is_infinite():
+    # (z95 / zeta)^2 overflows a float below about 1.2e-154 rad; the
+    # bracket and the root are then inf, not an OverflowError
+    for zeta in (1e-200, 1e-310):
+        assert zeta_to_rho(zeta) == np.inf
+
+
 def test_rho_to_zeta_edges():
     z95 = 1.6448536269514722
     for rho in (1e12, 1e300):
@@ -166,6 +173,11 @@ def test_noise_config_validation():
     # one sigma per trial: a finite, nonnegative, nonempty 1-D array
     for sigma in (np.ones((2, 2)), [], [0.5, np.nan], [0.5, np.inf], [0.5, -0.1]):
         with pytest.raises(ConfigurationError, match="sigma"):
+            NoiseConfig(sigma=sigma, rho=1.0)
+    # sigma^2 is the range variance, so it must be a finite float too
+    assert NoiseConfig(sigma=1.34e154, rho=1.0).sigma == 1.34e154
+    for sigma in (1.35e154, 1e155, [0.5, 1e155]):
+        with pytest.raises(ConfigurationError, match="finite square"):
             NoiseConfig(sigma=sigma, rho=1.0)
     cfg = NoiseConfig(sigma=np.array([0.5, 0, 2]), rho=np.float32(1.0))
     assert cfg.sigma == (0.5, 0.0, 2.0) and type(cfg.rho) is float

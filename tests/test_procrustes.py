@@ -3,7 +3,7 @@ import pytest
 
 from rigidloc.errors import DegenerateGeometryError
 from rigidloc.geometry import Conformation, Pose, RotationMatrix, apply_pose
-from rigidloc.procrustes import _fit, estimate_pose, fit_alignment, rotation_mse
+from rigidloc.procrustes import _fit, estimate_pose, fit_alignment, pose_errors
 
 from procrustes_reference import svd_fit
 
@@ -160,13 +160,15 @@ def test_fit_alignment_reflection_mode():
 
 
 def test_rotation_mse_values():
-    q0 = RotationMatrix.from_angle(0.4).matrix
-    assert rotation_mse(q0, q0) == 0.0
+    # the rotation error of `pose_errors` is the squared Frobenius norm
+    def rotation_mse(a, b):
+        return pose_errors(Pose.from_angle(a, np.zeros(2)), Pose.from_angle(b, np.zeros(2)))[1][0]
+
+    assert rotation_mse(0.4, 0.4) == 0.0
     for delta in (np.pi / 2, np.pi, 0.3):
-        q1 = RotationMatrix.from_angle(0.4 + delta).matrix
         expected = 2.0 * (2.0 - 2.0 * np.cos(delta))
-        assert rotation_mse(q1, q0) == pytest.approx(expected, abs=1e-12)
-    assert rotation_mse(RotationMatrix.from_angle(np.pi).matrix, np.eye(2)) == pytest.approx(8.0)
+        assert rotation_mse(0.4 + delta, 0.4) == pytest.approx(expected, abs=1e-12)
+    assert rotation_mse(np.pi, 0.0) == pytest.approx(8.0)
 
 
 def test_complex_fit_matches_svd_reference():

@@ -15,7 +15,7 @@ PUBLIC = {
     "SceneConfig", "random_scene",
     "NoiseConfig", "generate_measurements", "rho_to_zeta", "zeta_to_rho",
     "METHODS", "SolverConfig", "solve_landmarks",
-    "estimate_pose", "rotation_mse",
+    "estimate_pose",
     "compute_fim",
     "ExperimentConfig", "run_experiment", "format_results", "write_results",
     "reference_scene", "load_scenario", "__version__",

@@ -112,6 +112,20 @@ def test_zeta_is_checked_where_it_enters(tmp_path, capsys):
     assert cfg.rho == 0.0
 
 
+def test_noise_beyond_the_float_range_is_an_error(tmp_path, capsys):
+    # a sigma whose square overflows, and a half-width so small that its
+    # rho is infinite, end with one error line and exit code 1
+    tiny = write_scenario(tmp_path, "noise:\n  zeta_theta_degrees: 1.0e-200\n")
+    with pytest.raises(ConfigurationError, match="rho"):
+        load_scenario(tiny)
+    for argv in (["run", str(SCENARIO_DEFAULT), "--trials", "2", "--sigma-grid", "1e155"],
+                 ["crlb", str(SCENARIO_DEFAULT), "--sigma-grid", "1e155"],
+                 ["run", str(SCENARIO_DEFAULT), "--trials", "2", "--zeta-deg", "1e-200"],
+                 ["run", tiny, "--trials", "2"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_top_level_seed_is_rejected(tmp_path):
     # experiment.master_seed is the one spelling of the seed
     with pytest.raises(ConfigurationError, match="unknown key"):

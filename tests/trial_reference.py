@@ -22,7 +22,7 @@ from rigidloc.geometry import random_scene
 from rigidloc.harness import reference_scene
 from rigidloc.measurements import (Measurements, NoiseConfig, sample_angle,
                                    sample_distance, wrap_angle)
-from rigidloc.procrustes import estimate_pose, rotation_mse
+from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import SolverConfig, solve_landmarks
 
 
@@ -80,6 +80,6 @@ def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int)
                 continue
             dt = pose.translation - scene.pose.translation
             err_t[j, i] = dt @ dt
-            err_q[j, i] = rotation_mse(pose.rotation.matrix, scene.pose.rotation.matrix)
+            err_q[j, i] = np.sum((pose.rotation.matrix - scene.pose.rotation.matrix) ** 2)
             ok[j, i] = True
     return err_t, err_q, ok, crlb_t, crlb_q
