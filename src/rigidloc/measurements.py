@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,9 @@ def _percentile_mass(zeta: float, rho: float) -> float:
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of an increasing f with f(lo) < 0 <= f(hi), to the last bit."""
     while True:
-        mid = 0.5 * (lo + hi)
+        # halved before the sum, which cannot then overflow; halving is
+        # exact, so this is 0.5 * (lo + hi) bit for bit
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             return mid
         if f(mid) < 0.0:
@@ -130,11 +133,16 @@ def _solve_rho(zeta: float) -> float:
     if _percentile_mass(zeta, 0.0) >= 0.9:
         return 0.0
     # twice the normal-limit root (z_0.95 / zeta)^2 brackets it: there the
-    # mass is 0.98 as zeta -> 0, and at least 0.96 anywhere in (0, 0.9*pi)
-    # squared by multiplication, which gives inf for tiny zeta (and so an
-    # infinite root) where a float power raises OverflowError
+    # mass is 0.98 as zeta -> 0, and at least 0.96 anywhere in (0, 0.9*pi).
+    # Squared by multiplication, which overflows to inf for tiny zeta where
+    # a float power raises OverflowError; the bracket is then the largest
+    # float, and the root is inf only if the mass there is still short
     w = 1.6449 / zeta
     hi = max(4.0, 2.0 * w * w)
+    if math.isinf(hi):
+        hi = sys.float_info.max
+        if _percentile_mass(zeta, hi) < 0.9:
+            return math.inf
     return _bisect(lambda r: _percentile_mass(zeta, r) - 0.9, 0.0, hi)
 
 
@@ -239,7 +247,7 @@ class Measurements:
     The arrays are taken as given, not copied, and made read-only. The
     solvers keep the MDS embedding of the distances in `embedding` once
     they have computed it, so every method solved on one set shares one
-    eigendecomposition per trial.
+    embedding per trial.
     """
 
     index: PairIndex
@@ -338,15 +346,22 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     if np.ndim(noise.sigma) and len(noise.sigma) != n:
         raise ValueError(f"{len(noise.sigma)} sigma values for {n} trials")
     x = np.atleast_2d(x)
-    v = x[:, index.second] - x[:, index.first]
-    d = np.abs(v)
-    if np.any(d == 0.0):
+    aa, at, tt = index.aa, index.at, index.tt
+    first, second = index.first, index.second
+    # pair-major (Fortran) order: each pair class is one contiguous block
+    # of memory, which the solvers' AT slices read fastest
+    d_out = np.empty((n, index.n_pairs), order="F")
+    th_out = np.empty((n, index.n_pairs), order="F")
+    # the anchors are the same in every trial, so the AA block is computed
+    # once; the AT block gets a distance and an angle per trial, the TT
+    # block a distance only
+    for block, rows in ((aa, x[:1]), (at, x)):
+        v = rows[:, second[block]] - rows[:, first[block]]
+        d_out[:, block], th_out[:, block] = np.abs(v), wrap_angle(np.angle(v))
+    d_out[:, tt] = np.abs(x[:, second[tt]] - x[:, first[tt]])
+    th_out[:, tt] = np.nan
+    if np.any(d_out == 0.0):
         raise DegenerateGeometryError("scene contains coincident nodes")
-    theta = wrap_angle(np.angle(v))
-    theta[:, index.tt] = np.nan
-    d_out = np.array(np.broadcast_to(d, (n, index.n_pairs)))
-    th_out = np.array(np.broadcast_to(theta, (n, index.n_pairs)))
-    at = index.at
     # distance noise covers the AT block, and the TT block behind it if noisy
     noisy_d = slice(at.start, index.n_pairs if noise.tt_noisy else at.stop)
     sigma = np.broadcast_to(noise.sigma, (n,))[:, None]
@@ -355,8 +370,9 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     # gamma shape (d/sigma)^2 and scale sigma^2/d give mean d and std sigma;
     # numpy's gamma(shape, scale) is scale * standard_gamma(shape), draw
     # for draw, so only the standard draws run per trial
+    d = d_out[:, noisy_d]  # the true distances, read before the noisy ones are written
     with np.errstate(divide="ignore"):  # shapes of noiseless trials go unused
-        shape = (d[:, noisy_d] / sigma) ** 2
+        shape = (d / sigma) ** 2
     gamma = np.zeros(shape.shape)
     n_at = index.n_at
     for k, rng in enumerate(rngs):
@@ -366,8 +382,7 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
             th_out[k, at] = rng.vonmises(th_out[k, at], noise.rho)
         if noisy[k] and noise.tt_noisy:
             rng.standard_gamma(shape[k, n_at:], out=gamma[k, n_at:])
-    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (np.square(sigma) / d[:, noisy_d]),
-                                 d_out[:, noisy_d])
+    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (np.square(sigma) / d), d)
     if noisy_bearings:
         th_out[:, at] = wrap_angle(th_out[:, at])
     if not batched:

@@ -135,24 +135,36 @@ def test_batch_matches_per_trial_on_any_span():
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
-    config = ExperimentConfig(sigma_grid=(0.5, 1.5), trials=23, master_seed=19,
-                              tt_noisy=True)
+    large = SceneConfig(n_anchors=48, n_landmarks=48)
+    cases = [
+        # chunks of 1, 4 and 7 trials; the 7 chunks of 6 or 7 trials cut the
+        # 2 x 23 trials at 19 and 26, so one spans both grid points
+        (ExperimentConfig(sigma_grid=(0.5, 1.5), trials=23, master_seed=19, tt_noisy=True),
+         (1, 8 * 16 * 16 * 4, 8 * 16 * 16 * 7)),
+        # 96 nodes take the iterative embedding: chunks of 1, 2 and 3 trials
+        # mix trials that stop after different numbers of steps or fall
+        # back to eigh (sigma = 4), so each trial's result must not depend
+        # on when the others in its chunk stop
+        (ExperimentConfig(scene=large, sigma_grid=(0.5, 2.0, 4.0), trials=4, master_seed=26),
+         (8 * 96 * 96, 8 * 96 * 96 * 2, 8 * 96 * 96 * 3)),
+    ]
+    default = harness._CHUNK_BYTES
+    for config, budgets in cases:
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", default)
 
-    def sweep():
-        rows = harness.run_experiment(config, keep_trial_errors=True)
-        return harness.format_results(rows), [
-            (r.trial_err_t, r.trial_err_q, r.trial_ok) for r in rows]
+        def sweep():
+            rows = harness.run_experiment(config, keep_trial_errors=True)
+            return harness.format_results(rows), [
+                (r.trial_err_t, r.trial_err_q, r.trial_ok) for r in rows]
 
-    text, trials = sweep()  # the default: one chunk for the whole sweep
-    # chunks of 1, 4 and 7 trials; the 7 chunks of 6 or 7 trials cut the
-    # 2 x 23 trials at 19 and 26, so one spans both grid points
-    for chunk_bytes in (1, 8 * 16 * 16 * 4, 8 * 16 * 16 * 7):
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
-        got_text, got_trials = sweep()
-        assert got_text == text
-        for got, want in zip(got_trials, trials, strict=True):
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+        text, trials = sweep()  # the default chunk size
+        for chunk_bytes in budgets:
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_bytes)
+            got_text, got_trials = sweep()
+            assert got_text == text
+            for got, want in zip(got_trials, trials, strict=True):
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
 
 
 def test_chunks_bound_the_work_arrays():

@@ -121,6 +121,16 @@ def test_zeta_to_rho_tiny_zeta_is_normal_limit():
     assert rho == pytest.approx((z95 / zeta) ** 2, rel=1e-6)
 
 
+def test_zeta_to_rho_just_above_the_float_range_is_finite():
+    # (z95 / zeta)^2 is finite here, but twice it, the bisection bracket,
+    # overflows; the root is about 1.2e308
+    z95 = 1.6448536269514722
+    zeta = 1.5e-154
+    rho = zeta_to_rho(zeta)
+    assert np.isfinite(rho)
+    assert rho == pytest.approx((z95 / zeta) ** 2, rel=1e-6)
+
+
 def test_zeta_to_rho_below_the_float_range_is_infinite():
     # (z95 / zeta)^2 overflows a float below about 1.2e-154 rad; the
     # bracket and the root are then inf, not an OverflowError

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import orthogonal_procrustes
 
+import rigidloc.solvers as solvers
 from rigidloc.edges import build_pair_index
-from rigidloc.errors import (COINCIDENT_EDGES, NOT_FINITE, ConfigurationError,
+from rigidloc.errors import (COINCIDENT_EDGES, NO_EMBEDDING, NOT_FINITE, ConfigurationError,
                              DegenerateGeometryError, NumericalFailureError,
                              raise_failure)
 from rigidloc.geometry import SceneConfig, random_scene
@@ -187,6 +188,75 @@ def test_embed_distances_collinear():
     assert np.max(np.abs(coords[1])) < 1e-7
     got = np.abs(coords[0][:, None] - coords[0][None, :])
     assert np.max(np.abs(got - d)) < 1e-9
+
+
+def full_eigh_trials(monkeypatch):
+    """A list that gets the trial count of every full T x T `eigh` call."""
+    calls, real = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if a.shape[-1] > solvers._BLOCK:
+            calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5, 2.0, 4.0])
+def test_iterative_embedding_matches_eigh(monkeypatch, sigma):
+    # 96 nodes take the certified block iteration; the reference raises the
+    # threshold above them, so that every trial goes to the full eigh
+    k = 6
+    scene = random_scene(SceneConfig(n_anchors=48, n_landmarks=48),
+                         [np.random.default_rng([31, i]) for i in range(k)])
+    noise = NoiseConfig(sigma=sigma, rho=np.inf if sigma == 0.0 else 139.25)
+    meas = generate_measurements(scene, noise, [np.random.default_rng([32, i]) for i in range(k)])
+    t = meas.index.n_nodes
+    assert t >= solvers._ITERATE_FROM
+
+    def solve(method):  # on a fresh set, so that no embedding is shared
+        return solve_landmarks(replace(meas), scene.anchors, config=SolverConfig(method))
+
+    calls = full_eigh_trials(monkeypatch)
+    got = {method: solve(method) for method in ("mds", "smds_distance_only")}
+    fell_back = sum(calls)
+    if sigma <= 2.0:
+        assert fell_back == 0  # every trial certified
+    else:
+        assert 0 < fell_back < 2 * k  # lambda_3 near lambda_2: some fall back
+    monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
+    for method, est in got.items():
+        want = solve(method)
+        assert np.array_equal(est.status, want.status)
+        scale = np.max(np.abs(want.coordinates))
+        assert np.max(np.abs(est.coordinates - want.coordinates)) <= 1e-10 * scale
+    assert sum(calls) == fell_back + 2 * k
+
+
+def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
+    t = solvers._ITERATE_FROM
+    pts = np.random.default_rng(33).uniform(0.0, 10.0, (2, t))
+    planar = np.hypot(*(pts[:, :, None] - pts[:, None, :]))
+    simplex = 1.0 - np.eye(t)  # lambda_2 = lambda_3: no certificate
+    zero = np.zeros((t, t))    # lambda_1 = 0: no embedding
+    far = 1e40 * planar        # B^4 would overflow: not iterated
+    broken = planar.copy()     # B is not finite: not iterated
+    broken[0, 1] = broken[1, 0] = 1e200
+    dmats = np.stack([planar, simplex, zero, far, broken])
+    calls = full_eigh_trials(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords, status = _embed(dmats)
+    assert calls == [4]  # every trial but the first, in one stack
+    assert list(status) == [0, 0, NO_EMBEDDING, 0, 0]
+    got = np.hypot(*(coords[0][:, :, None] - coords[0][:, None, :]))
+    assert np.max(np.abs(got - planar)) < 1e-9
+    # a trial that falls back gets exactly the eigh path's embedding
+    monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, want_status = _embed(dmats)
+    assert np.array_equal(status, want_status)
+    assert np.array_equal(coords[1:], want[1:], equal_nan=True)
 
 
 def test_classic_mds_noiseless():
