@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import Scene
 from .measurements import NoiseConfig, bessel_ratio
 
@@ -146,6 +147,9 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
 
     Raises
     ------
+    ConfigurationError
+        If a sigma is so small that 1/sigma^2 times the range terms
+        overflows (below about 1e-154 m on a room-sized scene).
     ValueError
         If a 1-D sigma of a scene of K poses does not hold K values.
     """
@@ -155,18 +159,29 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
     g_d, g_psi = _pose_gradients(scene.anchors.positions, scene.conformation.points,
                                  lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2))
-    variance = np.square(np.atleast_1d(noise.sigma))
+    sigma = np.atleast_1d(noise.sigma)
+    variance = np.square(sigma)
     # one pose under K sigma values broadcasts its gradients over them
     fim = np.zeros((max(len(g_d), len(variance)), 3, 3))
     if use_distances:
-        if np.any(variance <= 0):
+        if np.any(sigma <= 0):
             raise ValueError("distance terms require sigma > 0")
-        fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
+        # a sigma so small that its range information 1/sigma^2 overflows, or
+        # its square underflows to 0, raises here, at no cost otherwise
+        with np.errstate(over="raise", divide="raise"):
+            try:
+                fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
+            except FloatingPointError:
+                raise ConfigurationError(
+                    f"sigma {sigma.min():g} is too small: the range information "
+                    "1/sigma^2 of the bound overflows") from None
     if use_bearings:
         lam = bearing_intensity(noise.rho)
         if lam > 0:
             fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
-    fim = 0.5 * (fim + fim.transpose(0, 2, 1))
+    # halved before the sum, which then cannot overflow; halving is exact,
+    # so away from subnormals this is 0.5 * (F + F^T) bit for bit
+    fim = 0.5 * fim + 0.5 * fim.transpose(0, 2, 1)
     bounds = _pose_bounds(fim)
     if lm.ndim == 3 or sigmas:
         return FisherInformation(fim, *bounds)

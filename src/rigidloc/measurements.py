@@ -53,8 +53,20 @@ _TAIL = 350.0
 
 
 def wrap_angle(theta):
-    """Wrap angles to the interval [-pi, pi)."""
-    return (np.asarray(theta) + np.pi) % (2.0 * np.pi) - np.pi
+    """Wrap angles to the interval [-pi, pi).
+
+    Bit for bit `(theta + pi) % (2 pi) - pi`, for every float. The
+    remainder runs only on entries whose shifted value theta + pi lies
+    outside [0, 2 pi), NaN included; inside that range it is the value
+    itself, exactly, so the others skip it.
+    """
+    shifted = np.asarray(theta) + np.pi
+    s = np.atleast_1d(shifted)  # a 0-d input becomes a writable copy
+    outside = ~((s >= 0.0) & (s < 2.0 * np.pi))
+    if outside.any():
+        s[outside] = np.remainder(s[outside], 2.0 * np.pi)
+    s -= np.pi
+    return s if np.ndim(shifted) else s[0]
 
 
 def _support(rho: float) -> float:
@@ -328,6 +340,9 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
 
     Raises
     ------
+    ConfigurationError
+        If a sigma is so small against the scene's distances that the
+        gamma shape (d/sigma)^2 overflows (near d * 1e-154).
     DegenerateGeometryError
         If two nodes coincide (a zero edge).
     ValueError
@@ -354,9 +369,13 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     th_out = np.empty((n, index.n_pairs), order="F")
     # the anchors are the same in every trial, so the AA block is computed
     # once; the AT block gets a distance and an angle per trial, the TT
-    # block a distance only
-    for block, rows in ((aa, x[:1]), (at, x)):
-        v = rows[:, second[block]] - rows[:, first[block]]
+    # block a distance only. AT pair (i, j) is x_{M+j} - x_i, row-major in
+    # (i, j), so the block is one broadcast difference; it has len(x) rows,
+    # one for a shared scene whatever the number of generators
+    m = index.n_anchors
+    v_aa = x[:1, second[aa]] - x[:1, first[aa]]
+    v_at = (x[:, None, m:] - x[:, :m, None]).reshape(len(x), -1)
+    for block, v in ((aa, v_aa), (at, v_at)):
         d_out[:, block], th_out[:, block] = np.abs(v), wrap_angle(np.angle(v))
     d_out[:, tt] = np.abs(x[:, second[tt]] - x[:, first[tt]])
     th_out[:, tt] = np.nan
@@ -371,8 +390,15 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     # numpy's gamma(shape, scale) is scale * standard_gamma(shape), draw
     # for draw, so only the standard draws run per trial
     d = d_out[:, noisy_d]  # the true distances, read before the noisy ones are written
-    with np.errstate(divide="ignore"):  # shapes of noiseless trials go unused
-        shape = (d / sigma) ** 2
+    # shapes of noiseless trials go unused; a sigma so far below the scene's
+    # distances that a shape overflows raises here, at no cost otherwise
+    with np.errstate(divide="ignore", over="raise"):
+        try:
+            shape = (d / sigma) ** 2
+        except FloatingPointError:
+            raise ConfigurationError(
+                f"sigma {sigma[noisy, 0].min():g} is too small for the scene: the gamma "
+                "shape (d/sigma)^2 of its ranges overflows") from None
     gamma = np.zeros(shape.shape)
     n_at = index.n_at
     for k, rng in enumerate(rngs):

@@ -18,16 +18,22 @@ code:
     of those edges: x_n = mean_m(a_m + d_mn exp(j theta_mn)).
 ``smds_distance_only``
     Bootstrap for bearing-free operation: run MDS first, take the M*N
-    AT bearings angle(x_n - a_m) from its target estimates, and feed
-    them with the measured AT distances through the ``smds_full`` mean.
+    AT directions (x_n - a_m)/|x_n - a_m| from its target estimates, and
+    feed them with the measured AT distances through the ``smds_full``
+    mean.
 
 The MDS embedding needs only the two leading eigenpairs of the T x T
-Gram matrix (T = M + N nodes). Below `_ITERATE_FROM` nodes (80, chosen
-by measurement) they come from a full `np.linalg.eigh`. From there on
+Gram matrix B (T = M + N nodes), which `_gram` builds from the pair
+distances in O(T^2). Below `_ITERATE_FROM` nodes (80, chosen by
+measurement) the pairs come from a full `np.linalg.eigh`. From there on
 `_leading_pairs` finds them by block subspace iteration and keeps a
 trial only with a certificate that no other eigenvalue comes near
-lambda_2: lambda_2 > 0 and a Cholesky factor of
-(1 - _GAP) lambda_2 I - (B - Y Lambda Y^T). A trial without one goes to
+lambda_2: lambda_2 > 0 and every eigenvalue of E = B - Y Lambda Y^T
+below (1 - _GAP) lambda_2. The certificate has two stages. The first
+bounds them by ||E||_F, known from ||B||_F and the Ritz values, with a
+rounding allowance of T^2 eps ||B||_F^2 on its square; a trial it does
+not certify takes the second, a Cholesky factor of
+(1 - _GAP) lambda_2 I - E. A trial without a certificate goes to
 `eigh`, so failure codes are those of `eigh`, and estimates agree with
 it to rounding. A `Measurements` keeps its MDS embedding once computed,
 so ``mds`` and ``smds_distance_only`` on one set share one embedding per
@@ -79,22 +85,24 @@ class Landmarks:
     iterations_used: int = 0
 
 
-def _anchored_mean(d_at: np.ndarray, th_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """x_n = mean_m(a_m + d_mn exp(j theta_mn)) for (K, M, N) AT edges; returns (K, 2, N)."""
+def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """x_n = mean_m(a_m + v_mn) for (K, M, N) complex AT edges v_mn; returns (K, 2, N)."""
     a = anchors[0] + 1j * anchors[1]
-    x_hat = (a[:, None] + d_at * np.exp(1j * th_at)).mean(axis=1)
+    x_hat = (a[:, None] + v_at).mean(axis=1)
     out = np.empty((len(x_hat), 2, x_hat.shape[1]))
     out[:, 0], out[:, 1] = x_hat.real, x_hat.imag
     return out
 
 
-def _at_bearings(targets: np.ndarray, anchors: np.ndarray):
-    """AT bearings angle(x_n - a_m), (K, M, N), of (K, 2, N) targets.
+def _at_directions(targets: np.ndarray, anchors: np.ndarray):
+    """Unit AT directions (x_n - a_m)/|x_n - a_m|, (K, M, N), of (K, 2, N) targets.
 
-    Also returns which trials put a target on an anchor (no bearing)."""
+    Also returns which trials put a target on an anchor, whose direction
+    is undefined (NaN)."""
     x = targets[:, 0] + 1j * targets[:, 1]
     e = x[:, None, :] - (anchors[0] + 1j * anchors[1])[:, None]
-    return np.angle(e), np.any(e == 0.0, axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # 0/0 for a target on an anchor
+        return e / np.abs(e), np.any(e == 0.0, axis=(1, 2))
 
 
 # Node count T from which `_embed` takes the two leading eigenpairs by block
@@ -114,6 +122,11 @@ _GAP = 1e-2
 # a B with ||B||_F^2 above this could overflow in `_POWERS` products, so
 # its trial goes straight to `eigh`, as does one that is not finite
 _NORM2_MAX = 1e128
+# rounding allowance of the Frobenius test, per T^2 and relative to
+# ||B||_F^2: a sum of T^2 squares is off by at most about T^2 u ||B||_F^2
+# (u the unit roundoff), and eps = 2u doubles that, which also covers the
+# O(T u) errors of the Ritz values and of the Ritz vectors' orthonormality
+_FROBENIUS_SLACK = np.finfo(float).eps
 
 
 def _leading_pairs(b: np.ndarray):
@@ -129,12 +142,20 @@ def _leading_pairs(b: np.ndarray):
     trial's result does not depend on the stack it sits in.
 
     A trial whose ||B||_F^2 is not finite or exceeds `_NORM2_MAX` is not
-    iterated. A converged trial is certified when lambda_2 > 0 and
-    (1 - _GAP) lambda_2 I - (B - Y Lambda Y^T) has a Cholesky factor: by
-    Weyl's inequality no eigenvalue of B other than the two found then
-    exceeds (1 - _GAP) lambda_2. Returns the (K, 2) eigenvalues in
-    descending order, the (K, T, 2) eigenvectors and the (K,) mask of
-    certified trials; the pairs of the others carry no meaning.
+    iterated. A converged trial with lambda_2 > 0 is certified when every
+    eigenvalue of E = B - Y Lambda Y^T lies below (1 - _GAP) lambda_2:
+    by Weyl's inequality no eigenvalue of B other than the two found
+    then exceeds (1 - _GAP) lambda_2. The certificate has two stages.
+    The first, `_frobenius_certified`, bounds them all by ||E||_F, whose
+    square is ||B||_F^2 - theta_1^2 - theta_2^2 for orthonormal Ritz
+    vectors, from the ||B||_F^2 the iteration already needs, with a
+    rounding allowance of `_FROBENIUS_SLACK` T^2 ||B||_F^2 added. Only
+    the trials it leaves take the second, a Cholesky factor of
+    (1 - _GAP) lambda_2 I - E; in practice these are noisy trials, whose
+    other eigenvalues, each far below lambda_2, add up in ||E||_F to more
+    than it. Returns the (K, 2) eigenvalues in descending order, the
+    (K, T, 2) eigenvectors and the (K,) mask of certified trials; the
+    pairs of the others carry no meaning.
     """
     k, t = b.shape[:2]
     flat = b.reshape(k, 1, t * t)
@@ -170,7 +191,7 @@ def _leading_pairs(b: np.ndarray):
                 break
         last = res
     found &= lam[:, 1] > 0.0
-    cand = np.flatnonzero(found)
+    cand = np.flatnonzero(found & ~_frobenius_certified(norm2, lam, t))
     if len(cand):
         m = (vec[cand] * lam[cand, None, :]) @ vec[cand].transpose(0, 2, 1) - b[cand]
         m[:, np.arange(t), np.arange(t)] += (1.0 - _GAP) * lam[cand, 1:]
@@ -185,14 +206,50 @@ def _leading_pairs(b: np.ndarray):
     return lam, vec, found
 
 
+def _frobenius_certified(norm2: np.ndarray, lam: np.ndarray, t: int) -> np.ndarray:
+    """Trials whose ||B - Y Lambda Y^T||_F is certainly below (1 - _GAP) lambda_2.
+
+    Takes the (K,) ||B||_F^2 and the (K, 2) Ritz values of T x T
+    matrices; the first stage of the certificate of `_leading_pairs`.
+    """
+    bound = (1.0 - _GAP) * lam[:, 1]
+    rest = norm2 - (lam * lam).sum(axis=1) + _FROBENIUS_SLACK * t * t * norm2
+    return rest < bound * bound
+
+
 def _eigh_pairs(b: np.ndarray):
     """The two leading eigenpairs of each matrix of a stack, from `eigh`."""
     w, u = np.linalg.eigh(b)
     return w[:, [-1, -2]], u[:, :, [-1, -2]]
 
 
-def _embed(dmats: np.ndarray):
-    """Classic MDS embeddings of a (K, T, T) stack of distance matrices.
+def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
+    """Double-centred Gram matrices B = -H D^2 H / 2 of (K, P) pair distances.
+
+    Built in O(T^2) per trial: with r_i the mean of row i of D^2,
+    B_ij = -(D^2_ij - (r_i + r_j) + mean(r)) / 2, which is exactly
+    symmetric. Returns the (K, T, T) stack.
+    """
+    m, t = index.n_anchors, index.n_nodes
+    sq = distances * distances
+    k = len(sq)
+    b = np.empty((k, t, t))
+    at = sq[:, index.at].reshape(k, m, t - m)
+    b[:, :m, m:] = at
+    b[:, m:, :m] = at.transpose(0, 2, 1)
+    for block in (index.aa, index.tt):
+        i, j = index.first[block], index.second[block]
+        b[:, i, j] = b[:, j, i] = sq[:, block]
+    b[:, np.arange(t), np.arange(t)] = 0.0
+    r = b.mean(axis=2)
+    b -= r[:, :, None] + r[:, None, :]
+    b += r.mean(axis=1)[:, None, None]
+    b *= -0.5
+    return b
+
+
+def _embed(b: np.ndarray):
+    """Classic MDS embeddings of a (K, T, T) stack of `_gram` matrices.
 
     The embedding takes the two leading eigenpairs of the double-centred
     Gram matrix B. Below `_ITERATE_FROM` nodes they come from a full
@@ -203,11 +260,7 @@ def _embed(dmats: np.ndarray):
     contraction) goes to `eigh`, so its failure code is `eigh`'s. Returns
     the (K, 2, T) embeddings and (K,) failure codes.
     """
-    t = dmats.shape[-1]
-    h = np.eye(t) - np.full((t, t), 1.0 / t)
-    b = -0.5 * h @ (dmats * dmats) @ h
-    b = 0.5 * (b + b.transpose(0, 2, 1))
-    if t < _ITERATE_FROM:
+    if b.shape[-1] < _ITERATE_FROM:
         lam, vec = _eigh_pairs(b)
     else:
         lam, vec, found = _leading_pairs(b)
@@ -222,17 +275,10 @@ def _embed(dmats: np.ndarray):
     return y.transpose(0, 2, 1), status
 
 
-def _distance_matrices(distances: np.ndarray, index: PairIndex) -> np.ndarray:
-    t = index.n_nodes
-    dmat = np.zeros((len(distances), t, t))
-    dmat[:, index.first, index.second] = distances
-    return dmat + dmat.transpose(0, 2, 1)
-
-
 def _embedding(meas: Measurements):
     """The MDS embeddings and failure codes of K trials, computed on first use."""
     if meas.embedding is None:
-        meas.embedding = _embed(_distance_matrices(np.atleast_2d(meas.distances), meas.index))
+        meas.embedding = _embed(_gram(np.atleast_2d(meas.distances), meas.index))
     return meas.embedding
 
 
@@ -258,13 +304,14 @@ def _solve(meas: Measurements, anchors: np.ndarray, method: str):
     d_at = np.atleast_2d(meas.distances)[:, index.at].reshape(-1, m, n)
     if method == "smds_full":
         th_at = np.atleast_2d(meas.angles)[:, index.at].reshape(-1, m, n)
-        coords = _anchored_mean(d_at, th_at, anchors)
+        # one expression, so that numpy reuses the exp temporary for the product
+        coords = _anchored_mean(d_at * np.exp(1j * th_at), anchors)
         status = np.zeros(len(coords), dtype=int)
     else:
         coords, status = _mds(_embedding(meas), anchors, m)
         if method == "smds_distance_only":
-            th_at, coincident = _at_bearings(coords, anchors)
-            coords = _anchored_mean(d_at, th_at, anchors)
+            u, coincident = _at_directions(coords, anchors)
+            coords = _anchored_mean(d_at * u, anchors)
             status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
     finite = np.all(np.isfinite(coords), axis=(1, 2))
     return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)

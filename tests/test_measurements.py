@@ -97,6 +97,26 @@ def test_wrap_angle_halfopen():
     assert wrap_angle(2 * np.pi + 0.25) == pytest.approx(0.25)
 
 
+def test_wrap_angle_is_the_remainder_formula_bit_for_bit():
+    pi = np.pi
+    edges = np.array([pi, -pi, 0.0, -0.0, np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0),
+                      2 * pi, -2 * pi, np.nextafter(2 * pi, 0.0), 1e300, -1e300,
+                      np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    rng = np.random.default_rng(12)
+    draws = [rng.uniform(-pi, pi, 4000), rng.uniform(-20.0, 20.0, 4000),
+             rng.standard_normal(4000) * 1e6, rng.vonmises(3.0, 2.0, 4000)]
+    for theta in (edges, *draws):
+        with np.errstate(invalid="ignore"):  # the remainder of +-inf is NaN
+            want = (theta + pi) % (2 * pi) - pi
+            got = wrap_angle(theta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for x in edges:  # one value at a time, as a scalar
+        with np.errstate(invalid="ignore"):
+            want, got = (x + pi) % (2 * pi) - pi, wrap_angle(x)
+        assert np.ndim(got) == 0
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_zeta_to_rho_uniform_limit():
     assert zeta_to_rho(ZETA_MAX) == 0.0
 

@@ -126,6 +126,20 @@ def test_noise_beyond_the_float_range_is_an_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_sigma_far_below_the_scene_is_an_error(capsys):
+    # the gamma shape (d/sigma)^2 of the draws, and the range information
+    # 1/sigma^2 of the bound, overflow (or sigma^2 underflows to 0): one
+    # error line that names sigma, and exit code 1
+    for sigma, argv in (("1e-160", ["run", "--trials", "2"]),
+                        ("1e-160", ["run", "--trials", "2", "--workers", "2"]),
+                        ("1e-160", ["crlb"]),
+                        ("1e-170", ["crlb"])):
+        assert main([*argv, str(SCENARIO_DEFAULT), "--sigma-grid", f"0.5,{sigma}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sigma {sigma} is too small")
+        assert err.count("\n") == 1
+
+
 def test_top_level_seed_is_rejected(tmp_path):
     # experiment.master_seed is the one spelling of the seed
     with pytest.raises(ConfigurationError, match="unknown key"):

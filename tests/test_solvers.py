@@ -12,8 +12,8 @@ from rigidloc.errors import (COINCIDENT_EDGES, NO_EMBEDDING, NOT_FINITE, Configu
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
                                    zeta_to_rho)
-from rigidloc.solvers import (SolverConfig, _anchored_mean, _at_bearings,
-                              _distance_matrices, _embed, _mds, solve_landmarks)
+from rigidloc.solvers import (SolverConfig, _anchored_mean, _at_directions, _embed, _gram,
+                              _mds, solve_landmarks)
 
 from kernel_reference import (EdgeSet, MinorBlocks, build_kernel,
                               edges_from_coordinates, edges_from_measurements,
@@ -78,7 +78,7 @@ def test_coordinates_from_edges_exact():
 
 def test_coordinates_from_edges_single_anchor():
     # AnchorSet needs three anchors, so one anchor goes to the mean itself
-    coords = _anchored_mean(np.array([[[np.sqrt(2.0)]]]), np.array([[[np.pi / 4]]]),
+    coords = _anchored_mean(np.array([[[np.sqrt(2.0) * np.exp(1j * np.pi / 4)]]]),
                             np.zeros((2, 1)))[0]
     assert np.allclose(coords, [[1.0], [1.0]])
 
@@ -178,10 +178,31 @@ def test_turbo_divergence_guard():
                       np.array([1.0 + 0j, 1.0 + 0j]))
 
 
+def gram(dmats, m):
+    """`_gram` of a (K, T, T) stack of distance matrices whose first m nodes are anchors."""
+    index = build_pair_index(m, dmats.shape[-1] - m)
+    return _gram(dmats[:, index.first, index.second], index)
+
+
+@pytest.mark.parametrize("m,n", [(0, 5), (3, 1), (8, 8), (20, 30)])
+def test_gram_is_the_double_centred_square(m, n):
+    rng = np.random.default_rng(34)
+    pts = rng.uniform(0.0, 10.0, (4, 2, m + n))
+    dmats = np.hypot(*(pts[:, :, :, None] - pts[:, :, None, :]).transpose(1, 0, 2, 3))
+    dmats[1] += rng.uniform(0.0, 1.0, dmats[1].shape)  # a noisy, non-Euclidean set
+    dmats[1] = np.triu(dmats[1], 1) + np.triu(dmats[1], 1).T
+    b = gram(dmats, m)
+    t = m + n
+    h = np.eye(t) - np.full((t, t), 1.0 / t)
+    want = -0.5 * h @ (dmats * dmats) @ h
+    assert np.array_equal(b, b.transpose(0, 2, 1))  # exactly symmetric
+    assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_embed_distances_collinear():
     pts = np.array([0.0, 1.0, 3.0])
     d = np.abs(pts[:, None] - pts[None, :])
-    coords, status = _embed(d[None])
+    coords, status = _embed(gram(d[None], 1))
     assert status[0] == 0
     coords = coords[0]
     # lam2 is zero only up to eigensolver roundoff, so sqrt(lam2) ~ 1e-8
@@ -234,6 +255,50 @@ def test_iterative_embedding_matches_eigh(monkeypatch, sigma):
     assert sum(calls) == fell_back + 2 * k
 
 
+@pytest.mark.parametrize("t", [80, 96, 128])
+def test_frobenius_certificate_implies_the_cholesky_one(monkeypatch, t):
+    # the first stage keeps a trial on ||B - Y Lambda Y^T||_F alone; every
+    # trial it keeps must also have the Cholesky factor of the second
+    kept, real = [], solvers._frobenius_certified
+
+    def spy(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(solvers, "_frobenius_certified", spy)
+    k, sigmas = 6, (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
+    stacks = []
+    for sigma in sigmas:
+        scene = random_scene(SceneConfig(n_anchors=t // 2, n_landmarks=t // 2),
+                             [np.random.default_rng([35, t, i]) for i in range(k)])
+        noise = NoiseConfig(sigma=sigma, rho=139.25)
+        meas = generate_measurements(scene, noise, [np.random.default_rng([36, t, i])
+                                                    for i in range(k)])
+        stacks.append(_gram(meas.distances, meas.index))
+    # lambda_2 = lambda_3, far below lambda_1: rings of a regular octagon
+    # strung along an axis. It converges but has no certificate, which a
+    # bound on lambda_1 in place of lambda_2 would give it
+    node = np.arange(t)
+    corner = 2 * np.pi * (node % 8) / 8
+    pts = np.stack([10.0 * (node // 8 - (t // 8 - 1) / 2), np.cos(corner), np.sin(corner)])
+    dist = np.sqrt(np.sum((pts[:, :, None] - pts[:, None, :]) ** 2, axis=0))
+    index = build_pair_index(t // 2, t // 2)
+    stacks.append(_gram(dist[None, index.first, index.second], index))
+    for sigma, b in zip((*sigmas, None), stacks):
+        lam, vec, found = solvers._leading_pairs(b)
+        frobenius = kept.pop() & found
+        for i in np.flatnonzero(frobenius):
+            m = (vec[i] * lam[i]) @ vec[i].T - b[i]
+            m[np.diag_indices(t)] += (1.0 - solvers._GAP) * lam[i, 1]
+            np.linalg.cholesky(m)  # raises if the Frobenius test was wrong
+        if sigma is None:
+            assert not found[0]
+        elif sigma <= 1.0:
+            assert frobenius.all()  # small noise: no Cholesky factor needed
+        elif sigma <= 4.0:
+            assert (found & ~frobenius).any()  # the Cholesky stage certifies
+
+
 def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
     t = solvers._ITERATE_FROM
     pts = np.random.default_rng(33).uniform(0.0, 10.0, (2, t))
@@ -246,7 +311,8 @@ def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
     dmats = np.stack([planar, simplex, zero, far, broken])
     calls = full_eigh_trials(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        coords, status = _embed(dmats)
+        b = gram(dmats, t // 2)
+        coords, status = _embed(b)
     assert calls == [4]  # every trial but the first, in one stack
     assert list(status) == [0, 0, NO_EMBEDDING, 0, 0]
     got = np.hypot(*(coords[0][:, :, None] - coords[0][:, None, :]))
@@ -254,7 +320,7 @@ def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
     # a trial that falls back gets exactly the eigh path's embedding
     monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        want, want_status = _embed(dmats)
+        want, want_status = _embed(b)
     assert np.array_equal(status, want_status)
     assert np.array_equal(coords[1:], want[1:], equal_nan=True)
 
@@ -292,21 +358,22 @@ def test_classic_mds_against_dense_oracle():
     assert np.max(np.abs(coords - oracle)) < 1e-10
 
 
-# smds_distance_only reconstructs its AT bearings from the MDS target
-# estimates with `_at_bearings`
+# smds_distance_only reconstructs its AT bearings, as unit directions,
+# from the MDS target estimates with `_at_directions`
 
 
 def test_reconstruct_angles_exact():
     scene, idx, es = scene_edges(12)
-    ang, coincident = _at_bearings(scene.landmarks[None], scene.anchors.positions)
+    u, coincident = _at_directions(scene.landmarks[None], scene.anchors.positions)
     assert not coincident[0]
-    assert ang.shape == (1, idx.n_anchors, idx.n_targets)
-    assert np.max(np.abs(ang[0].ravel() - es.angles[idx.at])) < 1e-12
+    assert u.shape == (1, idx.n_anchors, idx.n_targets)
+    assert np.max(np.abs(u[0].ravel() - np.exp(1j * es.angles[idx.at]))) < 1e-12
 
 
 def test_reconstruct_angles_diagonal():
-    ang, _ = _at_bearings(np.array([[[1.0], [1.0]]]), np.zeros((2, 1)))
-    assert ang[0, 0, 0] == pytest.approx(np.pi / 4)
+    u, _ = _at_directions(np.array([[[1.0], [1.0]]]), np.zeros((2, 1)))
+    assert np.angle(u[0, 0, 0]) == pytest.approx(np.pi / 4)
+    assert abs(u[0, 0, 0]) == pytest.approx(1.0)
 
 
 def test_reconstruct_angles_coincident():
@@ -315,8 +382,9 @@ def test_reconstruct_angles_coincident():
     # targets on one point do not, since no TT bearing is read
     on_anchor = np.array([[[4.0, 1.0], [0.0, 1.0]]])
     shared = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-    _, coincident = _at_bearings(np.concatenate([on_anchor, shared]), anchors)
+    u, coincident = _at_directions(np.concatenate([on_anchor, shared]), anchors)
     assert list(coincident) == [True, False]
+    assert np.isnan(u[0, 1, 0]) and np.all(np.isfinite(u[1]))
     # the code a coincident trial gets, which one measurement set raises
     with pytest.raises(DegenerateGeometryError):
         raise_failure(COINCIDENT_EDGES)
@@ -401,6 +469,6 @@ def test_mds_methods_share_one_embedding_bitwise():
     mds_warm = solve(fresh, "mds")
     assert np.array_equal(mds_warm, mds_cold)
     assert np.array_equal(dist_only_warm, dist_only_cold)
-    uncached, _ = _mds(_embed(_distance_matrices(meas.distances[None], meas.index)),
+    uncached, _ = _mds(_embed(_gram(meas.distances[None], meas.index)),
                        scene.anchors.positions, meas.index.n_anchors)
     assert np.array_equal(mds_cold, uncached[0])
