@@ -76,13 +76,12 @@ def demo_minor_returns_at_edges():
     # x_n = mean_m(a_m + v_mn) over the update's AT edges
     reference = (a[:, None] + update.reshape(index.n_anchors, index.n_targets)).mean(axis=0)
     print(f"closed-form smds_full vs the kernel update's landmarks: "
-          f"{np.max(np.abs((closed[0] + 1j * closed[1]) - reference)):.1e} m")
+          f"{np.max(np.abs(closed - reference)):.1e} m")
 
     print("\nThe noise suppression comes from averaging the per-anchor")
     print("position votes a_m + v_mn of each landmark:")
     votes = a[:, None] + v_at.reshape(index.n_anchors, index.n_targets)
-    truth = scene.landmarks[0] + 1j * scene.landmarks[1]
-    vote_rms = np.sqrt(np.mean(np.abs(votes - truth) ** 2))
+    vote_rms = np.sqrt(np.mean(np.abs(votes - scene.landmarks) ** 2))
     pos_rms = np.linalg.norm(closed - scene.landmarks) / np.sqrt(scene.n_landmarks)
     print(f"  single-edge position vote rms error:  {vote_rms:.4f}")
     print(f"  averaged landmark rms error:          {pos_rms:.4f}")

@@ -26,8 +26,8 @@ def demo_scene_layout():
           f"translation ({scene.pose.translation[0]:.2f}, "
           f"{scene.pose.translation[1]:.2f})")
     print(f"Landmarks ({scene.n_landmarks}, unknown to the estimators):")
-    for k, col in enumerate(scene.landmarks.T):
-        print(f"  s{k}: ({col[0]:6.2f}, {col[1]:6.2f})")
+    for k, s in enumerate(scene.landmarks):
+        print(f"  s{k}: ({s.real:6.2f}, {s.imag:6.2f})")
 
 
 def demo_pose_action():
@@ -40,9 +40,9 @@ def demo_pose_action():
     world = apply_pose(conf, pose)
     print("\nBody frame -> world frame under a quarter turn plus shift:")
     for k in range(conf.n_points):
-        c, s = conf.points[:, k], world[:, k]
+        c, s = conf.points[:, k], world[k]
         print(f"  c{k} = ({c[0]:+.2f}, {c[1]:+.2f})  ->  "
-              f"s{k} = ({s[0]:+.2f}, {s[1]:+.2f})")
+              f"s{k} = ({s.real:+.2f}, {s.imag:+.2f})")
 
 
 def demo_edge_ordering():

@@ -4,8 +4,8 @@ The unknown parameter is the pose (t_x, t_y, alpha); landmark positions
 are a deterministic function of it through the known conformation. Only
 anchor-target measurements inform the pose: anchor-anchor pairs involve
 no unknowns, and exact target-target values are already encoded by the
-known shape. The (K, M, N) AT block is differentiated in complex form
-(see `_pose_gradients`).
+known shape. The (K, M, N) AT block is differentiated in complex form,
+on the scene's (K, N) complex landmarks (see `_pose_gradients`).
 
 Measurement intensities follow the simulated models: 1/sigma^2 for
 ranges (Gaussian approximation of the gamma model, valid for
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import Scene
+from .geometry import Scene, _complex
 from .measurements import NoiseConfig, bessel_ratio
 
 _SINGULAR_RTOL = 1e-12
@@ -79,21 +79,20 @@ def bearing_intensity(rho: float) -> float:
     return rho * bessel_ratio(rho)
 
 
-def _pose_gradients(anchors, points, landmarks, rotations):
+def _pose_gradients(anchors, points, landmarks, q):
     """d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
 
-    In complex form, with e = s_n - a_m, u = e/|e| and w_n = j q c_n the
-    derivative of s_n = q c_n + t in alpha (q = exp(j alpha), the first
-    column of each of the (K, 2, 2) `rotations`): a range moves by
+    Every argument is complex: the (M,) anchors, the (N,) body points
+    c_n, the (K, N) landmarks s_n and the (K,) rotations q = exp(j alpha).
+    With e = s_n - a_m, u = e/|e| and w_n = j q c_n the derivative of
+    s_n = q c_n + t in alpha, a range moves by
     (Re u, Im u, Re(conj(u) w_n)) and a bearing by
     (-Im u, Re u, Im(conj(u) w_n)) / |e|. Returns two (K, 3, M, N)
     arrays, for ranges and for bearings.
     """
-    q = rotations[:, 0, 0] + 1j * rotations[:, 1, 0]
     # elementwise, so K poses give each pose's one-pose values bit for bit
-    w = 1j * q[:, None] * (points[0] + 1j * points[1])
-    s = landmarks[:, 0] + 1j * landmarks[:, 1]
-    e = s[:, None, :] - (anchors[0] + 1j * anchors[1])[:, None]
+    w = 1j * q[:, None] * points
+    e = landmarks[:, None, :] - anchors[:, None]
     d = np.abs(e)
     u = e / d
     uw = np.conj(u) * w[:, None, :]
@@ -153,12 +152,13 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     ValueError
         If a 1-D sigma of a scene of K poses does not hold K values.
     """
-    lm, rot = scene.landmarks, scene.pose.rotation.matrix
+    lm, rot = scene.landmarks, scene.pose.rotation.matrix.reshape(-1, 2, 2)
     sigmas = np.ndim(noise.sigma) and len(noise.sigma)
-    if sigmas and lm.ndim == 3 and sigmas != len(lm):
+    if sigmas and lm.ndim == 2 and sigmas != len(lm):
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
-    g_d, g_psi = _pose_gradients(scene.anchors.positions, scene.conformation.points,
-                                 lm.reshape(-1, *lm.shape[-2:]), rot.reshape(-1, 2, 2))
+    g_d, g_psi = _pose_gradients(_complex(scene.anchors.positions),
+                                 _complex(scene.conformation.points), np.atleast_2d(lm),
+                                 rot[:, 0, 0] + 1j * rot[:, 1, 0])
     sigma = np.atleast_1d(noise.sigma)
     variance = np.square(sigma)
     # one pose under K sigma values broadcasts its gradients over them
@@ -183,6 +183,6 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     # so away from subnormals this is 0.5 * (F + F^T) bit for bit
     fim = 0.5 * fim + 0.5 * fim.transpose(0, 2, 1)
     bounds = _pose_bounds(fim)
-    if lm.ndim == 3 or sigmas:
+    if lm.ndim == 2 or sigmas:
         return FisherInformation(fim, *bounds)
     return FisherInformation(fim[0], *(float(b[0]) for b in bounds))

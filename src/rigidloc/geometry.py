@@ -8,7 +8,8 @@ follow from a pose (rotation Q in SO(2) plus translation t):
     S = Q C + t 1^T
 
 All positions are 2D, in meters. A `Pose` and a `Scene` hold one pose,
-or K poses of one body with a leading trial axis on their arrays.
+or K poses of one body with a leading trial axis on their arrays. Body
+points are placed as complex numbers x + jy: (N,), or (K, N) for K poses.
 `random_scene` given a list or tuple of K generators draws K poses, one
 per generator; given one seed it draws one, through the same placement code.
 A `SceneConfig` builds and checks its anchors and body once, when it is
@@ -52,6 +53,11 @@ def _extent(points: np.ndarray) -> float:
     """Largest distance from the centroid of a 2xN point set to any point."""
     centered, e = _centred_unit(points)
     return float(np.ldexp(np.max(np.linalg.norm(centered, axis=0)), e))
+
+
+def _complex(points: np.ndarray) -> np.ndarray:
+    """x + jy of a (2, N) point set, or of a (K, 2, N) stack: (N,) or (K, N)."""
+    return points[..., 0, :] + 1j * points[..., 1, :]
 
 
 def _point_set(values, label: str) -> np.ndarray:
@@ -193,37 +199,36 @@ class AnchorSet:
 
 
 def apply_pose(conformation: Conformation, pose: Pose) -> np.ndarray:
-    """World positions S = Q C + t 1^T of the body's points under `pose`.
+    """World positions s_n = Q c_n + t of the body's points under `pose`.
 
-    Returns (2, N) for one pose and (K, 2, N) for a stack of K; column n
-    is Q c_n + t.
+    Returns x + jy, (N,) for one pose and (K, N) for K, from the real
+    product Q C + t 1^T: a complex product q c_n would move x by an ulp.
     """
-    return pose.rotation.matrix @ conformation.points + pose.translation[..., None]
+    return _complex(pose.rotation.matrix @ conformation.points + pose.translation[..., None])
 
 
 def _on_anchor(anchors: np.ndarray, landmarks: np.ndarray) -> np.ndarray:
-    """Whether a landmark lies on an anchor, per pose of a (..., 2, N) stack.
+    """Whether a landmark lies on an anchor, per pose of an (..., N) complex stack.
 
     A landmark within 1e-9 of the anchors' extent counts as on one. The
-    gaps are measured in the anchors' power-of-two unit, so their squares
-    stay in range at any scale. Only anchor-landmark pairs need checking:
-    `AnchorSet` and `Conformation` reject coincident anchors and
-    coincident body points when they are built.
+    gaps are complex moduli, which do not square the coordinates, so
+    they stay in range at any scale. Only anchor-landmark pairs need
+    checking: `AnchorSet` and `Conformation` reject coincident anchors
+    and coincident body points when they are built.
     """
-    unit, e = _centred_unit(anchors)
-    gaps = np.linalg.norm(np.ldexp(landmarks[..., None, :] - anchors[:, :, None], -e), axis=-3)
-    return np.any(gaps <= _REL_TOL * np.max(np.linalg.norm(unit, axis=0)), axis=(-2, -1))
+    gaps = np.abs(landmarks[..., None, :] - _complex(anchors)[:, None])
+    return np.any(gaps <= _REL_TOL * _extent(anchors), axis=(-2, -1))
 
 
 @dataclass(frozen=True)
 class Scene:
     """Anchors plus a rigid body in one pose, or in K poses.
 
-    For K poses the pose arrays lead with a trial axis and `landmarks`
-    is (K, 2, N); one scene holds a (2, 2) rotation, a (2,) translation
-    and (2, N) landmarks. `landmarks` is computed from the pose, and
-    checked against the anchors, when it is not given; `random_scene`
-    gives the landmarks it has already checked.
+    For K poses the pose arrays lead with a trial axis and the complex
+    `landmarks` x + jy are (K, N); one scene holds a (2, 2) rotation, a
+    (2,) translation and (N,) landmarks. `landmarks` is computed from the
+    pose, and checked against the anchors, when it is not given;
+    `random_scene` gives the landmarks it has already checked.
     """
 
     anchors: AnchorSet
@@ -248,9 +253,10 @@ class Scene:
 
     def complex_positions(self) -> np.ndarray:
         """Node positions x + jy, anchors first: (T,), or (K, T) for K poses."""
-        a, lm = self.anchors.positions, self.landmarks
-        anchors = np.broadcast_to(a[0] + 1j * a[1], lm.shape[:-2] + a.shape[1:])
-        return np.concatenate([anchors, lm[..., 0, :] + 1j * lm[..., 1, :]], axis=-1)
+        lm = self.landmarks
+        anchors = np.broadcast_to(_complex(self.anchors.positions),
+                                  lm.shape[:-1] + (self.n_anchors,))
+        return np.concatenate([anchors, lm], axis=-1)
 
 
 @dataclass(frozen=True)

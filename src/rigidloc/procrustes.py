@@ -5,22 +5,22 @@ rotation and translation minimizing the squared mismatch
 
     G(Q, t) = sum_i || s_i - (Q c_i + t) ||^2
 
-have a closed form. Centre both point sets at their means and read them
-as complex numbers. A rotation by q = exp(j alpha) changes the
-objective only through Re(conj(q) z) with z = sum_i conj(c_i) s_i,
-so the best rotation is the phase of z. A reflection c -> q conj(c)
-likewise depends only on z' = sum_i c_i s_i; when reflections are
-allowed, the larger of |z| and |z'| wins. No SVD or determinant
-correction is needed.
+have a closed form. Points are complex numbers x + jy: one set is an
+(N,) array, K sets a (K, N) stack. Centre both sets at their means. A
+rotation by q = exp(j alpha) changes the objective only through
+Re(conj(q) z) with z = sum_i conj(c_i) s_i, so the best rotation is the
+phase of z. A reflection c -> q conj(c) likewise depends only on
+z' = sum_i c_i s_i; when reflections are allowed, the larger of |z| and
+|z'| wins. No SVD or determinant correction is needed.
 
-`fit_alignment` and `estimate_pose` fit K pairs of point sets at once,
-given as stacks with a leading trial axis (`_fit`); one pair is the
-K = 1 case. The fit is numpy's elementwise complex arithmetic, except
-for the sums over points, which run row by row (`_dot`), so a trial's
-fit does not depend on the stack it sits in. A stack reports a trial
-with no orientation to fit as NaN; one pair raises instead.
-`estimate_pose` returns a `geometry.Pose`, the type a scene holds its
-true pose in.
+`fit_alignment` fits K pairs of point sets at once (`_fit`); one pair
+is the K = 1 case. It returns q, the shift t and which fits reflect.
+`estimate_pose` turns its proper rotations into a `geometry.Pose`, the
+type a scene holds its true pose in. The fit is numpy's elementwise
+complex arithmetic, except for the sums over points, which run row by
+row (`_dot`), so a trial's fit does not depend on the stack it sits in.
+A stack reports a trial with no orientation to fit as NaN; one pair
+raises instead.
 """
 
 from __future__ import annotations
@@ -28,55 +28,42 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NO_ORIENTATION, raise_failure
-from .geometry import Conformation, Pose, RotationMatrix
+from .geometry import Conformation, Pose, RotationMatrix, _complex
 
 _AMBIGUITY_RATIO = 1e-8
 
 
 def fit_alignment(source: np.ndarray, target: np.ndarray,
                   allow_reflection: bool = False):
-    """Orthogonal map R and shift t minimizing sum ||target - (R source + t)||^2.
+    """Unit q, shift t and reflection flag minimizing sum |target - (q source + t)|^2.
 
-    With `allow_reflection` the solution ranges over all of O(2); this
-    is the mode used to align an MDS embedding, whose chirality is
-    arbitrary. Otherwise R is constrained to a proper rotation.
+    Point sets are complex: (N,) arrays, N >= 2, or (K, N) stacks, the
+    other set then shared by all K fits. A reflected fit maps
+    q conj(source) + t instead. With `allow_reflection` the solution
+    ranges over all of O(2); this is the mode used to align an MDS
+    embedding, whose chirality is arbitrary. Otherwise q is a proper
+    rotation and no fit reflects.
 
-    Either point set may be a (K, 2, N) stack, the other then shared by
-    all K fits; a stacked fit returns (K, 2, 2) maps and (K, 2) shifts,
-    NaN for each trial whose points are not finite or carry no
-    orientation, instead of raising.
-
-    Returns
-    -------
-    (R, t) : (ndarray (2, 2), ndarray (2,)), or their stacks
+    Returns (q, t, reflect): complex, complex and bool for one pair;
+    (K,) arrays for a stack, with q and t NaN for each trial whose points
+    are not finite or carry no orientation, where one pair raises. A
+    real-valued set is a ValueError: a (2, N) coordinate matrix would
+    otherwise read as two sets.
     """
-    r, t, one = _fit_stacks(source, target, allow_reflection)
-    return (r[0], t[0]) if one else (r, t)
-
-
-def _fit_stacks(source, target, allow_reflection: bool):
-    """Fits of (2, N) point sets or (K, 2, N) stacks of them, at once.
-
-    Returns the (K, 2, 2) maps, the (K, 2) shifts, and whether both
-    inputs were one set. A stacked trial with non-finite points, or with
-    no orientation to fit, gets a NaN map and shift; one pair of sets
-    raises instead.
-    """
-    c = source.points if isinstance(source, Conformation) else np.asarray(source, dtype=float)
-    s = np.asarray(target, dtype=float)
-    if (not {c.ndim, s.ndim} <= {2, 3} or c.shape[-2:] != s.shape[-2:]
-            or c.shape[-2] != 2 or c.shape[-1] < 2):
-        raise ValueError("point sets must be matching 2xN matrices, N >= 2, or stacks of them")
-    one = c.ndim == s.ndim == 2
+    c, s = np.asarray(source), np.asarray(target)
+    if not (np.iscomplexobj(c) and np.iscomplexobj(s)):
+        raise ValueError("point sets must be complex arrays x + jy")
+    if not {c.ndim, s.ndim} <= {1, 2} or c.shape[-1] != s.shape[-1] or c.shape[-1] < 2:
+        raise ValueError("point sets must be matching (N,) arrays, N >= 2, or stacks of them")
+    one = c.ndim == s.ndim == 1
     if one and not (np.all(np.isfinite(c)) and np.all(np.isfinite(s))):
         raise ValueError("point sets must be finite")
-    r, t, _, degenerate = _fit(*(p if p.ndim == 3 else p[None] for p in (c, s)),
-                               allow_reflection)
+    q, t, reflect, _, degenerate = _fit(np.atleast_2d(c), np.atleast_2d(s), allow_reflection)
     if one:
         raise_failure(NO_ORIENTATION if degenerate[0] else 0)
-    r[degenerate] = np.nan
-    t[degenerate] = np.nan
-    return r, t, one
+        return q[0], t[0], reflect[0]
+    q[degenerate] = t[degenerate] = complex(np.nan, np.nan)
+    return q, t, reflect
 
 
 def _dot(a, b):
@@ -92,20 +79,18 @@ def _dot(a, b):
 def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     """Closed-form fits of K validated point-set pairs at once.
 
-    `c` and `s` are (K, 2, N) stacks, either of which may have K = 1 to
-    share one point set. Returns the maps
-    (K, 2, 2), the shifts (K, 2), and (K,) masks `ambiguous` and
-    `degenerate`; a degenerate fit (rank-0 cross-covariance) has no
-    meaningful map. Sums over points are `_dot` products, with a vector
-    of ones for plain sums; every other step is elementwise.
+    `c` and `s` are (K, N) complex stacks, either of which may have
+    K = 1 to share one point set. Returns the (K,) unit rotations q and
+    shifts t, and (K,) masks `reflect`, `ambiguous` and `degenerate`; a
+    degenerate fit (rank-0 cross-covariance) has no meaningful q. Sums
+    over points are `_dot` products, with a vector of ones for plain
+    sums; every other step is elementwise.
     """
-    n = c.shape[2]
+    n = c.shape[1]
     ones = np.ones(n)
-    cz = c[:, 0] + 1j * c[:, 1]
-    sz = s[:, 0] + 1j * s[:, 1]
-    c_bar, s_bar = _dot(cz, ones) / n, _dot(sz, ones) / n
-    cz = cz - c_bar[:, None]
-    sz = sz - s_bar[:, None]
+    c_bar, s_bar = _dot(c, ones) / n, _dot(s, ones) / n
+    cz = c - c_bar[:, None]
+    sz = s - s_bar[:, None]
     z = _dot(cz.conj(), sz)        # sum conj(c) s: rotations
     z_ref = _dot(cz, sz)           # sum c s: reflections c -> q conj(c)
     az, az_ref = np.abs(z), np.abs(z_ref)
@@ -118,8 +103,6 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
         q = np.where(reflect, z_ref, z) / np.where(reflect, az_ref, az)
     # z = 0 leaves every rotation optimal; keep the identity then
     q = np.where(~reflect & (z == 0.0), 1.0, q)
-    sign = np.where(reflect, -1.0, 1.0)
-    r = np.stack([q.real, -sign * q.imag, q.imag, sign * q.real], axis=-1).reshape(-1, 2, 2)
     # shift = s_bar - q c_bar, or s_bar - q conj(c_bar) for a reflection
     shift = s_bar - q * np.where(reflect, c_bar.conj(), c_bar)
     if allow_reflection:
@@ -127,7 +110,7 @@ def _fit(c: np.ndarray, s: np.ndarray, allow_reflection: bool):
     else:
         # |z| <= ||c|| ||s|| = scale by Cauchy-Schwarz
         ambiguous = az <= _AMBIGUITY_RATIO * scale
-    return r, np.stack([shift.real, shift.imag], axis=-1), ambiguous, degenerate
+    return q, shift, reflect, ambiguous, degenerate
 
 
 def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
@@ -135,9 +118,9 @@ def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
 
     Parameters
     ----------
-    landmarks : ndarray, shape (2, N), or (K, 2, N) for K trials
-        Estimated world positions (the fit target).
-    conformation : Conformation or ndarray (2, N)
+    landmarks : complex ndarray, shape (N,), or (K, N) for K trials
+        Estimated world positions x + jy (the fit target).
+    conformation : Conformation or complex ndarray (N,)
         Known body-frame shape. Two-point shapes are accepted: a segment
         fixes the rotation, since only a proper rotation is allowed.
 
@@ -149,12 +132,17 @@ def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
 
     Raises
     ------
+    ValueError
+        If a point set is real-valued, or the sizes do not match.
     DegenerateGeometryError
         If one pair of point sets is degenerate (rank-0 cross
         covariance, e.g. all points coincident).
     """
-    r, t, one = _fit_stacks(conformation, landmarks, False)
-    return Pose(RotationMatrix(r[0]), t[0]) if one else Pose(RotationMatrix(r), t)
+    if isinstance(conformation, Conformation):
+        conformation = _complex(conformation.points)
+    q, t, _ = fit_alignment(conformation, landmarks)
+    r = np.stack([q.real, -q.imag, q.imag, q.real], axis=-1).reshape(np.shape(q) + (2, 2))
+    return Pose(RotationMatrix(r), np.stack([t.real, t.imag], axis=-1))
 
 
 def pose_errors(pose: Pose, truth: Pose):

@@ -33,7 +33,7 @@ and turns a numeric zeta_theta_degrees into the concentration rho.
 
 Each scene setting is given one way: explicit anchor `positions` stand
 alone, without `count` or `layout`, and explicit body `points` without
-`count` or `radius`. Unknown keys are rejected so typos fail loudly.
+`count` or `radius`. Sections are mappings; unknown keys fail loudly.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ def _check_keys(section: str, mapping: dict, allowed: set):
             f"unknown key(s) {sorted(unknown)} in scenario section {section!r}")
 
 
+def _section(doc: dict, name: str, allowed: set) -> dict:
+    """Section `name` of the scenario, keys checked; {} when absent or empty."""
+    mapping = {} if doc.get(name) is None else doc[name]
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(
+            f"scenario section {name!r} must be a mapping, not {type(mapping).__name__}")
+    _check_keys(name, mapping, allowed)
+    return mapping
+
+
 def _points_matrix(rows) -> np.ndarray:
     """YAML [x, y] rows as a 2xN matrix, values as written; `SceneConfig` checks them."""
     return np.array(rows, dtype=object).T
@@ -67,12 +77,9 @@ def _fields(mapping: dict, names: dict) -> dict:
 
 
 def _parse_scene(doc: dict) -> SceneConfig:
-    room = doc.get("room") or {}
-    anchors = doc.get("anchors") or {}
-    body = doc.get("body") or {}
-    _check_keys("room", room, {"width", "height"})
-    _check_keys("anchors", anchors, {"count", "layout", "positions"})
-    _check_keys("body", body, {"count", "radius", "wall_clearance", "points"})
+    room = _section(doc, "room", {"width", "height"})
+    anchors = _section(doc, "anchors", {"count", "layout", "positions"})
+    body = _section(doc, "body", {"count", "radius", "wall_clearance", "points"})
     if "layout" in anchors and "positions" in anchors:
         raise ConfigurationError("give anchors.layout or anchors.positions, not both")
     if anchors.get("layout", "perimeter") != "perimeter":
@@ -108,13 +115,11 @@ def load_scenario(path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario file must contain a mapping")
     _check_keys("top level", doc, _SECTIONS)
-    noise = doc.get("noise") or {}
-    _check_keys("noise", noise, {"sigma", "zeta_theta_degrees", "rho", "tt_noisy"})
+    noise = _section(doc, "noise", {"sigma", "zeta_theta_degrees", "rho", "tt_noisy"})
     if "zeta_theta_degrees" in noise and "rho" in noise:
         raise ConfigurationError("give zeta_theta_degrees or rho, not both")
-    exp = doc.get("experiment") or {}
-    _check_keys("experiment", exp,
-                {"trials", "methods", "master_seed", "fixed_pose", "workers", "output"})
+    exp = _section(doc, "experiment",
+                   {"trials", "methods", "master_seed", "fixed_pose", "workers", "output"})
 
     try:
         kwargs = {**_fields(noise, {"rho": "rho", "tt_noisy": "tt_noisy"}),

@@ -3,7 +3,8 @@
 Three methods are provided behind one dispatch function,
 `solve_landmarks`. It estimates the K trials of a `Measurements` at once
 on arrays with a leading trial axis; one trial is the K = 1 case of that
-code:
+code. Points are complex numbers x + jy throughout: the anchors an (M,)
+array, the estimates a (K, N) stack:
 
 ``mds``
     Classic multidimensional scaling on the measured distances, aligned
@@ -51,7 +52,7 @@ from .edges import PairIndex
 from .errors import (COINCIDENT_EDGES, NEGATIVE_GRAM, NO_EMBEDDING,
                      NO_ORIENTATION, NOT_FINITE, ConfigurationError,
                      raise_failure)
-from .geometry import AnchorSet, Conformation
+from .geometry import AnchorSet, Conformation, _complex
 from .measurements import Measurements
 from .procrustes import fit_alignment
 
@@ -72,7 +73,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Landmarks:
-    """Landmark estimates: (2, N) coordinates for one trial, (K, 2, N) for K.
+    """Landmark estimates x + jy: (N,) complex coordinates for one trial, (K, N) for K.
 
     `status` holds the failure code from `errors` of each trial, 0 for
     success; a failed trial's coordinates carry no meaning. One trial
@@ -86,21 +87,16 @@ class Landmarks:
 
 
 def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """x_n = mean_m(a_m + v_mn) for (K, M, N) complex AT edges v_mn; returns (K, 2, N)."""
-    a = anchors[0] + 1j * anchors[1]
-    x_hat = (a[:, None] + v_at).mean(axis=1)
-    out = np.empty((len(x_hat), 2, x_hat.shape[1]))
-    out[:, 0], out[:, 1] = x_hat.real, x_hat.imag
-    return out
+    """x_n = mean_m(a_m + v_mn) for (K, M, N) AT edges v_mn and (M,) anchors; (K, N)."""
+    return (anchors[:, None] + v_at).mean(axis=1)
 
 
 def _at_directions(targets: np.ndarray, anchors: np.ndarray):
-    """Unit AT directions (x_n - a_m)/|x_n - a_m|, (K, M, N), of (K, 2, N) targets.
+    """Unit AT directions (x_n - a_m)/|x_n - a_m|, (K, M, N), of (K, N) targets.
 
     Also returns which trials put a target on an anchor, whose direction
     is undefined (NaN)."""
-    x = targets[:, 0] + 1j * targets[:, 1]
-    e = x[:, None, :] - (anchors[0] + 1j * anchors[1])[:, None]
+    e = targets[:, None, :] - anchors[:, None]
     with np.errstate(invalid="ignore"):  # 0/0 for a target on an anchor
         return e / np.abs(e), np.any(e == 0.0, axis=(1, 2))
 
@@ -258,7 +254,8 @@ def _embed(b: np.ndarray):
     within `_GAP` of lambda_2; a trial it cannot certify in `_MAX_STEPS`
     steps (lambda_2 <= 0, lambda_3 close to lambda_2, or a slow
     contraction) goes to `eigh`, so its failure code is `eigh`'s. Returns
-    the (K, 2, T) embeddings and (K,) failure codes.
+    the (K, T) complex embeddings sqrt(lambda_1) u_1 + j sqrt(lambda_2) u_2
+    and (K,) failure codes.
     """
     if b.shape[-1] < _ITERATE_FROM:
         lam, vec = _eigh_pairs(b)
@@ -272,7 +269,7 @@ def _embed(b: np.ndarray):
     lam = np.stack([lam1, np.maximum(lam2, 0.0)], axis=-1)
     with np.errstate(invalid="ignore"):
         y = vec * np.sqrt(lam)[:, None, :]
-    return y.transpose(0, 2, 1), status
+    return y[..., 0] + 1j * y[..., 1], status
 
 
 def _embedding(meas: Measurements):
@@ -283,22 +280,24 @@ def _embedding(meas: Measurements):
 
 
 def _mds(embedding, anchors: np.ndarray, m: int):
-    """MDS target estimates (K, 2, N) from `_embed` output, with failure codes.
+    """MDS target estimates (K, N) from `_embed` output, with failure codes.
 
-    The first `m` embedded nodes are the anchors. Each embedding is
-    mapped onto the known anchors by an orthogonal map plus a shift, with
-    no scaling; the map may reflect, since MDS chirality is arbitrary.
+    The first `m` embedded nodes are the anchors. Each embedding y is
+    mapped onto the (M,) known anchors as q y + t, with |q| = 1 and no
+    scaling; the map may reflect, q conj(y) + t, since MDS chirality is
+    arbitrary.
     """
-    coords, status = embedding
-    rot, shift = fit_alignment(coords[:, :, :m], anchors, allow_reflection=True)
-    aligned = rot @ coords + shift[:, :, None]
+    y, status = embedding
+    q, shift, reflect = fit_alignment(y[:, :m], anchors, allow_reflection=True)
+    targets = y[:, m:]
+    targets = q[:, None] * np.where(reflect[:, None], targets.conj(), targets) + shift[:, None]
     # a NaN map marks an embedding with no orientation to align
-    status = np.where((status == 0) & np.isnan(rot[:, 0, 0]), NO_ORIENTATION, status)
-    return aligned[:, :, m:], status
+    status = np.where((status == 0) & np.isnan(q), NO_ORIENTATION, status)
+    return targets, status
 
 
 def _solve(meas: Measurements, anchors: np.ndarray, method: str):
-    """One method's (K, 2, N) estimates and (K,) failure codes; one trial is K = 1."""
+    """One method's (K, N) estimates and (K,) failure codes from (M,) anchors; K = 1 for one."""
     index = meas.index
     m, n = index.n_anchors, index.n_targets
     d_at = np.atleast_2d(meas.distances)[:, index.at].reshape(-1, m, n)
@@ -313,7 +312,7 @@ def _solve(meas: Measurements, anchors: np.ndarray, method: str):
             u, coincident = _at_directions(coords, anchors)
             coords = _anchored_mean(d_at * u, anchors)
             status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
-    finite = np.all(np.isfinite(coords), axis=(1, 2))
+    finite = np.all(np.isfinite(coords), axis=1)
     return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)
 
 
@@ -336,8 +335,8 @@ def solve_landmarks(meas: Measurements, anchors: AnchorSet | np.ndarray,
     Returns
     -------
     Landmarks
-        (2, N) coordinates for one trial; (K, 2, N) for K trials, which
-        report failed trials in `status` instead of raising.
+        (N,) complex coordinates x + jy for one trial; (K, N) for K
+        trials, which report failed trials in `status` instead of raising.
     """
     cfg = config or SolverConfig()
     index = meas.index
@@ -347,7 +346,7 @@ def solve_landmarks(meas: Measurements, anchors: AnchorSet | np.ndarray,
         raise ValueError("anchor count does not match the measurement index")
     if conformation is not None and conformation.n_points != index.n_targets:
         raise ValueError("conformation size does not match the measurement index")
-    coords, status = _solve(meas, anchors.positions, cfg.method)
+    coords, status = _solve(meas, _complex(anchors.positions), cfg.method)
     if meas.distances.ndim == 2:
         return Landmarks(coords, status)
     raise_failure(status[0])

@@ -72,11 +72,10 @@ def edges_from_coordinates(x, index: PairIndex) -> EdgeSet:
 
 
 def coordinates_from_edges(v_at, anchors, index: PairIndex) -> np.ndarray:
-    """Landmarks (2, N) as the anchored mean x_n = mean_m(a_m + v_mn) of AT edges."""
+    """Landmarks x + jy, (N,), as the anchored mean x_n = mean_m(a_m + v_mn) of AT edges."""
     pos = getattr(anchors, "positions", anchors)
     a = pos[0] + 1j * pos[1]
-    x = (a[:, None] + np.reshape(v_at, (index.n_anchors, index.n_targets))).mean(axis=0)
-    return np.vstack([x.real, x.imag])
+    return (a[:, None] + np.reshape(v_at, (index.n_anchors, index.n_targets))).mean(axis=0)
 
 
 def edges_from_measurements(meas, scene=None) -> EdgeSet:

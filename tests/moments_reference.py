@@ -28,8 +28,7 @@ def smds_full_mse_t(scene, sigma: float, rho: float) -> np.ndarray:
     """E|t_hat - t|^2 of `smds_full` for each pose of `scene`: (K,), or () for one."""
     pos = scene.anchors.positions
     a = pos[0] + 1j * pos[1]
-    lm = scene.landmarks
-    x = lm[..., 0, :] + 1j * lm[..., 1, :]
+    x = scene.landmarks
     d2 = np.abs(x[..., None, :] - a[:, None]) ** 2
     amp = bessel_ratio(float(rho))
     bias = (1.0 - amp) ** 2 * np.abs(a.mean() - x.mean(axis=-1)) ** 2

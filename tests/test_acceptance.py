@@ -108,8 +108,9 @@ def test_smds_closed_form_matches_reference_pipeline_under_noise():
             measured = edges_from_measurements(meas, scene).angles
             targets = solve_landmarks(meas, scene.anchors, scene.conformation,
                                       SolverConfig(method="mds")).coordinates
-            nodes = np.hstack([scene.anchors.positions, targets])
-            mds_angles = edges_from_coordinates(nodes[0] + 1j * nodes[1], idx).angles
+            anchors = scene.anchors.positions
+            nodes = np.concatenate([anchors[0] + 1j * anchors[1], targets])
+            mds_angles = edges_from_coordinates(nodes, idx).angles
             mds_angles[idx.aa] = meas.angles[idx.aa]
             if not tt_noisy:
                 mds_angles[idx.tt] = measured[idx.tt]
@@ -260,8 +261,9 @@ def test_criterion_8_procrustes_beats_grid():
     for _ in range(100):
         conf = Conformation(rng.uniform(-1.5, 1.5, size=(2, 6)))
         pose = Pose.from_angle(rng.uniform(-np.pi, np.pi), rng.uniform(-4, 4, size=2))
-        s = apply_pose(conf, pose) + rng.uniform(0.02, 0.3) * rng.standard_normal((2, 6))
-        est = estimate_pose(s, conf)
+        s = apply_pose(conf, pose)
+        s = np.stack([s.real, s.imag]) + rng.uniform(0.02, 0.3) * rng.standard_normal((2, 6))
+        est = estimate_pose(s[0] + 1j * s[1], conf)
         s_c = s - s.mean(axis=1, keepdims=True)
         c_c = conf.points - conf.points.mean(axis=1, keepdims=True)
         h = c_c @ s_c.T

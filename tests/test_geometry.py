@@ -49,23 +49,40 @@ def test_pose_rejects_bad_translation():
         Pose.from_angle([0.1, 0.2], [1.0, 2.0])
 
 
+def xy(points):
+    """The complex points x + jy of a (2, N) coordinate matrix."""
+    return points[0] + 1j * points[1]
+
+
 def test_apply_pose_identity():
     conf = Conformation.regular_polygon(5, 2.0)
-    assert np.allclose(apply_pose(conf, Pose.from_angle(0.0, [0.0, 0.0])), conf.points)
+    assert np.allclose(apply_pose(conf, Pose.from_angle(0.0, [0.0, 0.0])), xy(conf.points))
 
 
 def test_apply_pose_pure_translation():
     conf = Conformation.regular_polygon(4, 1.0)
     pose = Pose.from_angle(0.0, (1.0, 2.0))
     shifted = apply_pose(conf, pose)
-    assert np.allclose(shifted, conf.points + np.array([[1.0], [2.0]]))
+    assert shifted.shape == (4,)
+    assert np.allclose(shifted, xy(conf.points) + (1.0 + 2.0j))
 
 
 def test_apply_pose_point_reflection():
     conf = Conformation(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]))
     pose = Pose.from_angle(np.pi, (0.0, 0.0))
     out = apply_pose(conf, pose)
-    assert np.allclose(out[:, 0], [-1.0, 0.0], atol=1e-12)
+    assert abs(out[0] - (-1.0 + 0.0j)) < 1e-12
+
+
+def test_apply_pose_is_the_real_placement():
+    # placed as the real product Q C + t, then read as x + jy: the
+    # measurement draws see the coordinates of the matrix placement
+    conf = Conformation.regular_polygon(7, 1.3)
+    pose = Pose.from_angle([0.4, -2.1], [[3.0, 4.0], [5.5, 6.25]])
+    placed = pose.rotation.matrix @ conf.points + pose.translation[:, :, None]
+    out = apply_pose(conf, pose)
+    assert out.shape == (2, 7)
+    assert np.array_equal(out.real, placed[:, 0]) and np.array_equal(out.imag, placed[:, 1])
 
 
 def test_random_scene_default_counts():
@@ -91,10 +108,10 @@ def test_random_scene_seeds_differ():
 def test_rigid_motion_preserves_distances():
     for seed in range(20):
         scene = random_scene(SceneConfig(), seed=seed)
-        c = scene.conformation.points
+        c = xy(scene.conformation.points)
         s = scene.landmarks
-        dc = np.linalg.norm(c[:, :, None] - c[:, None, :], axis=0)
-        ds = np.linalg.norm(s[:, :, None] - s[:, None, :], axis=0)
+        dc = np.abs(c[:, None] - c[None, :])
+        ds = np.abs(s[:, None] - s[None, :])
         assert np.max(np.abs(dc - ds)) < 1e-10
 
 
@@ -102,7 +119,8 @@ def test_inverse_pose_recovers_conformation():
     scene = random_scene(SceneConfig(), seed=11)
     q = scene.pose.rotation.matrix
     t = scene.pose.translation
-    back = q.T @ (scene.landmarks - t[:, None])
+    s = scene.landmarks
+    back = q.T @ (np.stack([s.real, s.imag]) - t[:, None])
     assert np.max(np.abs(back - scene.conformation.points)) < 1e-10
 
 
@@ -110,9 +128,9 @@ def test_center_maps_with_pose():
     scene = random_scene(SceneConfig(), seed=13)
     q = scene.pose.rotation.matrix
     t = scene.pose.translation
-    lhs = scene.landmarks.mean(axis=1)
+    lhs = scene.landmarks.mean()
     rhs = q @ scene.conformation.points.mean(axis=1) + t
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+    assert abs(lhs - (rhs[0] + 1j * rhs[1])) < 1e-10
 
 
 def test_conformation_rejects_degenerate():
@@ -149,8 +167,8 @@ def test_scene_rejects_coincident_nodes():
     with pytest.raises(DegenerateGeometryError):
         Scene(anchors, conf, Pose.from_angle([0.0, 0.0], [[1.5, 1.5], [0.0, 0.0]]))
     scene = Scene(anchors, conf, Pose.from_angle([0.0, 0.3], [[1.5, 1.5], [1.0, 1.2]]))
-    assert scene.landmarks.shape == (2, 2, 3)
-    assert np.allclose(scene.landmarks[0], conf.points + 1.5)
+    assert scene.landmarks.shape == (2, 3)
+    assert np.allclose(scene.landmarks[0], xy(conf.points) + (1.5 + 1.5j))
 
 
 def test_perimeter_anchors_on_boundary():
@@ -174,8 +192,7 @@ def test_scene_positions_order():
     z = scene.complex_positions()
     assert np.array_equal(z[:8].real, scene.anchors.positions[0])
     assert np.array_equal(z[:8].imag, scene.anchors.positions[1])
-    assert np.array_equal(z[8:].real, scene.landmarks[0])
-    assert np.array_equal(z[8:].imag, scene.landmarks[1])
+    assert np.array_equal(z[8:], scene.landmarks)
     # K poses give one row per pose, each the positions of that pose alone
     scenes = random_scene(SceneConfig(), [np.random.default_rng(k) for k in range(3)])
     rows = scenes.complex_positions()

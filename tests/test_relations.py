@@ -67,12 +67,14 @@ def with_edges(meas, distances, angles):
 
 
 def solve(meas, anchors, points, method):
-    """(K, 2, N) estimates and the (K, 2, 2) and (K, 2) poses fitted to them."""
+    """(K, N) complex estimates and the (K, 2, 2) and (K, 2) poses fitted to them.
+
+    `points` is the (2, N) body shape."""
     est = solve_landmarks(meas, anchors, config=SolverConfig(method))
     assert not np.any(est.status)
-    pose = estimate_pose(est.coordinates, points)
+    pose = estimate_pose(est.coordinates, points[0] + 1j * points[1])
     n = points.shape[1]
-    return (est.coordinates.reshape(-1, 2, n), pose.rotation.matrix.reshape(-1, 2, 2),
+    return (est.coordinates.reshape(-1, n), pose.rotation.matrix.reshape(-1, 2, 2),
             pose.translation.reshape(-1, 2))
 
 
@@ -96,7 +98,8 @@ def test_world_rigid_motion_moves_the_estimates(config, method):
             moved = with_edges(meas, distances, wrap_angle(angles + beta))
             x, q, t = solve(meas, anchors, points, method)
             x2, q2, t2 = solve(moved, rot @ anchors + shift[:, None], points, method)
-            assert np.max(np.abs(x2 - (rot @ x + shift[:, None]))) < POSITION_TOL * scale
+            moved_x = np.exp(1j * beta) * x + (shift[0] + 1j * shift[1])
+            assert np.max(np.abs(x2 - moved_x)) < POSITION_TOL * scale
             assert np.max(np.abs(q2 - rot @ q)) < ROTATION_TOL
             assert np.max(np.abs(t2 - (t @ rot.T + shift))) < POSITION_TOL * scale
 
@@ -155,7 +158,7 @@ def test_relabelling_permutes_the_estimates(config, method):
             relabelled = with_edges(meas, distances[:, pairs], wrap_angle(angles))
             x, q, t = solve(meas, anchors, points, method)
             x2, q2, t2 = solve(relabelled, anchors[:, perm_a], points[:, perm_t], method)
-            assert np.max(np.abs(x2 - x[:, :, perm_t])) < POSITION_TOL * scale
+            assert np.max(np.abs(x2 - x[:, perm_t])) < POSITION_TOL * scale
             assert np.max(np.abs(q2 - q)) < ROTATION_TOL
             assert np.max(np.abs(t2 - t)) < POSITION_TOL * scale
 
@@ -211,8 +214,7 @@ def test_smds_full_pose_is_the_one_step_form():
     q /= np.abs(q)
     t = x_bar[:, 0] - q * c.mean()
 
-    assert np.max(np.abs(est.coordinates[:, 0] + 1j * est.coordinates[:, 1] - x)) \
-        < POSITION_TOL * scale
+    assert np.max(np.abs(est.coordinates - x)) < POSITION_TOL * scale
     rotation = np.stack([np.stack([q.real, -q.imag], -1), np.stack([q.imag, q.real], -1)], 1)
     assert np.max(np.abs(pose.rotation.matrix - rotation)) < ROTATION_TOL
     assert np.max(np.abs(pose.translation[:, 0] + 1j * pose.translation[:, 1] - t)) \

@@ -236,6 +236,25 @@ def test_malformed_scenario_rejected(tmp_path):
         load_scenario(write_scenario(tmp_path, "- just\n- a list\n"))
     with pytest.raises(ConfigurationError):
         load_scenario(write_scenario(tmp_path, "room: [unclosed\n"))
+    # a section is a mapping or empty; anything else is named as such,
+    # not read as a list of keys or iterated
+    for section, value in (("noise", "5"), ("experiment", "true"), ("noise", "[sigma]"),
+                           ("room", "5"), ("noise", "abc"), ("body", "[]"),
+                           ("anchors", "0")):
+        with pytest.raises(ConfigurationError,
+                           match=f"section '{section}' must be a mapping"):
+            load_scenario(write_scenario(tmp_path, f"{section}: {value}\n"))
+    assert load_scenario(write_scenario(tmp_path, "noise:\nroom: {}\n")) == \
+        load_scenario(write_scenario(tmp_path, ""))
+
+
+def test_cli_section_that_is_not_a_mapping(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "noise: 5\n")
+    for command in ("run", "crlb"):
+        assert main([command, scenario]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario section 'noise' must be a mapping")
+        assert err.count("\n") == 1
 
 
 SMALL_RUN = """

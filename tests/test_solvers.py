@@ -27,6 +27,11 @@ def scene_edges(seed):
     return scene, idx, edges_from_coordinates(scene.complex_positions(), idx)
 
 
+def xy(points):
+    """The complex points x + jy of a (2, N) coordinate matrix."""
+    return points[0] + 1j * points[1]
+
+
 def measured(idx, v):
     """The measurement set whose complex edges are `v`."""
     return Measurements(idx, np.abs(v), np.angle(v))
@@ -79,8 +84,9 @@ def test_coordinates_from_edges_exact():
 def test_coordinates_from_edges_single_anchor():
     # AnchorSet needs three anchors, so one anchor goes to the mean itself
     coords = _anchored_mean(np.array([[[np.sqrt(2.0) * np.exp(1j * np.pi / 4)]]]),
-                            np.zeros((2, 1)))[0]
-    assert np.allclose(coords, [[1.0], [1.0]])
+                            np.zeros(1, dtype=complex))
+    assert coords.shape == (1, 1)
+    assert np.allclose(coords[0], [1.0 + 1.0j])
 
 
 def test_coordinates_from_edges_against_dense_lsq():
@@ -102,7 +108,7 @@ def test_coordinates_from_edges_against_dense_lsq():
         design[p, j - m] = 1.0
         rhs[p] = a[i] + v_noisy[p]
     x, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    assert np.max(np.abs((coords[0] + 1j * coords[1]) - x)) < 1e-10
+    assert np.max(np.abs(coords - x)) < 1e-10
 
 
 def test_coordinates_from_edges_rejects_no_anchor():
@@ -203,11 +209,11 @@ def test_embed_distances_collinear():
     pts = np.array([0.0, 1.0, 3.0])
     d = np.abs(pts[:, None] - pts[None, :])
     coords, status = _embed(gram(d[None], 1))
-    assert status[0] == 0
+    assert status[0] == 0 and coords.shape == (1, 3)
     coords = coords[0]
     # lam2 is zero only up to eigensolver roundoff, so sqrt(lam2) ~ 1e-8
-    assert np.max(np.abs(coords[1])) < 1e-7
-    got = np.abs(coords[0][:, None] - coords[0][None, :])
+    assert np.max(np.abs(coords.imag)) < 1e-7
+    got = np.abs(coords.real[:, None] - coords.real[None, :])
     assert np.max(np.abs(got - d)) < 1e-9
 
 
@@ -315,7 +321,7 @@ def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
         coords, status = _embed(b)
     assert calls == [4]  # every trial but the first, in one stack
     assert list(status) == [0, 0, NO_EMBEDDING, 0, 0]
-    got = np.hypot(*(coords[0][:, :, None] - coords[0][:, None, :]))
+    got = np.abs(coords[0][:, None] - coords[0][None, :])
     assert np.max(np.abs(got - planar)) < 1e-9
     # a trial that falls back gets exactly the eigh path's embedding
     monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
@@ -354,7 +360,7 @@ def test_classic_mds_against_dense_oracle():
     r, _ = orthogonal_procrustes(src.T, tgt.T)
     rot = r.T
     shift = scene.anchors.positions.mean(axis=1) - rot @ y[:, :m].mean(axis=1)
-    oracle = (rot @ y + shift[:, None])[:, m:]
+    oracle = xy(rot @ y + shift[:, None])[m:]
     assert np.max(np.abs(coords - oracle)) < 1e-10
 
 
@@ -364,25 +370,25 @@ def test_classic_mds_against_dense_oracle():
 
 def test_reconstruct_angles_exact():
     scene, idx, es = scene_edges(12)
-    u, coincident = _at_directions(scene.landmarks[None], scene.anchors.positions)
+    u, coincident = _at_directions(scene.landmarks[None], xy(scene.anchors.positions))
     assert not coincident[0]
     assert u.shape == (1, idx.n_anchors, idx.n_targets)
     assert np.max(np.abs(u[0].ravel() - np.exp(1j * es.angles[idx.at]))) < 1e-12
 
 
 def test_reconstruct_angles_diagonal():
-    u, _ = _at_directions(np.array([[[1.0], [1.0]]]), np.zeros((2, 1)))
+    u, _ = _at_directions(np.array([[1.0 + 1.0j]]), np.zeros(1, dtype=complex))
     assert np.angle(u[0, 0, 0]) == pytest.approx(np.pi / 4)
     assert abs(u[0, 0, 0]) == pytest.approx(1.0)
 
 
 def test_reconstruct_angles_coincident():
-    anchors = np.array([[0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
+    anchors = np.array([0.0, 4.0, 4.0j])
     # only a target on an anchor leaves a bearing without direction; two
     # targets on one point do not, since no TT bearing is read
-    on_anchor = np.array([[[4.0, 1.0], [0.0, 1.0]]])
-    shared = np.array([[[1.0, 1.0], [1.0, 1.0]]])
-    u, coincident = _at_directions(np.concatenate([on_anchor, shared]), anchors)
+    on_anchor = np.array([4.0, 1.0 + 1.0j])
+    shared = np.array([1.0 + 1.0j, 1.0 + 1.0j])
+    u, coincident = _at_directions(np.stack([on_anchor, shared]), anchors)
     assert list(coincident) == [True, False]
     assert np.isnan(u[0, 1, 0]) and np.all(np.isfinite(u[1]))
     # the code a coincident trial gets, which one measurement set raises
@@ -470,5 +476,19 @@ def test_mds_methods_share_one_embedding_bitwise():
     assert np.array_equal(mds_warm, mds_cold)
     assert np.array_equal(dist_only_warm, dist_only_cold)
     uncached, _ = _mds(_embed(_gram(meas.distances[None], meas.index)),
-                       scene.anchors.positions, meas.index.n_anchors)
+                       xy(scene.anchors.positions), meas.index.n_anchors)
     assert np.array_equal(mds_cold, uncached[0])
+
+
+def test_mds_aligns_a_mirrored_embedding_by_its_conjugate():
+    # an embedding's chirality is arbitrary: the mirror image of the
+    # scene, and that mirror image turned and shifted, must come back
+    # onto the true landmarks through q conj(y) + t
+    scene = random_scene(SceneConfig(), seed=22)
+    x = scene.complex_positions()
+    m = scene.n_anchors
+    mirrored = np.stack([x.conj(), np.exp(0.7j) * x.conj() + (3.0 - 1.0j), x])
+    targets, status = _mds((mirrored, np.zeros(3, dtype=int)),
+                           xy(scene.anchors.positions), m)
+    assert list(status) == [0, 0, 0]
+    assert np.max(np.abs(targets - scene.landmarks)) < 1e-12
