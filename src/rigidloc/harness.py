@@ -8,6 +8,8 @@ Every trial k of grid point g draws its randomness from an independent
 stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
+`trial_streams` seeds those streams, and `trial_inputs` draws the scene
+and measurements of any run of trials, one trial included.
 
 A sweep numbers its trials i = g * K + k across the grid and runs them
 as one list of balanced chunks, in order in this process or through one
@@ -125,10 +127,15 @@ class ResultRow:
     trial_ok: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
+def trial_streams(config: ExperimentConfig, keys) -> list[np.random.Generator]:
+    """A generator per key, seeded by (master_seed, *key); (g, k) is trial k of grid point g."""
+    return [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
+            for key in keys]
+
+
 def reference_scene(config: ExperimentConfig) -> Scene:
     """The deterministic scene used by fixed-pose runs and bound curves."""
-    seq = np.random.SeedSequence(config.master_seed, spawn_key=(_SCENE_STREAM_KEY,))
-    return random_scene(config.scene, np.random.default_rng(seq))
+    return random_scene(config.scene, trial_streams(config, [(_SCENE_STREAM_KEY,)])[0])
 
 
 # A sweep runs as one list of chunks of trials, each chunk one batch on
@@ -142,26 +149,30 @@ def _chunk_size(n_nodes: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * n_nodes * n_nodes))
 
 
-def _trial_chunk(config: ExperimentConfig, start: int, stop: int):
-    """Trials [start, stop) of the sweep as one batch; returns per-trial arrays.
+def trial_inputs(config: ExperimentConfig, start: int, stop: int):
+    """Scene, noise and measurements of sweep trials [start, stop).
 
     Trials are numbered i = g * config.trials + k over the whole sweep, so
-    a chunk may span grid points; trial i runs at sigma_grid[g]. It draws
+    a run may span grid points; trial i runs at sigma_grid[g]. It draws
     only from its own stream, seeded by (master_seed, g, k), in the order
     of a single trial (pose, then measurements), so no trial depends on
-    which others share its chunk.
+    which others share its run; trial i alone is [i, i + 1). The scene
+    holds one pose per trial, or one shared pose under `fixed_pose`.
     """
     g, k = np.divmod(np.arange(start, stop), config.trials)
     noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.rho,
                         tt_noisy=config.tt_noisy)
-    rngs = [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-            for key in zip(g.tolist(), k.tolist())]
-    n = stop - start
+    rngs = trial_streams(config, zip(g.tolist(), k.tolist()))
     # a fixed pose is one scene, shared by all trials
     scene = reference_scene(config) if config.fixed_pose else random_scene(config.scene, rngs)
-    meas = generate_measurements(scene, noise, rngs)
-    fim = compute_fim(scene, noise)
+    return scene, noise, generate_measurements(scene, noise, rngs)
 
+
+def _trial_chunk(config: ExperimentConfig, start: int, stop: int):
+    """Trials [start, stop) of the sweep as one batch; returns per-trial arrays."""
+    scene, noise, meas = trial_inputs(config, start, stop)
+    fim = compute_fim(scene, noise)
+    n = stop - start
     err_t = np.full((len(config.methods), n), np.nan)
     err_q = np.full((len(config.methods), n), np.nan)
     ok = np.zeros((len(config.methods), n), dtype=bool)

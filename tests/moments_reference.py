@@ -1,4 +1,5 @@
-"""Exact mean squared translation error of `smds_full`, scene by scene.
+"""Exact mean squared translation error of `smds_full`, scene by scene,
+and the delta-method mean squared rotation error.
 
 `smds_full` places landmark n at the anchored mean of its votes
 z_mn = a_m + d_mn exp(j theta_mn) over the M anchors, and the pose fit of
@@ -13,8 +14,17 @@ anchor centroid a:
 
     E|t_hat - t|^2 = (1 - A)^2 |a - x|^2 + sum_mn (d^2 + sigma^2 - A^2 d^2) / (MN)^2
 
-with no expansion. It is test support only; nothing under `src/`
-imports it.
+with no expansion. The rotation error has no closed form; its delta
+method linearises the pose fit about E x_hat_n = a + A (x_n - a), the
+true body shrunk by A about the anchor centroid a. For the centred body
+c_n and the true rotation q, the angle error is
+
+    d_alpha ~ Im(conj(q) sum_n conj(c_n) dx_n) / (A sum_n |c_n|^2)
+
+with dx_n = x_hat_n - E x_hat_n. A vote X = d_hat exp(j theta_hat) has
+E|X|^2 = d^2 + sigma^2 and E[X^2] = (d^2 + sigma^2)(1 - 2A/rho) exp(2j theta0),
+and E||Q_hat - Q||_F^2 = 8 E sin^2(d_alpha / 2) ~ 2 E[d_alpha^2]. It is
+test support only; nothing under `src/` imports it.
 """
 
 from __future__ import annotations
@@ -35,3 +45,23 @@ def smds_full_mse_t(scene, sigma: float, rho: float) -> np.ndarray:
     n_votes = a.size * x.shape[-1]
     spread = np.sum(d2 + sigma ** 2 - amp ** 2 * d2, axis=(-2, -1)) / n_votes ** 2
     return bias + spread
+
+
+def smds_full_mse_q(scene, sigma: float, rho: float) -> np.ndarray:
+    """Delta-method E||Q_hat - Q||_F^2 of `smds_full` for each pose of `scene`."""
+    pos = scene.anchors.positions
+    a = pos[0] + 1j * pos[1]
+    body = scene.conformation.points
+    c = body[0] + 1j * body[1]
+    c = c - c.mean()
+    rot = scene.pose.rotation.matrix
+    q = rot[..., 0, 0] + 1j * rot[..., 1, 0]
+    v = scene.landmarks[..., None, :] - a[:, None]  # true votes, (..., M, N)
+    d2 = np.abs(v) ** 2
+    amp = bessel_ratio(float(rho))
+    # d_alpha = Im(sum_mn w_n dX_mn) over the independent zero-mean vote errors
+    w = np.conj(q)[..., None, None] * np.conj(c) / (amp * np.sum(np.abs(c) ** 2) * a.size)
+    var = d2 + sigma ** 2 - amp ** 2 * d2  # E|dX|^2
+    pseudo = ((d2 + sigma ** 2) * (1.0 - 2.0 * amp / rho) / d2 - amp ** 2) * v ** 2  # E[dX^2]
+    # E[Im(Z)^2] = (E|Z|^2 - Re E[Z^2]) / 2, and mse_Q ~ 2 E[d_alpha^2]
+    return np.sum(np.abs(w) ** 2 * var - (w ** 2 * pseudo).real, axis=(-2, -1))

@@ -6,39 +6,11 @@ from rigidloc.crlb import _pose_bounds, bearing_intensity, compute_fim
 from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, Scene,
                                SceneConfig, random_scene)
-from rigidloc.measurements import NoiseConfig, generate_measurements, wrap_angle, zeta_to_rho
+from rigidloc.measurements import NoiseConfig, generate_measurements, zeta_to_rho
 from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import SolverConfig, solve_landmarks
 
-
-def at_observables(anchors, conformation, eta):
-    """All AT ranges and bearings as a function of the pose vector."""
-    c, s = np.cos(eta[2]), np.sin(eta[2])
-    q = np.array([[c, -s], [s, c]])
-    pts = q @ conformation.points + eta[:2, None]
-    e = pts[:, None, :] - anchors.positions[:, :, None]
-    d = np.linalg.norm(e, axis=0)
-    psi = np.arctan2(e[1], e[0])
-    return d.ravel(), psi.ravel()
-
-
-def fd_fim(scene, noise, h=1e-6):
-    """Finite-difference Fisher information oracle."""
-    eta0 = np.array([scene.pose.translation[0], scene.pose.translation[1],
-                     scene.pose.rotation.angle])
-    grads_d, grads_psi = [], []
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = h
-        d_p, psi_p = at_observables(scene.anchors, scene.conformation, eta0 + step)
-        d_m, psi_m = at_observables(scene.anchors, scene.conformation, eta0 - step)
-        grads_d.append((d_p - d_m) / (2.0 * h))
-        grads_psi.append(wrap_angle(psi_p - psi_m) / (2.0 * h))
-    gd = np.column_stack(grads_d)
-    gpsi = np.column_stack(grads_psi)
-    lam_d = 1.0 / noise.sigma ** 2
-    lam_psi = bearing_intensity(noise.rho)
-    return lam_d * gd.T @ gd + lam_psi * gpsi.T @ gpsi
+from fim_reference import fd_fim
 
 
 def ring_scene(n_anchors, pose_angle=0.37):

@@ -155,6 +155,9 @@ def test_anchorset_rejects_degenerate():
         AnchorSet(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))  # duplicate
     with pytest.raises(DegenerateGeometryError):
         AnchorSet(np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))  # collinear
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AnchorSet(np.array([[0.0, 1.0, bad], [0.0, 0.0, 1.0]]))
 
 
 def test_scene_rejects_coincident_nodes():
@@ -232,6 +235,13 @@ def test_scene_config_checks_value_types():
                 dict(room_width=np.nan), dict(room_height=np.inf), dict(room_width=True),
                 dict(body_radius="1.5"), dict(wall_clearance=np.nan)):
         with pytest.raises(ConfigurationError, match="must be an integer|finite number"):
+            SceneConfig(**bad)
+    # and in range: a room with area, 3 nodes of each kind at least, a body
+    # with extent and a clearance that is not negative
+    for bad, message in ((dict(room_width=0.0), "room"), (dict(room_height=-1.0), "room"),
+                         (dict(n_anchors=2), "at least 3"), (dict(n_landmarks=2), "at least 3"),
+                         (dict(body_radius=0.0), "radius"), (dict(wall_clearance=-0.5), "clearance")):
+        with pytest.raises(ConfigurationError, match=message):
             SceneConfig(**bad)
     config = SceneConfig(n_anchors=np.int64(6), room_width=np.float64(12.0), room_height=9)
     assert random_scene(config, seed=0).n_anchors == 6

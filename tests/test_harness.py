@@ -222,6 +222,29 @@ def test_reference_scene_deterministic():
     assert not np.array_equal(s1.landmarks, other.landmarks)
 
 
+@pytest.mark.parametrize("fixed_pose", [False, True])
+@pytest.mark.parametrize("tt_noisy", [False, True])
+def test_one_trial_is_rebuilt_from_its_index(tt_noisy, fixed_pose):
+    # trials [4, 15) span all three grid points; each must draw what it
+    # draws alone, as trial_inputs(config, i, i + 1)
+    config = small_config(sigma_grid=(0.2, 0.7, 1.6), trials=6, tt_noisy=tt_noisy,
+                          fixed_pose=fixed_pose)
+    scene, noise, meas = harness.trial_inputs(config, 4, 15)
+    assert meas.distances.shape[0] == 11
+    if fixed_pose:  # one shared scene, the reference scene
+        assert np.array_equal(scene.landmarks, reference_scene(config).landmarks)
+    for row, i in enumerate(range(4, 15)):
+        one, one_noise, one_meas = harness.trial_inputs(config, i, i + 1)
+        assert one_noise.sigma == (noise.sigma[row],) == (config.sigma_grid[i // 6],)
+        lead, at = (..., ...) if fixed_pose else (0, row)
+        for got, want in ((one.landmarks[lead], scene.landmarks[at]),
+                          (one.pose.rotation.matrix[lead], scene.pose.rotation.matrix[at]),
+                          (one.pose.translation[lead], scene.pose.translation[at]),
+                          (one_meas.distances[0], meas.distances[row]),
+                          (one_meas.angles[0], meas.angles[row])):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_write_results_roundtrip(tmp_path):
     rows = run_experiment(small_config(trials=10))
     path = tmp_path / "out.csv"

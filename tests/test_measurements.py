@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.special import i0e, iv
 
 from rigidloc.edges import build_pair_index
-from rigidloc.errors import ConfigurationError
-from rigidloc.geometry import SceneConfig, random_scene
+from rigidloc.errors import ConfigurationError, DegenerateGeometryError
+from rigidloc.geometry import Scene, SceneConfig, random_scene
 from rigidloc.harness import run_experiment
 from rigidloc.measurements import (ZETA_MAX, Measurements, NoiseConfig,
                                    generate_measurements, rho_to_zeta,
@@ -189,6 +189,8 @@ def test_noise_config_validation():
         NoiseConfig(sigma=-0.1, rho=10.0)
     with pytest.raises(ConfigurationError):
         NoiseConfig(sigma=0.5)
+    with pytest.raises(ConfigurationError, match="rho must be nonnegative"):
+        NoiseConfig(sigma=1.0, rho=-1.0)
     # strings and bools are not numbers, even where they would convert
     for bad in (dict(sigma="0.5", rho=1.0), dict(sigma=True, rho=1.0),
                 dict(sigma=0.5, rho="1"), dict(sigma=0.5, rho=True),
@@ -242,6 +244,19 @@ def test_generate_measurements_aa_exact():
     assert np.array_equal(meas.distances[tt], np.abs(v)[tt])
     at = idx.at
     assert not np.allclose(meas.distances[at], np.abs(v)[at])
+
+
+def test_generate_measurements_rejects_coincident_nodes():
+    # explicit landmarks skip the scene's own check; the measurements
+    # still refuse a zero distance, on an anchor or between two landmarks
+    scene = random_scene(SceneConfig(), seed=6)
+    x = scene.landmarks
+    a = scene.anchors.positions
+    for landmarks in (np.concatenate([[a[0, 0] + 1j * a[1, 0]], x[1:]]),
+                      np.concatenate([x[:1], x[:-1]])):
+        bad = Scene(scene.anchors, scene.conformation, scene.pose, landmarks)
+        with pytest.raises(DegenerateGeometryError, match="coincident"):
+            generate_measurements(bad, NoiseConfig(sigma=0.5, rho=100.0), 0)
 
 
 def test_generate_measurements_tt_noisy_mode():

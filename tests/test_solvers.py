@@ -413,6 +413,8 @@ def test_solve_landmarks_validation():
     other = random_scene(SceneConfig(n_anchors=6), seed=1)
     with pytest.raises(ValueError):
         solve_landmarks(meas, other.anchors, scene.conformation)
+    with pytest.raises(ValueError, match="conformation size"):
+        solve_landmarks(meas, scene.anchors, SceneConfig(n_landmarks=6).conformation)
     with pytest.raises(ConfigurationError):
         SolverConfig(method="nonsense")
 

@@ -7,8 +7,9 @@ per-trial functions, so that the tests can pin the batch to those
 functions trial by trial. The noisy measurements are
 drawn as the per-trial code drew them, slice by slice through the public
 `sample_distance` and `sample_angle`, so the batch's draws are pinned to
-those samplers rather than to the batch code itself. It is test support
-only; nothing under `src/` imports it.
+those samplers rather than to the batch code itself. Only the seeding
+is shared: each trial's generator comes from `harness.trial_streams`.
+It is test support only; nothing under `src/` imports it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from rigidloc.crlb import compute_fim
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import DegenerateGeometryError, NumericalFailureError
 from rigidloc.geometry import random_scene
-from rigidloc.harness import reference_scene
+from rigidloc.harness import reference_scene, trial_streams
 from rigidloc.measurements import (Measurements, NoiseConfig, sample_angle,
                                    sample_distance, wrap_angle)
 from rigidloc.procrustes import estimate_pose
@@ -64,8 +65,7 @@ def trial_block(config, g: int, sigma: float, rho: float, start: int, stop: int)
     fixed = reference_scene(config) if config.fixed_pose else None
 
     for k in range(start, stop):
-        seq = np.random.SeedSequence(config.master_seed, spawn_key=(g, k))
-        rng = np.random.default_rng(seq)
+        rng, = trial_streams(config, [(g, k)])
         scene = fixed if fixed is not None else random_scene(config.scene, rng)
         meas = generate_measurements(scene, noise, rng)
         fim = compute_fim(scene, noise)
