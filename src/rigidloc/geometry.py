@@ -342,9 +342,15 @@ def _centroid_box(config: SceneConfig) -> tuple:
 
 
 def _draw_pose(rng: np.random.Generator, box) -> tuple:
-    """Uniform angle on [-pi, pi), then the centroid's x and y in the box."""
+    """Uniform angle on [-pi, pi), then the centroid's x and y in the box.
+
+    One call of three doubles: numpy's `uniform(low, high)` is
+    `low + (high - low) * random()`, so this draws, bit for bit and from
+    the same stream position, what three `uniform` calls would.
+    """
     lo_x, hi_x, lo_y, hi_y = box
-    return (rng.uniform(-np.pi, np.pi), rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+    a, x, y = rng.random(3).tolist()
+    return (-np.pi + (np.pi - -np.pi) * a, lo_x + (hi_x - lo_x) * x, lo_y + (hi_y - lo_y) * y)
 
 
 def _generators(seed):

@@ -8,8 +8,10 @@ Every trial k of grid point g draws its randomness from an independent
 stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
-`trial_streams` seeds those streams, and `trial_inputs` draws the scene
-and measurements of any run of trials, one trial included.
+Each stream is the generator `SeedSequence(master_seed, spawn_key=(g, k))`
+gives; `trial_streams` computes the seed words of a whole chunk's
+streams in one pass, and `trial_inputs` draws the scene and
+measurements of any run of trials, one trial included.
 
 A sweep numbers its trials i = g * K + k across the grid and runs them
 as one list of balanced chunks, in order in this process or through one
@@ -30,6 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .crlb import compute_fim
 from .errors import ConfigurationError
@@ -127,10 +130,118 @@ class ResultRow:
     trial_ok: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
+# numpy's SeedSequence constants, named as in numpy/random/bit_generator.pyx;
+# NEP 19 keeps SeedSequence and the PCG64 streams it seeds stable
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The n hash constants init * mult**i modulo 2**32, as uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) & MASK32 for i in range(n)], dtype=np.uint32)
+
+
+# PCG64 seeds itself from 4 uint64 words: 8 uint32 words hashed off the pool
+_STATE_CONSTS = _hash_consts(INIT_B, MULT_B, 2 * _POOL_SIZE)
+
+# Both steps below run on Python ints and on uint32 arrays alike; the
+# mask makes Python ints wrap as uint32 arithmetic does.
+
+
+def _hashmix(value, const, mult=MULT_A):
+    """SeedSequence's hash of a word with a constant; returns it and the next constant."""
+    nxt = const * mult & MASK32
+    value = (value ^ const) * nxt & MASK32
+    return value ^ value >> XSHIFT, nxt
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word into a pool word."""
+    r = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    return r ^ r >> XSHIFT
+
+
+def _master_pool(master_seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after the master seed's words, and the hash constant reached.
+
+    A spawn key pads the seed to the pool size with zero words, so the
+    seed fills the whole pool and is mixed through it before any key
+    word enters: this half is the same for every key.
+    """
+    words = [master_seed >> s & MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    const = INIT_A
+    pool = []
+    for w in words[:_POOL_SIZE]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+def _seed_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
+    """Row i: SeedSequence(master_seed, spawn_key=keys[i]).generate_state(4, np.uint64).
+
+    `keys` is an (n, w) uint32 array; the result is (n, 4) uint64. Each
+    key word is mixed into every pool word in turn, and the constants of
+    those steps depend on no value, so each word is one pass over n keys.
+    """
+    pool, const = _master_pool(master_seed)
+    pool = np.array(pool, dtype=np.uint32)
+    n_words = keys.shape[1]
+    consts = _hash_consts(const, MULT_A, n_words * _POOL_SIZE).reshape(n_words, _POOL_SIZE)
+    for j in range(n_words):
+        pool = _mix(pool, _hashmix(keys[:, j, None], consts[j])[0])
+    # generate_state cycles through the pool
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS, MULT_B)[0]
+    # little-endian word pairs, as generate_state forms its uint64 words
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _KeySeed(ISeedSequence):
+    """One key's seed words, handed to PCG64 as its SeedSequence would hand them.
+
+    PCG64 asks for `generate_state(4, np.uint64)` only, once, when seeded.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def trial_streams(config: ExperimentConfig, keys) -> list[np.random.Generator]:
-    """A generator per key, seeded by (master_seed, *key); (g, k) is trial k of grid point g."""
-    return [np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=key))
-            for key in keys]
+    """A generator per key, seeded by (master_seed, *key); (g, k) is trial k of grid point g.
+
+    Each generator is the one `SeedSequence(master_seed, spawn_key=key)`
+    gives, bit for bit, with the seed words of all keys computed in one
+    pass. `keys` is a sequence of equal-length integer tuples, or an
+    (n, w) integer array; each key word must lie in [0, 2**32).
+    """
+    words = np.asarray(keys)
+    if words.ndim != 2 or not words.shape[1]:
+        raise ValueError("keys must be a sequence of nonempty integer tuples of one length")
+    # numpy holds integers beyond int64 as floats or objects, all out of range
+    if words.dtype.kind not in "iu" or words.size and (words.min() < 0 or words.max() > MASK32):
+        raise ValueError("key words must be integers in [0, 2**32)")
+    seeds = _seed_words(int(config.master_seed), words.astype(np.uint32))
+    return [np.random.Generator(np.random.PCG64(_KeySeed(row))) for row in seeds]
 
 
 def reference_scene(config: ExperimentConfig) -> Scene:
@@ -159,10 +270,14 @@ def trial_inputs(config: ExperimentConfig, start: int, stop: int):
     which others share its run; trial i alone is [i, i + 1). The scene
     holds one pose per trial, or one shared pose under `fixed_pose`.
     """
+    total = len(config.sigma_grid) * config.trials
+    if not 0 <= start < stop <= total:
+        raise ValueError(f"trials [{start}, {stop}) are not a nonempty range within "
+                         f"the sweep's [0, {total})")
     g, k = np.divmod(np.arange(start, stop), config.trials)
     noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.rho,
                         tt_noisy=config.tt_noisy)
-    rngs = trial_streams(config, zip(g.tolist(), k.tolist()))
+    rngs = trial_streams(config, np.stack((g, k), axis=1))
     # a fixed pose is one scene, shared by all trials
     scene = reference_scene(config) if config.fixed_pose else random_scene(config.scene, rngs)
     return scene, noise, generate_measurements(scene, noise, rngs)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rigidloc import geometry
 from rigidloc.errors import ConfigurationError, DegenerateGeometryError
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, RotationMatrix,
                                Scene, SceneConfig, apply_pose, random_scene)
@@ -103,6 +104,22 @@ def test_random_scene_seeds_differ():
     a = random_scene(SceneConfig(), seed=1)
     b = random_scene(SceneConfig(), seed=2)
     assert not np.allclose(a.pose.translation, b.pose.translation)
+
+
+def test_pose_draw_is_three_uniform_draws():
+    # one call of three doubles must give, bit for bit, what three uniform
+    # calls give and leave the stream where they leave it; a numpy build
+    # that fuses low + range * u into one rounding fails here
+    boxes = np.random.default_rng(7).uniform(-50.0, 50.0, (10_000, 2, 2))
+    boxes.sort(axis=2)
+    boxes[::3] *= 1e-6
+    boxes[1::3] = np.round(boxes[1::3])
+    for seed, ((lo_x, hi_x), (lo_y, hi_y)) in enumerate(boxes.tolist()):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = geometry._draw_pose(rng, (lo_x, hi_x, lo_y, hi_y))
+        want = (ref.uniform(-np.pi, np.pi), ref.uniform(lo_x, hi_x), ref.uniform(lo_y, hi_y))
+        assert got == want, seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
 
 
 def test_rigid_motion_preserves_distances():

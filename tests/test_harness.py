@@ -222,6 +222,34 @@ def test_reference_scene_deterministic():
     assert not np.array_equal(s1.landmarks, other.landmarks)
 
 
+@pytest.mark.parametrize("master_seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3,
+                                         2**130 + 5, np.int64(12345)])
+def test_trial_streams_are_the_seed_sequence_streams(master_seed):
+    # 2**130 + 5 has five entropy words, one more than the pool holds
+    pairs = np.random.default_rng(28).integers(0, 2**32, (16, 2)).tolist()
+    keys = [(0, 0), (2**32 - 1, 2**32 - 1), *map(tuple, pairs)]
+    config = small_config(master_seed=master_seed)
+    for key_set in (keys, [(harness._SCENE_STREAM_KEY,)]):
+        for key, got in zip(key_set, harness.trial_streams(config, key_set), strict=True):
+            want = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
+            assert got.bit_generator.state == want.bit_generator.state, key
+            assert np.array_equal(got.random(4), want.random(4))
+            assert got.standard_gamma(2.5) == want.standard_gamma(2.5)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, 2**32), (2**40, 3), (0, 2**63), (2**64, 0)])
+def test_trial_streams_reject_words_beyond_32_bits(key):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        harness.trial_streams(small_config(), [(0, 0), key])
+
+
+@pytest.mark.parametrize("start, stop", [(3, 3), (5, 2), (0, 81), (-1, 4)])
+def test_trial_inputs_rejects_ranges_outside_the_sweep(start, stop):
+    # the sweep holds 2 x 40 trials
+    with pytest.raises(ValueError, match=rf"trials \[{start}, {stop}\) .* \[0, 80\)"):
+        harness.trial_inputs(small_config(), start, stop)
+
+
 @pytest.mark.parametrize("fixed_pose", [False, True])
 @pytest.mark.parametrize("tt_noisy", [False, True])
 def test_one_trial_is_rebuilt_from_its_index(tt_noisy, fixed_pose):
