@@ -9,9 +9,10 @@ stream seeded by (master_seed, g, k), so results are bit-identical for
 a given seed no matter how trials are distributed over workers. Within
 a trial, all methods see the same scene and the same measurements.
 Each stream is the generator `SeedSequence(master_seed, spawn_key=(g, k))`
-gives; `trial_streams` computes the seed words of a whole chunk's
-streams in one pass, and `trial_inputs` draws the scene and
-measurements of any run of trials, one trial included.
+gives. In `trial_streams` numpy mixes the master seed, once per chunk,
+and the harness mixes the key words of the whole chunk in one pass;
+`trial_inputs` draws the scene and measurements of any run of trials,
+one trial included.
 
 A sweep numbers its trials i = g * K + k across the grid and runs them
 as one list of balanced chunks, in order in this process or through one
@@ -28,6 +29,7 @@ trial depends on which others share its chunk.
 from __future__ import annotations
 
 import logging
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -100,6 +102,8 @@ class ExperimentConfig:
         # checked here, not per trial: the FIM needs a finite rho
         if not _is_real(self.rho) or not np.isfinite(self.rho) or self.rho < 0:
             raise ConfigurationError("rho must be a finite nonnegative number")
+        if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
+            raise ConfigurationError(f"output must be a file path, not {self.output_path!r}")
 
     def resolve_rho(self) -> float:
         """`rho` as a float; kept only for the benchmark, which calls it."""
@@ -151,64 +155,40 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 # PCG64 seeds itself from 4 uint64 words: 8 uint32 words hashed off the pool
 _STATE_CONSTS = _hash_consts(INIT_B, MULT_B, 2 * _POOL_SIZE)
 
-# Both steps below run on Python ints and on uint32 arrays alike; the
-# mask makes Python ints wrap as uint32 arithmetic does.
-
 
 def _hashmix(value, const, mult=MULT_A):
-    """SeedSequence's hash of a word with a constant; returns it and the next constant."""
-    nxt = const * mult & MASK32
-    value = (value ^ const) * nxt & MASK32
-    return value ^ value >> XSHIFT, nxt
+    """SeedSequence's hash of uint32 words with their hash constants."""
+    value = (value ^ const) * (const * mult)
+    return value ^ value >> XSHIFT
 
 
 def _mix(x, y):
-    """SeedSequence's mix of a hashed word into a pool word."""
-    r = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    """SeedSequence's mix of hashed uint32 words into pool words."""
+    r = MIX_MULT_L * x - MIX_MULT_R * y
     return r ^ r >> XSHIFT
-
-
-def _master_pool(master_seed: int) -> tuple[list[int], int]:
-    """SeedSequence's pool after the master seed's words, and the hash constant reached.
-
-    A spawn key pads the seed to the pool size with zero words, so the
-    seed fills the whole pool and is mixed through it before any key
-    word enters: this half is the same for every key.
-    """
-    words = [master_seed >> s & MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    const = INIT_A
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            h, const = _hashmix(w, const)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, const
 
 
 def _seed_words(master_seed: int, keys: np.ndarray) -> np.ndarray:
     """Row i: SeedSequence(master_seed, spawn_key=keys[i]).generate_state(4, np.uint64).
 
-    `keys` is an (n, w) uint32 array; the result is (n, 4) uint64. Each
-    key word is mixed into every pool word in turn, and the constants of
-    those steps depend on no value, so each word is one pass over n keys.
+    `keys` is an (n, w) uint32 array; the result is (n, 4) uint64. A
+    spawn key pads the seed to the pool size, so the master seed is mixed
+    through the whole pool before any key word enters: that pool is
+    `SeedSequence(master_seed).pool`, the same for every key, and numpy
+    mixes it. Each key word is then mixed into every pool word in turn;
+    the constants of those steps depend on no value, so each word is one
+    pass over all n keys.
     """
-    pool, const = _master_pool(master_seed)
-    pool = np.array(pool, dtype=np.uint32)
+    pool = np.random.SeedSequence(master_seed).pool
+    # the seed took a hash per pool word and one per ordered pair of pool
+    # words, _POOL_SIZE**2 in all, and _POOL_SIZE per seed word beyond the pool
+    used = _POOL_SIZE * max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
     n_words = keys.shape[1]
-    consts = _hash_consts(const, MULT_A, n_words * _POOL_SIZE).reshape(n_words, _POOL_SIZE)
-    for j in range(n_words):
-        pool = _mix(pool, _hashmix(keys[:, j, None], consts[j])[0])
+    consts = _hash_consts(INIT_A, MULT_A, used + n_words * _POOL_SIZE)[used:]
+    for j, const in enumerate(consts.reshape(n_words, _POOL_SIZE)):
+        pool = _mix(pool, _hashmix(keys[:, j, None], const))
     # generate_state cycles through the pool
-    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS, MULT_B)[0]
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS, MULT_B)
     # little-endian word pairs, as generate_state forms its uint64 words
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -230,9 +210,10 @@ def trial_streams(config: ExperimentConfig, keys) -> list[np.random.Generator]:
     """A generator per key, seeded by (master_seed, *key); (g, k) is trial k of grid point g.
 
     Each generator is the one `SeedSequence(master_seed, spawn_key=key)`
-    gives, bit for bit, with the seed words of all keys computed in one
-    pass. `keys` is a sequence of equal-length integer tuples, or an
-    (n, w) integer array; each key word must lie in [0, 2**32).
+    gives, bit for bit: numpy mixes the master seed once, and the key
+    words of all keys are mixed in one pass. `keys` is a sequence of
+    equal-length integer tuples, or an (n, w) integer array; each key
+    word must lie in [0, 2**32).
     """
     words = np.asarray(keys)
     if words.ndim != 2 or not words.shape[1]:
@@ -271,8 +252,8 @@ def trial_inputs(config: ExperimentConfig, start: int, stop: int):
     holds one pose per trial, or one shared pose under `fixed_pose`.
     """
     total = len(config.sigma_grid) * config.trials
-    if not 0 <= start < stop <= total:
-        raise ValueError(f"trials [{start}, {stop}) are not a nonempty range within "
+    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= total):
+        raise ValueError(f"trials [{start}, {stop}) are not a nonempty integer range within "
                          f"the sweep's [0, {total})")
     g, k = np.divmod(np.arange(start, stop), config.trials)
     noise = NoiseConfig(sigma=np.asarray(config.sigma_grid)[g], rho=config.rho,

@@ -5,7 +5,8 @@ missing values fall back to the defaults of the corresponding config
 dataclasses (a 10m x 10m room, 8 perimeter anchors, an 8-point polygon
 body, the standard sigma grid, 1000 trials). Values reach the configs
 as written, and the configs check them: a count must be an integer, a
-length a finite number, a coordinate a number and a flag a boolean.
+length a finite number, a coordinate a number, a flag a boolean and the
+output a file path.
 The loader only wraps a scalar sigma or a single method name in a list,
 and turns a numeric zeta_theta_degrees into the concentration rho.
 
@@ -29,7 +30,7 @@ and turns a numeric zeta_theta_degrees into the concentration rho.
       master_seed: 12345
       fixed_pose: false
       workers: 1
-      output: results.csv        # the sweep's CSV; crlb writes only to --out
+      output: results.csv        # file path of the sweep's CSV; crlb writes only to --out
 
 Each scene setting is given one way: explicit anchor `positions` stand
 alone, without `count` or `layout`, and explicit body `points` without

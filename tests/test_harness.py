@@ -223,13 +223,16 @@ def test_reference_scene_deterministic():
 
 
 @pytest.mark.parametrize("master_seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3,
-                                         2**130 + 5, np.int64(12345)])
+                                         2**130 + 5, np.int64(12345), 2**96, 2**128 - 1,
+                                         2**128, 2**192 + 1])
 def test_trial_streams_are_the_seed_sequence_streams(master_seed):
-    # 2**130 + 5 has five entropy words, one more than the pool holds
+    # 2**128 - 1 fills the 4-word pool exactly; 2**128 and 2**130 + 5 have
+    # five entropy words and 2**192 + 1 seven, more than the pool holds
     pairs = np.random.default_rng(28).integers(0, 2**32, (16, 2)).tolist()
     keys = [(0, 0), (2**32 - 1, 2**32 - 1), *map(tuple, pairs)]
+    triples = [(0, 0, 0), (1, 2, 3), (2**32 - 1, 0, 7)]
     config = small_config(master_seed=master_seed)
-    for key_set in (keys, [(harness._SCENE_STREAM_KEY,)]):
+    for key_set in (keys, triples, [(harness._SCENE_STREAM_KEY,)]):
         for key, got in zip(key_set, harness.trial_streams(config, key_set), strict=True):
             want = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
             assert got.bit_generator.state == want.bit_generator.state, key
@@ -243,9 +246,10 @@ def test_trial_streams_reject_words_beyond_32_bits(key):
         harness.trial_streams(small_config(), [(0, 0), key])
 
 
-@pytest.mark.parametrize("start, stop", [(3, 3), (5, 2), (0, 81), (-1, 4)])
+@pytest.mark.parametrize("start, stop", [(3, 3), (5, 2), (0, 81), (-1, 4), (0.0, 1.0),
+                                         (True, 2)])
 def test_trial_inputs_rejects_ranges_outside_the_sweep(start, stop):
-    # the sweep holds 2 x 40 trials
+    # the sweep holds 2 x 40 trials, numbered by integers only
     with pytest.raises(ValueError, match=rf"trials \[{start}, {stop}\) .* \[0, 80\)"):
         harness.trial_inputs(small_config(), start, stop)
 

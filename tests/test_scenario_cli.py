@@ -246,6 +246,11 @@ def test_malformed_scenario_rejected(tmp_path):
             load_scenario(write_scenario(tmp_path, f"{section}: {value}\n"))
     assert load_scenario(write_scenario(tmp_path, "noise:\nroom: {}\n")) == \
         load_scenario(write_scenario(tmp_path, ""))
+    # the output is a file path; a number would be opened as a file
+    # descriptor, and the CSV written to it
+    for value in ("2", "true", "[a]"):
+        with pytest.raises(ConfigurationError, match="output must be a file path"):
+            load_scenario(write_scenario(tmp_path, f"experiment:\n  output: {value}\n"))
 
 
 def test_cli_section_that_is_not_a_mapping(tmp_path, capsys):
@@ -255,6 +260,14 @@ def test_cli_section_that_is_not_a_mapping(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: scenario section 'noise' must be a mapping")
         assert err.count("\n") == 1
+
+
+def test_cli_output_that_is_not_a_path(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, "experiment:\n  trials: 2\n  output: 2\n")
+    assert main(["run", scenario]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: output must be a file path, not 2\n"
+    assert captured.out == ""
 
 
 SMALL_RUN = """
