@@ -5,7 +5,10 @@ are a deterministic function of it through the known conformation. Only
 anchor-target measurements inform the pose: anchor-anchor pairs involve
 no unknowns, and exact target-target values are already encoded by the
 known shape. The (K, M, N) AT block is differentiated in complex form,
-on the scene's (K, N) complex landmarks (see `_pose_gradients`).
+on the scene's (K, N) complex landmarks and the unit complex numbers
+q = e^{j alpha} its pose holds (see `_pose_gradients`). F_ij and F_ji
+are the same products summed in the same order, so the FIM is exactly
+symmetric with no symmetrising step.
 
 Measurement intensities follow the simulated models: 1/sigma^2 for
 ranges (Gaussian approximation of the gamma model, valid for
@@ -152,13 +155,13 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     ValueError
         If a 1-D sigma of a scene of K poses does not hold K values.
     """
-    lm, rot = scene.landmarks, scene.pose.rotation.matrix.reshape(-1, 2, 2)
+    lm = scene.landmarks
     sigmas = np.ndim(noise.sigma) and len(noise.sigma)
     if sigmas and lm.ndim == 2 and sigmas != len(lm):
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
     g_d, g_psi = _pose_gradients(_complex(scene.anchors.positions),
                                  _complex(scene.conformation.points), np.atleast_2d(lm),
-                                 rot[:, 0, 0] + 1j * rot[:, 1, 0])
+                                 np.atleast_1d(scene.pose.rotation.q))
     sigma = np.atleast_1d(noise.sigma)
     variance = np.square(sigma)
     # one pose under K sigma values broadcasts its gradients over them
@@ -179,9 +182,6 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
         lam = bearing_intensity(noise.rho)
         if lam > 0:
             fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
-    # halved before the sum, which then cannot overflow; halving is exact,
-    # so away from subnormals this is 0.5 * (F + F^T) bit for bit
-    fim = 0.5 * fim + 0.5 * fim.transpose(0, 2, 1)
     bounds = _pose_bounds(fim)
     if lm.ndim == 2 or sigmas:
         return FisherInformation(fim, *bounds)

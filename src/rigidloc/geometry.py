@@ -7,9 +7,12 @@ follow from a pose (rotation Q in SO(2) plus translation t):
 
     S = Q C + t 1^T
 
-All positions are 2D, in meters. A `Pose` and a `Scene` hold one pose,
-or K poses of one body with a leading trial axis on their arrays. Body
-points are placed as complex numbers x + jy: (N,), or (K, N) for K poses.
+A `Pose` holds its rotation as the unit complex number q = e^{j alpha};
+the matrix Q = [[Re q, -Im q], [Im q, Re q]] and the angle alpha are
+views derived from q. All positions are 2D, in meters. A `Pose` and a
+`Scene` hold one pose, or K poses of one body with a leading trial axis
+on their arrays. Body points are placed as complex numbers x + jy: (N,),
+or (K, N) for K poses.
 `random_scene` given a list or tuple of K generators draws K poses, one
 per generator; given one seed it draws one, through the same placement code.
 A `SceneConfig` builds and checks its anchors and body once, when it is
@@ -90,33 +93,28 @@ def _point_set(values, label: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RotationMatrix:
-    """Planar rotation matrices: one (2, 2) matrix, or a (K, 2, 2) stack."""
+class Rotation:
+    """Planar rotations as unit complex numbers q = e^{j alpha}: one, or a (K,) array."""
 
-    matrix: np.ndarray
+    q: complex | np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """[[Re q, -Im q], [Im q, Re q]]: (2, 2) for one rotation, (K, 2, 2) for K."""
+        q = self.q
+        return np.stack([q.real, -q.imag, q.imag, q.real], axis=-1).reshape(np.shape(q) + (2, 2))
 
     @property
     def angle(self):
-        """Counterclockwise angle in (-pi, pi], one per matrix."""
-        return np.arctan2(self.matrix[..., 1, 0], self.matrix[..., 0, 0])
+        """Counterclockwise angle in (-pi, pi], one per rotation."""
+        return np.angle(self.q)
 
     @classmethod
-    def from_angle(cls, angle) -> "RotationMatrix":
+    def from_angle(cls, angle) -> "Rotation":
         angle = np.asarray(angle, dtype=float)
         if not np.all(np.isfinite(angle)):
             raise ValueError("rotation angle must be finite")
-        return cls(_rotation_matrices(angle))
-
-
-def _rotation_matrices(angles: np.ndarray) -> np.ndarray:
-    """[[cos a, -sin a], [sin a, cos a]] for each angle, shape (..., 2, 2)."""
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty(np.shape(angles) + (2, 2))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    return out
+        return cls(np.cos(angle) + 1j * np.sin(angle))
 
 
 @dataclass(frozen=True)
@@ -124,10 +122,10 @@ class Pose:
     """Rigid planar motion, rotation then translation: one, or K of them.
 
     `translation` is (2,) for one pose and (K, 2) for a stack, matching
-    `rotation.matrix`.
+    `rotation.q`.
     """
 
-    rotation: RotationMatrix
+    rotation: Rotation
     translation: np.ndarray
 
     @classmethod
@@ -135,7 +133,7 @@ class Pose:
         t = np.array(translation, dtype=float)
         if t.shape != np.shape(angle) + (2,) or not np.all(np.isfinite(t)):
             raise ValueError("translation must be a finite 2-vector per angle")
-        return cls(RotationMatrix.from_angle(angle), t)
+        return cls(Rotation.from_angle(angle), t)
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ class Scene:
     """Anchors plus a rigid body in one pose, or in K poses.
 
     For K poses the pose arrays lead with a trial axis and the complex
-    `landmarks` x + jy are (K, N); one scene holds a (2, 2) rotation, a
+    `landmarks` x + jy are (K, N); one scene holds a 0-d rotation q, a
     (2,) translation and (N,) landmarks. `landmarks` is computed from the
     pose, and checked against the anchors, when it is not given;
     `random_scene` gives the landmarks it has already checked.
@@ -405,9 +403,9 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     for _ in range(100):
         for k in np.flatnonzero(clash):
             draws[k] = _draw_pose(rngs[k], box)
-        rotations = _rotation_matrices(draws[:, 0])
+        rotation = Rotation.from_angle(draws[:, 0])
         # the translation puts the shape centroid at the drawn point
-        pose = Pose(RotationMatrix(rotations), draws[:, 1:] - rotations @ center)
+        pose = Pose(rotation, draws[:, 1:] - rotation.matrix @ center)
         landmarks = apply_pose(conformation, pose)
         clash = _on_anchor(anchors.positions, landmarks)
         if not np.any(clash):
@@ -415,5 +413,5 @@ def random_scene(config: SceneConfig, seed) -> Scene:
     else:
         raise ConfigurationError("could not place the body after 100 attempts")
     if not batched:
-        pose, landmarks = Pose(RotationMatrix(rotations[0]), pose.translation[0]), landmarks[0]
+        pose, landmarks = Pose(Rotation(rotation.q[0]), pose.translation[0]), landmarks[0]
     return Scene(anchors, conformation, pose, landmarks)

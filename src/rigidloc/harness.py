@@ -102,7 +102,8 @@ class ExperimentConfig:
         # checked here, not per trial: the FIM needs a finite rho
         if not _is_real(self.rho) or not np.isfinite(self.rho) or self.rho < 0:
             raise ConfigurationError("rho must be a finite nonnegative number")
-        if self.output_path is not None and not isinstance(self.output_path, (str, os.PathLike)):
+        if self.output_path is not None and (
+                not isinstance(self.output_path, (str, os.PathLike)) or self.output_path == ""):
             raise ConfigurationError(f"output must be a file path, not {self.output_path!r}")
 
     def resolve_rho(self) -> float:

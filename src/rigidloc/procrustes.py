@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NO_ORIENTATION, raise_failure
-from .geometry import Conformation, Pose, RotationMatrix, _complex
+from .geometry import Conformation, Pose, Rotation, _complex
 
 _AMBIGUITY_RATIO = 1e-8
 
@@ -141,8 +141,7 @@ def estimate_pose(landmarks: np.ndarray, conformation) -> Pose:
     if isinstance(conformation, Conformation):
         conformation = _complex(conformation.points)
     q, t, _ = fit_alignment(conformation, landmarks)
-    r = np.stack([q.real, -q.imag, q.imag, q.real], axis=-1).reshape(np.shape(q) + (2, 2))
-    return Pose(RotationMatrix(r), np.stack([t.real, t.imag], axis=-1))
+    return Pose(Rotation(q), np.stack([t.real, t.imag], axis=-1))
 
 
 def pose_errors(pose: Pose, truth: Pose):

@@ -206,7 +206,7 @@ def test_degenerate_placements_are_redrawn_from_the_trial_stream(monkeypatch):
     bodies = geometry.random_scene(config.scene, streams(config, 6))
     # each trial keeps its stream's third draw, the first that fits
     assert np.array_equal(bodies.pose.rotation.matrix,
-                          geometry._rotation_matrices(np.array([a for a, _, _ in third])))
+                          geometry.Rotation.from_angle([a for a, _, _ in third]).matrix)
     assert np.allclose(bodies.landmarks.mean(axis=1), [x + 1j * y for _, x, y in third])
     assert check(config)[2].all()
 

@@ -6,6 +6,7 @@ from rigidloc.crlb import _pose_bounds, bearing_intensity, compute_fim
 from rigidloc.errors import ConfigurationError
 from rigidloc.geometry import (AnchorSet, Conformation, Pose, Scene,
                                SceneConfig, random_scene)
+from rigidloc.harness import DEFAULT_SIGMA_GRID
 from rigidloc.measurements import NoiseConfig, generate_measurements, zeta_to_rho
 from rigidloc.procrustes import estimate_pose
 from rigidloc.solvers import SolverConfig, solve_landmarks
@@ -64,6 +65,22 @@ def test_fim_additive_over_channels():
     dist = compute_fim(scene, noise, use_bearings=False).matrix
     bear = compute_fim(scene, noise, use_distances=False).matrix
     assert np.max(np.abs(both - (dist + bear))) < 1e-12 * np.max(np.abs(both))
+
+
+def test_fim_is_exactly_symmetric():
+    # F_ij and F_ji are the same products summed in the same order, so the
+    # FIM needs no symmetrising step
+    rho = zeta_to_rho(np.deg2rad(8))
+    for n in (8, 48):
+        config = SceneConfig(n_anchors=n, n_landmarks=n)
+        scenes = random_scene(config, [np.random.default_rng(k) for k in range(25)])
+        for sigma in DEFAULT_SIGMA_GRID:
+            for channels in ((True, True), (True, False), (False, True)):
+                fim = compute_fim(scenes, NoiseConfig(sigma=sigma, rho=rho), *channels).matrix
+                assert np.array_equal(fim, fim.transpose(0, 2, 1)), (n, sigma, channels)
+        curve = compute_fim(random_scene(config, seed=n),
+                            NoiseConfig(sigma=DEFAULT_SIGMA_GRID, rho=rho)).matrix
+        assert np.array_equal(curve, curve.transpose(0, 2, 1)), n
 
 
 def test_crlb_anchor_doubling_halves_bounds():

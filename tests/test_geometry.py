@@ -6,36 +6,47 @@ import pytest
 
 from rigidloc import geometry
 from rigidloc.errors import ConfigurationError, DegenerateGeometryError
-from rigidloc.geometry import (AnchorSet, Conformation, Pose, RotationMatrix,
+from rigidloc.geometry import (AnchorSet, Conformation, Pose, Rotation,
                                Scene, SceneConfig, apply_pose, random_scene)
 
 
 def test_rotation_identity():
-    rot = RotationMatrix.from_angle(0.0)
+    rot = Rotation.from_angle(0.0)
     assert np.allclose(rot.matrix, np.eye(2))
     assert rot.angle == 0.0
 
 
 def test_rotation_quarter_turn():
-    rot = RotationMatrix.from_angle(np.pi / 2)
+    rot = Rotation.from_angle(np.pi / 2)
     assert np.allclose(rot.matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_rotation_orthonormal():
-    m = RotationMatrix.from_angle(0.3).matrix
+    m = Rotation.from_angle(0.3).matrix
     assert np.max(np.abs(m.T @ m - np.eye(2))) < 1e-12
     assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
 
 def test_rotation_rejects_nonfinite():
     with pytest.raises(ValueError):
-        RotationMatrix.from_angle(np.nan)
+        Rotation.from_angle(np.nan)
     with pytest.raises(ValueError):
-        RotationMatrix.from_angle(np.inf)
+        Rotation.from_angle(np.inf)
     with pytest.raises(ValueError):
-        RotationMatrix.from_angle([0.5, np.nan])
+        Rotation.from_angle([0.5, np.nan])
     with pytest.raises(ValueError):
         Pose.from_angle(np.nan, [0.0, 0.0])
+
+
+def test_rotation_matrix_and_angle_derive_from_q():
+    for a in (0.3, -2.9, np.pi, np.linspace(-np.pi, np.pi, 9)):
+        c, s = np.cos(a), np.sin(a)
+        rot = Rotation.from_angle(a)
+        assert np.array_equal(rot.q, c + 1j * s)
+        assert rot.matrix.shape == np.shape(a) + (2, 2)
+        expected = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))
+        assert np.array_equal(rot.matrix, expected)
+        assert np.array_equal(rot.angle, np.arctan2(s, c))
 
 
 def test_pose_rejects_bad_translation():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rigidloc.errors import DegenerateGeometryError
-from rigidloc.geometry import Conformation, Pose, RotationMatrix, apply_pose
+from rigidloc.geometry import Conformation, Pose, Rotation, apply_pose
 from rigidloc.procrustes import _fit, estimate_pose, fit_alignment, pose_errors
 
 from procrustes_reference import svd_fit
@@ -71,6 +71,21 @@ def test_estimate_pose_exact():
         assert not ambiguous(xy(conf.points), s)
 
 
+def test_estimate_pose_holds_the_fitted_q():
+    # one pair gives one 0-d q, a stack of K pairs K of them; the matrix is
+    # derived from q, (2, 2) or (K, 2, 2)
+    conf, _, s = noisy_instance(3)
+    q, t, _ = fit_alignment(xy(conf.points), s)
+    est = estimate_pose(s, conf)
+    assert np.ndim(est.rotation.q) == 0 and est.rotation.q == q
+    assert est.rotation.matrix.shape == (2, 2)
+    assert np.array_equal(est.rotation.matrix, map_matrix(q, False))
+    assert np.array_equal(est.translation, [t.real, t.imag])
+    stack = estimate_pose(np.stack([s, s[::-1]]), conf)
+    assert stack.rotation.q.shape == (2,) and stack.rotation.matrix.shape == (2, 2, 2)
+    assert stack.rotation.q[0] == q
+
+
 def test_estimate_pose_identity():
     conf = Conformation.regular_polygon(5, 1.0)
     est = estimate_pose(xy(conf.points), conf)
@@ -93,7 +108,7 @@ def test_estimate_pose_beats_grid():
 
 def test_estimate_pose_rotation_equivariance():
     conf, _, s = noisy_instance(3)
-    extra = RotationMatrix.from_angle(0.9)
+    extra = Rotation.from_angle(0.9)
     turned = xy(extra.matrix @ coords(s))
     est1 = estimate_pose(s, conf)
     est2 = estimate_pose(turned, conf)
@@ -141,7 +156,7 @@ def test_estimate_pose_rejects_real_point_sets():
 
 def test_estimate_pose_two_point_segment():
     c = np.array([-1.0, 1.0], dtype=complex)
-    rot = RotationMatrix.from_angle(0.6)
+    rot = Rotation.from_angle(0.6)
     s = xy(rot.matrix @ coords(c) + np.array([[2.0], [1.0]]))
     est = estimate_pose(s, c)
     assert np.max(np.abs(est.rotation.matrix - rot.matrix)) < 1e-10
@@ -153,7 +168,7 @@ def test_estimate_pose_two_point_segment():
 def test_estimate_pose_collinear_not_flagged():
     # a rank-1 cross-covariance still has a unique best rotation
     c = np.array([-1.0, 0.0, 1.0], dtype=complex)
-    rot = RotationMatrix.from_angle(-1.2)
+    rot = Rotation.from_angle(-1.2)
     s = xy(rot.matrix @ coords(c))
     est = estimate_pose(s, c)
     assert not ambiguous(c, s)
@@ -220,7 +235,7 @@ def test_complex_fit_matches_svd_reference():
         n = (2, 3, 8, 48)[seed % 4]
         c = rng.uniform(-3.0, 3.0, size=(2, n))
         flip = np.diag([1.0, -1.0]) if seed % 3 == 0 else np.eye(2)
-        q = RotationMatrix.from_angle(rng.uniform(-np.pi, np.pi)).matrix
+        q = Rotation.from_angle(rng.uniform(-np.pi, np.pi)).matrix
         noise = (0.01, 0.3, 3.0)[seed % 5 % 3]
         s = q @ flip @ c + rng.uniform(-5.0, 5.0, size=(2, 1)) \
             + noise * rng.standard_normal((2, n))

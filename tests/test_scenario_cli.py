@@ -263,11 +263,17 @@ def test_cli_section_that_is_not_a_mapping(tmp_path, capsys):
 
 
 def test_cli_output_that_is_not_a_path(tmp_path, capsys):
-    scenario = write_scenario(tmp_path, "experiment:\n  trials: 2\n  output: 2\n")
-    assert main(["run", scenario]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: output must be a file path, not 2\n"
-    assert captured.out == ""
+    # an empty path names no file; it must not fall back to printing the CSV
+    plain = write_scenario(tmp_path, "experiment:\n  trials: 2\n")
+    number = write_scenario(tmp_path, "experiment:\n  trials: 2\n  output: 2\n", "number.yaml")
+    empty = write_scenario(tmp_path, 'experiment:\n  trials: 2\n  output: ""\n', "empty.yaml")
+    for argv, value in ((["run", number], "2"), (["run", empty], "''"),
+                        (["run", plain, "--out", ""], "''"),
+                        (["crlb", plain, "--out", ""], "''")):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output must be a file path, not {value}\n", argv
+        assert captured.out == "", argv
 
 
 SMALL_RUN = """
