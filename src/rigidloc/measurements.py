@@ -256,7 +256,8 @@ class Measurements:
     with a row per trial, on one pair index; the pair class (AA, AT, TT)
     of each entry follows from `index`. A TT pair has no bearing: its
     angle is NaN in simulated measurements, and no estimator reads it.
-    The arrays are taken as given, not copied, and made read-only. The
+    Simulated arrays sit in plain row order, but any layout is taken as
+    given, not copied, and made read-only; no result depends on it. The
     solvers keep the MDS embedding of the distances in `embedding` once
     they have computed it, so every method solved on one set shares one
     embedding per trial.
@@ -363,10 +364,7 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     x = np.atleast_2d(x)
     aa, at, tt = index.aa, index.at, index.tt
     first, second = index.first, index.second
-    # pair-major (Fortran) order: each pair class is one contiguous block
-    # of memory, which the solvers' AT slices read fastest
-    d_out = np.empty((n, index.n_pairs), order="F")
-    th_out = np.empty((n, index.n_pairs), order="F")
+    d_out, th_out = np.empty((n, index.n_pairs)), np.empty((n, index.n_pairs))
     # the anchors are the same in every trial, so the AA block is computed
     # once; the AT block gets a distance and an angle per trial, the TT
     # block a distance only. AT pair (i, j) is x_{M+j} - x_i, row-major in

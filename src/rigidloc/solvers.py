@@ -147,11 +147,12 @@ def _leading_pairs(b: np.ndarray):
     vectors, from the ||B||_F^2 the iteration already needs, with a
     rounding allowance of `_FROBENIUS_SLACK` T^2 ||B||_F^2 added. Only
     the trials it leaves take the second, a Cholesky factor of
-    (1 - _GAP) lambda_2 I - E; in practice these are noisy trials, whose
-    other eigenvalues, each far below lambda_2, add up in ||E||_F to more
-    than it. Returns the (K, 2) eigenvalues in descending order, the
-    (K, T, 2) eigenvectors and the (K,) mask of certified trials; the
-    pairs of the others carry no meaning.
+    (1 - _GAP) lambda_2 I - E, tried one trial at a time; in practice
+    these are noisy trials, whose other eigenvalues, each far below
+    lambda_2, add up in ||E||_F to more than it. Returns the (K, 2)
+    eigenvalues in descending order, the (K, T, 2) eigenvectors and the
+    (K,) mask of certified trials; the pairs of the others carry no
+    meaning.
     """
     k, t = b.shape[:2]
     flat = b.reshape(k, 1, t * t)
@@ -188,17 +189,13 @@ def _leading_pairs(b: np.ndarray):
         last = res
     found &= lam[:, 1] > 0.0
     cand = np.flatnonzero(found & ~_frobenius_certified(norm2, lam, t))
-    if len(cand):
-        m = (vec[cand] * lam[cand, None, :]) @ vec[cand].transpose(0, 2, 1) - b[cand]
-        m[:, np.arange(t), np.arange(t)] += (1.0 - _GAP) * lam[cand, 1:]
+    m = (vec[cand] * lam[cand, None, :]) @ vec[cand].transpose(0, 2, 1) - b[cand]
+    m[:, np.arange(t), np.arange(t)] += (1.0 - _GAP) * lam[cand, 1:]
+    for i, mi in zip(cand, m):
         try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:  # one failure fails the stack: find it
-            for i, mi in zip(cand, m):
-                try:
-                    np.linalg.cholesky(mi)
-                except np.linalg.LinAlgError:
-                    found[i] = False
+            np.linalg.cholesky(mi)
+        except np.linalg.LinAlgError:
+            found[i] = False
     return lam, vec, found
 
 
@@ -222,21 +219,16 @@ def _eigh_pairs(b: np.ndarray):
 def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     """Double-centred Gram matrices B = -H D^2 H / 2 of (K, P) pair distances.
 
-    Built in O(T^2) per trial: with r_i the mean of row i of D^2,
+    Built in O(T^2) per trial: D^2 is one scatter of the squared
+    distances through the pair index, both triangles and every pair
+    class at once; then, with r_i the mean of row i of D^2,
     B_ij = -(D^2_ij - (r_i + r_j) + mean(r)) / 2, which is exactly
     symmetric. Returns the (K, T, T) stack.
     """
-    m, t = index.n_anchors, index.n_nodes
+    t = index.n_nodes
     sq = distances * distances
-    k = len(sq)
-    b = np.empty((k, t, t))
-    at = sq[:, index.at].reshape(k, m, t - m)
-    b[:, :m, m:] = at
-    b[:, m:, :m] = at.transpose(0, 2, 1)
-    for block in (index.aa, index.tt):
-        i, j = index.first[block], index.second[block]
-        b[:, i, j] = b[:, j, i] = sq[:, block]
-    b[:, np.arange(t), np.arange(t)] = 0.0
+    b = np.zeros((len(sq), t, t))
+    b[:, index.first, index.second] = b[:, index.second, index.first] = sq
     r = b.mean(axis=2)
     b -= r[:, :, None] + r[:, None, :]
     b += r.mean(axis=1)[:, None, None]

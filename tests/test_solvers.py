@@ -305,6 +305,47 @@ def test_frobenius_certificate_implies_the_cholesky_one(monkeypatch, t):
             assert (found & ~frobenius).any()  # the Cholesky stage certifies
 
 
+def frobenius_spy(monkeypatch):
+    """A list that gets the mask of every `_frobenius_certified` call."""
+    kept, real = [], solvers._frobenius_certified
+
+    def spy(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(solvers, "_frobenius_certified", spy)
+    return kept
+
+
+def test_cholesky_certificate_is_decided_per_trial(monkeypatch):
+    # a stack whose Cholesky stage both certifies and refuses: one trial
+    # certified by the Frobenius test, two by the Cholesky one, and the
+    # octagon rings of the test above, which converge with no certificate
+    t = 96
+    trials = []
+    for sigma, seed in ((0.5, 0), (2.0, 1), (2.0, 2)):
+        scene = random_scene(SceneConfig(n_anchors=t // 2, n_landmarks=t // 2),
+                             np.random.default_rng([38, seed]))
+        meas = generate_measurements(scene, NoiseConfig(sigma=sigma, rho=139.25),
+                                     np.random.default_rng([39, seed]))
+        trials.append(_gram(meas.distances[None], meas.index)[0])
+    node = np.arange(t)
+    corner = 2 * np.pi * (node % 8) / 8
+    pts = np.stack([10.0 * (node // 8 - (t // 8 - 1) / 2), np.cos(corner), np.sin(corner)])
+    dist = np.sqrt(np.sum((pts[:, :, None] - pts[:, None, :]) ** 2, axis=0))
+    index = build_pair_index(t // 2, t // 2)
+    trials.append(_gram(dist[None, index.first, index.second], index)[0])
+    kept = frobenius_spy(monkeypatch)
+    lam, vec, found = solvers._leading_pairs(np.stack(trials))
+    assert list(found) == [True, True, True, False]
+    assert list(kept.pop()) == [True, False, False, False]
+    for i, b in enumerate(trials):
+        alone = solvers._leading_pairs(b[None])
+        assert np.array_equal(alone[0][0], lam[i])
+        assert np.array_equal(alone[1][0], vec[i])
+        assert alone[2][0] == found[i]
+
+
 def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
     t = solvers._ITERATE_FROM
     pts = np.random.default_rng(33).uniform(0.0, 10.0, (2, t))
@@ -494,3 +535,40 @@ def test_mds_aligns_a_mirrored_embedding_by_its_conjugate():
                            xy(scene.anchors.positions), m)
     assert list(status) == [0, 0, 0]
     assert np.max(np.abs(targets - scene.landmarks)) < 1e-12
+
+
+def layouts(a):
+    """The values of a (K, P) array in C order, in F order, and as a strided view."""
+    wide = np.zeros((len(a), 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return np.ascontiguousarray(a), np.asfortranarray(a), wide[:, ::2]
+
+
+@pytest.mark.parametrize("size,sigmas", [(8, (0.1, 0.5, 1.0, 2.0, 4.0)),
+                                         (48, (0.5, 2.0, 6.0, 6.0))])
+def test_results_do_not_depend_on_the_measurement_layout(monkeypatch, size, sigmas):
+    k = len(sigmas)
+    scene = random_scene(SceneConfig(n_anchors=size, n_landmarks=size),
+                         [np.random.default_rng([40, size, i]) for i in range(k)])
+    meas = generate_measurements(scene, NoiseConfig(sigma=sigmas, rho=139.25),
+                                 [np.random.default_rng([41, size, i]) for i in range(k)])
+    if size == 48:
+        # the Frobenius stage, the Cholesky stage and the eigh fallback all run
+        kept = frobenius_spy(monkeypatch)
+        found = solvers._leading_pairs(_gram(meas.distances, meas.index))[2]
+        frobenius = kept.pop()
+        assert frobenius.any() and (found & ~frobenius).any() and not found.all()
+    distances, angles = layouts(meas.distances), layouts(meas.angles)
+    assert [d.flags.c_contiguous for d in distances] == [True, False, False]
+    assert [d.flags.f_contiguous for d in distances] == [False, True, False]
+    results = []
+    for d, th in zip(distances, angles):
+        assert np.array_equal(d, meas.distances) and np.array_equal(th, meas.angles, equal_nan=True)
+        laid = Measurements(meas.index, d, th)
+        results.append([solve_landmarks(laid, scene.anchors, config=SolverConfig(method))
+                        for method in solvers.METHODS])
+    c_order, f_order, strided = results
+    for other in (f_order, strided):
+        for got, want in zip(other, c_order):
+            assert np.array_equal(got.coordinates, want.coordinates, equal_nan=True)
+            assert np.array_equal(got.status, want.status)
