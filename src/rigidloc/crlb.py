@@ -83,25 +83,25 @@ def bearing_intensity(rho: float) -> float:
 
 
 def _pose_gradients(anchors, points, landmarks, q):
-    """d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
+    """The parts of d/d(t_x, t_y, alpha) of every AT range and bearing, for K poses.
 
     Every argument is complex: the (M,) anchors, the (N,) body points
     c_n, the (K, N) landmarks s_n and the (K,) rotations q = exp(j alpha).
     With e = s_n - a_m, u = e/|e| and w_n = j q c_n the derivative of
-    s_n = q c_n + t in alpha, a range moves by
+    s_n = q c_n + t in alpha, a range moves in (t_x, t_y, alpha) by
     (Re u, Im u, Re(conj(u) w_n)) and a bearing by
-    (-Im u, Re u, Im(conj(u) w_n)) / |e|. Returns two (K, 3, M, N)
-    arrays, for ranges and for bearings.
+    (-Im u, Re u, Im(conj(u) w_n)) / |e|. Returns the (K, M, N) arrays u,
+    conj(u) w_n and |e|, from which `compute_fim` stacks one channel's
+    (K, 3, M, N) gradients at a time.
     """
     # elementwise, so K poses give each pose's one-pose values bit for bit
     w = 1j * q[:, None] * points
-    e = landmarks[:, None, :] - anchors[:, None]
-    d = np.abs(e)
-    u = e / d
-    uw = np.conj(u) * w[:, None, :]
-    g_d = np.stack([u.real, u.imag, uw.real], axis=1)
-    g_psi = np.stack([-u.imag, u.real, uw.imag], axis=1) / d[:, None]
-    return g_d, g_psi
+    u = landmarks[:, None, :] - anchors[:, None]
+    d = np.abs(u)
+    u /= d
+    uw = np.conj(u)
+    uw *= w[:, None, :]
+    return u, uw, d
 
 
 def _pose_bounds(fims: np.ndarray):
@@ -159,29 +159,34 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     sigmas = np.ndim(noise.sigma) and len(noise.sigma)
     if sigmas and lm.ndim == 2 and sigmas != len(lm):
         raise ValueError(f"{sigmas} sigma values for a scene of {len(lm)} poses")
-    g_d, g_psi = _pose_gradients(_complex(scene.anchors.positions),
-                                 _complex(scene.conformation.points), np.atleast_2d(lm),
-                                 np.atleast_1d(scene.pose.rotation.q))
+    u, uw, d = _pose_gradients(_complex(scene.anchors.positions),
+                               _complex(scene.conformation.points), np.atleast_2d(lm),
+                               np.atleast_1d(scene.pose.rotation.q))
     sigma = np.atleast_1d(noise.sigma)
     variance = np.square(sigma)
     # one pose under K sigma values broadcasts its gradients over them
-    fim = np.zeros((max(len(g_d), len(variance)), 3, 3))
+    fim = np.zeros((max(len(u), len(variance)), 3, 3))
+    # each channel's gradient stack is dropped before the next is built
     if use_distances:
         if np.any(sigma <= 0):
             raise ValueError("distance terms require sigma > 0")
+        g = np.stack([u.real, u.imag, uw.real], axis=1)
         # a sigma so small that its range information 1/sigma^2 overflows, or
         # its square underflows to 0, raises here, at no cost otherwise
         with np.errstate(over="raise", divide="raise"):
             try:
-                fim += np.einsum("Kimn,Kjmn->Kij", g_d, g_d) / variance[:, None, None]
+                fim += np.einsum("Kimn,Kjmn->Kij", g, g) / variance[:, None, None]
             except FloatingPointError:
                 raise ConfigurationError(
                     f"sigma {sigma.min():g} is too small: the range information "
                     "1/sigma^2 of the bound overflows") from None
+        del g
     if use_bearings:
         lam = bearing_intensity(noise.rho)
         if lam > 0:
-            fim += lam * np.einsum("Kimn,Kjmn->Kij", g_psi, g_psi)
+            g = np.stack([-u.imag, u.real, uw.imag], axis=1)
+            g /= d[:, None]
+            fim += lam * np.einsum("Kimn,Kjmn->Kij", g, g)
     bounds = _pose_bounds(fim)
     if lm.ndim == 2 or sigmas:
         return FisherInformation(fim, *bounds)

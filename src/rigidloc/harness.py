@@ -233,9 +233,13 @@ def reference_scene(config: ExperimentConfig) -> Scene:
 
 # A sweep runs as one list of chunks of trials, each chunk one batch on
 # stacked arrays whose largest work arrays, the (chunk, T, T) MDS
-# matrices, stay within this many bytes. A larger budget raises peak
-# memory at M = N = 48; a smaller one adds fixed per-chunk cost at 8 x 8
-_CHUNK_BYTES = 384 << 10
+# matrices, stay within this many bytes. Every chunk pays a fixed cost,
+# 0.5-1 ms at T = 96, and a larger chunk more peak memory: 864 KiB holds
+# 12 trials at T = 96 (three 48 x 48 grid points of 4 trials) and 432 at
+# T = 16, for 1.1-1.9 MB more peak RSS than 384 KiB. The Gram stack
+# stands for all that a trial holds: a chunk's traced peak is 3.3-3.4
+# times it at both T = 16 and T = 96, and a test holds it below 4 times
+_CHUNK_BYTES = 864 << 10
 
 
 def _chunk_size(n_nodes: int) -> int:

@@ -392,7 +392,8 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
     # distances that a shape overflows raises here, at no cost otherwise
     with np.errstate(divide="ignore", over="raise"):
         try:
-            shape = (d / sigma) ** 2
+            shape = d / sigma
+            np.square(shape, out=shape)
         except FloatingPointError:
             raise ConfigurationError(
                 f"sigma {sigma[noisy, 0].min():g} is too small for the scene: the gamma "
@@ -406,7 +407,8 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
             th_out[k, at] = rng.vonmises(th_out[k, at], noise.rho)
         if noisy[k] and noise.tt_noisy:
             rng.standard_gamma(shape[k, n_at:], out=gamma[k, n_at:])
-    d_out[:, noisy_d] = np.where(noisy[:, None], gamma * (np.square(sigma) / d), d)
+    gamma *= np.square(sigma) / d
+    np.copyto(d, gamma, where=noisy[:, None])
     if noisy_bearings:
         th_out[:, at] = wrap_angle(th_out[:, at])
     if not batched:

@@ -160,7 +160,8 @@ def _leading_pairs(b: np.ndarray):
     lam, vec = np.zeros((k, 2)), np.zeros((k, t, 2))
     found = np.zeros(k, dtype=bool)
     live = np.flatnonzero(norm2 <= _NORM2_MAX)
-    bl, tol_l, last = b[live], _RESIDUAL ** 2 * norm2[live], np.full(len(live), np.inf)
+    bl = b if len(live) == k else b[live]
+    tol_l, last = _RESIDUAL ** 2 * norm2[live], np.full(len(live), np.inf)
     z = bl @ np.random.default_rng(0).standard_normal((t, _BLOCK))
     for step in range(1, _MAX_STEPS + 1):
         for _ in range(_POWERS - 1):
@@ -188,10 +189,10 @@ def _leading_pairs(b: np.ndarray):
                 break
         last = res
     found &= lam[:, 1] > 0.0
-    cand = np.flatnonzero(found & ~_frobenius_certified(norm2, lam, t))
-    m = (vec[cand] * lam[cand, None, :]) @ vec[cand].transpose(0, 2, 1) - b[cand]
-    m[:, np.arange(t), np.arange(t)] += (1.0 - _GAP) * lam[cand, 1:]
-    for i, mi in zip(cand, m):
+    diagonal = np.arange(t)
+    for i in np.flatnonzero(found & ~_frobenius_certified(norm2, lam, t)):
+        mi = (vec[i] * lam[i]) @ vec[i].T - b[i]
+        mi[diagonal, diagonal] += (1.0 - _GAP) * lam[i, 1]
         try:
             np.linalg.cholesky(mi)
         except np.linalg.LinAlgError:
@@ -219,18 +220,21 @@ def _eigh_pairs(b: np.ndarray):
 def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     """Double-centred Gram matrices B = -H D^2 H / 2 of (K, P) pair distances.
 
-    Built in O(T^2) per trial: D^2 is one scatter of the squared
-    distances through the pair index, both triangles and every pair
+    Built in O(T^2) per trial: D^2 is filled by scattering the squared
+    distances through flat pair indices into both triangles, every pair
     class at once; then, with r_i the mean of row i of D^2,
     B_ij = -(D^2_ij - (r_i + r_j) + mean(r)) / 2, which is exactly
-    symmetric. Returns the (K, T, T) stack.
+    symmetric. The r_i + r_j are formed one trial at a time, in a T x T
+    work array rather than a (K, T, T) one. Returns the (K, T, T) stack.
     """
     t = index.n_nodes
-    sq = distances * distances
-    b = np.zeros((len(sq), t, t))
-    b[:, index.first, index.second] = b[:, index.second, index.first] = sq
+    b = np.zeros((len(distances), t, t))
+    flat = b.reshape(len(b), t * t)
+    flat[:, index.first * t + index.second] = flat[:, index.second * t + index.first] = (
+        distances * distances)
     r = b.mean(axis=2)
-    b -= r[:, :, None] + r[:, None, :]
+    for bi, ri in zip(b, r):
+        bi -= ri[:, None] + ri
     b += r.mean(axis=1)[:, None, None]
     b *= -0.5
     return b

@@ -9,6 +9,7 @@ from its own (master_seed, g, k) stream, and every batch step applies
 the per-trial arithmetic row by row, so the two must agree bit for bit.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,40 @@ def test_chunks_bound_the_work_arrays():
     assert harness._chunk_size(96) * 8 * 96 * 96 <= harness._CHUNK_BYTES
     assert harness._chunk_size(96) >= 4  # the 48x48 grid points stay one batch
     assert harness._chunk_size(10_000) == 1
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(sigma_grid=(0.5, 2.0), master_seed=27),
+    # the sigma = 6 trials go to eigh
+    ExperimentConfig(scene=SceneConfig(n_anchors=48, n_landmarks=48),
+                     sigma_grid=(0.5, 2.0, 6.0), master_seed=27),
+], ids=["16-nodes", "96-nodes"])
+def test_a_full_chunk_stays_within_four_budgets(monkeypatch, config):
+    # the (chunk, T, T) Gram stack is what `_CHUNK_BYTES` counts; every other
+    # array a chunk holds at once, from the draws to the FIM's gradient
+    # stacks and the certificate's matrices, must stay within a small
+    # multiple of it, so that the budget bounds a chunk's memory
+    t = config.scene.anchors.n_anchors + config.scene.conformation.n_points
+    size = harness._chunk_size(t)
+    config = replace(config, trials=-(-size // len(config.sigma_grid)))
+    fallback, real = [], solvers._eigh_pairs
+
+    def spy(b):
+        fallback.append(len(b))
+        return real(b)
+
+    monkeypatch.setattr(solvers, "_eigh_pairs", spy)
+    harness._trial_chunk(config, 0, size)  # fills the caches of one-time values
+    fallback.clear()
+    tracemalloc.start()
+    try:
+        harness._trial_chunk(config, 0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * harness._CHUNK_BYTES
+    # at 96 nodes some trials, not all, take the eigh path
+    assert (0 < sum(fallback) < size) == (t >= solvers._ITERATE_FROM)
 
 
 REAL_DRAW = geometry._draw_pose

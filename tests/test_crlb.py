@@ -116,21 +116,24 @@ def test_exact_channels_rejected():
 
 
 def test_fim_takes_one_sigma_per_trial():
-    sigmas = np.array([0.1, 0.45, 2.0])
-    scene = random_scene(SceneConfig(), seed=11)
-    scenes = random_scene(SceneConfig(), [np.random.default_rng(k) for k in range(3)])
-    for use_distances in (True, False):
-        fixed = compute_fim(scene, NoiseConfig(sigma=sigmas, rho=40.0), use_distances)
-        each = compute_fim(scenes, NoiseConfig(sigma=sigmas, rho=40.0), use_distances)
-        assert fixed.matrix.shape == each.matrix.shape == (3, 3, 3)
-        for k, sigma in enumerate(sigmas):
-            noise = NoiseConfig(sigma=sigma, rho=40.0)
-            one = compute_fim(scene, noise, use_distances)
-            assert np.array_equal(fixed.matrix[k], one.matrix)
-            assert (fixed.crlb_t[k], fixed.crlb_q[k]) == (one.crlb_t, one.crlb_q)
-            one = compute_fim(random_scene(SceneConfig(), k), noise, use_distances)
-            assert np.array_equal(each.matrix[k], one.matrix)
-            assert (each.crlb_t[k], each.crlb_q[k]) == (one.crlb_t, one.crlb_q)
+    cases = [(SceneConfig(), np.array([0.1, 0.45, 2.0])),
+             # the harness's 12-trial chunk at 48 x 48
+             (SceneConfig(n_anchors=48, n_landmarks=48), np.linspace(0.5, 6.0, 12))]
+    for config, sigmas in cases:
+        scene = random_scene(config, seed=11)
+        scenes = random_scene(config, [np.random.default_rng(k) for k in range(len(sigmas))])
+        for use_distances in (True, False):
+            fixed = compute_fim(scene, NoiseConfig(sigma=sigmas, rho=40.0), use_distances)
+            each = compute_fim(scenes, NoiseConfig(sigma=sigmas, rho=40.0), use_distances)
+            assert fixed.matrix.shape == each.matrix.shape == (len(sigmas), 3, 3)
+            for k, sigma in enumerate(sigmas):
+                noise = NoiseConfig(sigma=sigma, rho=40.0)
+                one = compute_fim(scene, noise, use_distances)
+                assert np.array_equal(fixed.matrix[k], one.matrix)
+                assert (fixed.crlb_t[k], fixed.crlb_q[k]) == (one.crlb_t, one.crlb_q)
+                one = compute_fim(random_scene(config, k), noise, use_distances)
+                assert np.array_equal(each.matrix[k], one.matrix)
+                assert (each.crlb_t[k], each.crlb_q[k]) == (one.crlb_t, one.crlb_q)
     # one pose with one sigma in an array still gives arrays
     assert compute_fim(scene, NoiseConfig(sigma=[0.5], rho=40.0)).crlb_t.shape == (1,)
     for bad in (sigmas[:2], np.append(sigmas, 1.0)):

@@ -318,32 +318,44 @@ def frobenius_spy(monkeypatch):
 
 
 def test_cholesky_certificate_is_decided_per_trial(monkeypatch):
-    # a stack whose Cholesky stage both certifies and refuses: one trial
-    # certified by the Frobenius test, two by the Cholesky one, and the
-    # octagon rings of the test above, which converge with no certificate
+    # a 12-trial stack, as the harness runs at T = 96, whose Cholesky stage
+    # both certifies and refuses: trials certified by the Frobenius test,
+    # trials certified by the Cholesky one, sigma = 6 trials that go to
+    # eigh, and the octagon rings of the test above, which converge with no
+    # certificate. Each trial's Gram matrix, eigenpairs, certificate and
+    # embedding must be those it gets alone
     t = 96
-    trials = []
-    for sigma, seed in ((0.5, 0), (2.0, 1), (2.0, 2)):
+    index = build_pair_index(t // 2, t // 2)
+    rows = []
+    for seed, sigma in enumerate((0.5, 2.0, 2.0, 6.0, 6.0, 0.1, 1.0, 4.0, 0.5, 2.0, 6.0)):
         scene = random_scene(SceneConfig(n_anchors=t // 2, n_landmarks=t // 2),
                              np.random.default_rng([38, seed]))
         meas = generate_measurements(scene, NoiseConfig(sigma=sigma, rho=139.25),
                                      np.random.default_rng([39, seed]))
-        trials.append(_gram(meas.distances[None], meas.index)[0])
+        rows.append(meas.distances)
     node = np.arange(t)
     corner = 2 * np.pi * (node % 8) / 8
     pts = np.stack([10.0 * (node // 8 - (t // 8 - 1) / 2), np.cos(corner), np.sin(corner)])
     dist = np.sqrt(np.sum((pts[:, :, None] - pts[:, None, :]) ** 2, axis=0))
-    index = build_pair_index(t // 2, t // 2)
-    trials.append(_gram(dist[None, index.first, index.second], index)[0])
+    rows.append(dist[index.first, index.second])
+    distances = np.stack(rows)
     kept = frobenius_spy(monkeypatch)
-    lam, vec, found = solvers._leading_pairs(np.stack(trials))
-    assert list(found) == [True, True, True, False]
-    assert list(kept.pop()) == [True, False, False, False]
-    for i, b in enumerate(trials):
-        alone = solvers._leading_pairs(b[None])
+    b = _gram(distances, index)
+    lam, vec, found = solvers._leading_pairs(b)
+    assert list(found) == [True, True, True, False, False, True, True, True, True, True,
+                           False, False]
+    assert list(kept.pop()) == [True, False, False, False, False, True, True, False, True,
+                                False, False, False]
+    coords, status = _embed(b)
+    for i, d in enumerate(distances):
+        b_i = _gram(d[None], index)
+        assert np.array_equal(b_i[0], b[i])
+        alone = solvers._leading_pairs(b_i)
         assert np.array_equal(alone[0][0], lam[i])
         assert np.array_equal(alone[1][0], vec[i])
         assert alone[2][0] == found[i]
+        coords_i, status_i = _embed(b_i)
+        assert np.array_equal(coords_i[0], coords[i]) and status_i[0] == status[i]
 
 
 def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
