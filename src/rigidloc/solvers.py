@@ -25,21 +25,22 @@ array, the estimates a (K, N) stack:
 
 The MDS embedding needs only the two leading eigenpairs of the T x T
 Gram matrix B (T = M + N nodes), which `_gram` builds from the pair
-distances in O(T^2). Below `_ITERATE_FROM` nodes (80, chosen by
-measurement) the pairs come from a full `np.linalg.eigh`. From there on
-`_leading_pairs` finds them by block subspace iteration and keeps a
-trial only with a certificate that no other eigenvalue comes near
-lambda_2: lambda_2 > 0 and every eigenvalue of E = B - Y Lambda Y^T
-below (1 - _GAP) lambda_2. The certificate has two stages. The first
-bounds them by ||E||_F, known from ||B||_F and the Ritz values, with a
+distances in O(T^2). `_leading_pairs` finds them by subspace iteration
+on two columns, whose 2 x 2 Rayleigh-Ritz step is solved in closed
+form, and keeps a trial only with a certificate that no other eigenvalue comes near lambda_2:
+lambda_2 > 0 and every eigenvalue of E = B - Y Lambda Y^T below
+(1 - _GAP) lambda_2. The certificate has two stages. The first bounds
+them by ||E||_F, known from ||B||_F and the Ritz values, with a
 rounding allowance of T^2 eps ||B||_F^2 on its square; a trial it does
 not certify takes the second, a Cholesky factor of
 (1 - _GAP) lambda_2 I - E. A trial without a certificate goes to
 `eigh`, so failure codes are those of `eigh`, and estimates agree with
-it to rounding. A `Measurements` keeps its MDS embedding once computed,
-so ``mds`` and ``smds_distance_only`` on one set share one embedding per
-trial. A failed trial of K is reported by a failure code from `errors`;
-one trial raises that code's typed error instead.
+it to rounding. A trial whose B is not finite gets NaN pairs and no
+`eigh` call, which would fail the whole stack, so its failure code is
+the same at every T. A `Measurements` keeps its MDS embedding once
+computed, so ``mds`` and ``smds_distance_only`` on one set share one
+embedding per trial. A failed trial of K is reported by a failure code
+from `errors`; one trial raises that code's typed error instead.
 """
 
 from __future__ import annotations
@@ -101,23 +102,25 @@ def _at_directions(targets: np.ndarray, anchors: np.ndarray):
         return e / np.abs(e), np.any(e == 0.0, axis=(1, 2))
 
 
-# Node count T from which `_embed` takes the two leading eigenpairs by block
-# subspace iteration instead of a full `eigh`: the smallest T at which,
-# measured on a 2-core machine in the harness's chunks, `_embed` is no
-# slower at any sigma up to 4 on the default room. Its time against the
-# `eigh` path was 0.23-0.40 for sigma <= 2 and 0.87 at sigma = 4 at
-# T = 80 (0.27-0.37 and 0.85 at T = 96); at T = 64, 1.15 at sigma = 4,
-# and at T = 16, 1.75 at sigma = 2.
-_ITERATE_FROM = 80
-# block columns, products with B between Rayleigh-Ritz steps, and steps
-_BLOCK, _POWERS, _MAX_STEPS = 4, 4, 20
-# a trial is converged once both Ritz residuals are below this times ||B||_F
+# Products with B between Rayleigh-Ritz steps, and steps. Chosen by
+# measurement on a 2-core machine, in the harness's chunks on the default
+# room, so that `_embed` is faster than a full `eigh` at every sigma <= 2
+# and at most 1.5 times it at every sigma <= 6, where most trials go to
+# `eigh` after their steps, from the smallest scene (T = 6) up: every T
+# takes the iteration, and `eigh` is only its fallback.
+_POWERS, _MAX_STEPS = 12, 8
+# a trial is converged once its block residual ||B Q - Q H||_F, which bounds
+# both Ritz residuals, is below this times ||B||_F
 _RESIDUAL = 1e-14
 # the certificate asks every other eigenvalue to lie below (1 - _GAP) lambda_2
 _GAP = 1e-2
-# a B with ||B||_F^2 above this could overflow in `_POWERS` products, so
-# its trial goes straight to `eigh`, as does one that is not finite
-_NORM2_MAX = 1e128
+# The iteration scales each product by 2^-e, ||B||_F <= 2^e, so the columns
+# neither overflow nor underflow over `_POWERS` products whatever the scale
+# of B. e comes from the exponent of ||B||_F^2, which must be a normal
+# number, and at most max / 64, so that the Frobenius test's sum of it and
+# the squared Ritz values, each at most 4 ||B||_F^2, stays finite. A trial
+# outside this range goes to `eigh`, as does one that is not finite
+_NORM2_MIN, _NORM2_MAX = np.finfo(float).tiny, np.finfo(float).max / 64
 # rounding allowance of the Frobenius test, per T^2 and relative to
 # ||B||_F^2: a sum of T^2 squares is off by at most about T^2 u ||B||_F^2
 # (u the unit roundoff), and eps = 2u doubles that, which also covers the
@@ -125,29 +128,43 @@ _NORM2_MAX = 1e128
 _FROBENIUS_SLACK = np.finfo(float).eps
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (K, T) arrays, each summed in its own row."""
+    return np.einsum("ki,ki->k", x, y)
+
+
 def _leading_pairs(b: np.ndarray):
     """Certified two leading eigenpairs of a (K, T, T) stack of symmetric B.
 
-    Block subspace iteration from a fixed start block, drawn from a
-    generator of its own, never a trial's: each step applies B
-    `_POWERS` times, orthonormalises the block and takes its Rayleigh-Ritz
-    pairs. A trial stops at the first step where both leading Ritz
-    residuals are below `_RESIDUAL` ||B||_F, or where, at its last
-    contraction of the residual, it would not get there within
-    `_MAX_STEPS`. Every step works on each trial's own matrices, so a
-    trial's result does not depend on the stack it sits in.
+    Subspace iteration on two columns, held as the rows of a (K, 2, T)
+    array, from a fixed start block drawn from a generator of its own,
+    never a trial's: each step applies B `_POWERS` times,
+    orthonormalises the two columns by Gram-Schmidt into Q and forms
+    W = B Q and the 2 x 2 matrix H = Q^T W. Each product with B is
+    scaled by a power of two, 2^-e with ||B||_F <= 2^e, which is exact
+    and keeps the columns within range whatever the scale of B. A trial
+    stops at the first step where the block residual ||W - Q H||_F,
+    which bounds both Ritz residuals, is below `_RESIDUAL` ||B||_F, or
+    where, at its last contraction of the residual, it would not get
+    there within `_MAX_STEPS`, or where the smaller eigenvalue of H is
+    not above 0: measured, such a trial almost never ends with a pair
+    that passes the lambda_2 > 0 check below. A trial that converges
+    takes the Rayleigh-Ritz pairs of H, in closed form: the rotation of
+    Q that diagonalises H. Every step works on each trial's own matrices
+    and rows, so a trial's result does not depend on the stack it sits
+    in.
 
-    A trial whose ||B||_F^2 is not finite or exceeds `_NORM2_MAX` is not
-    iterated. A converged trial with lambda_2 > 0 is certified when every
-    eigenvalue of E = B - Y Lambda Y^T lies below (1 - _GAP) lambda_2:
-    by Weyl's inequality no eigenvalue of B other than the two found
-    then exceeds (1 - _GAP) lambda_2. The certificate has two stages.
-    The first, `_frobenius_certified`, bounds them all by ||E||_F, whose
-    square is ||B||_F^2 - theta_1^2 - theta_2^2 for orthonormal Ritz
-    vectors, from the ||B||_F^2 the iteration already needs, with a
-    rounding allowance of `_FROBENIUS_SLACK` T^2 ||B||_F^2 added. Only
-    the trials it leaves take the second, a Cholesky factor of
-    (1 - _GAP) lambda_2 I - E, tried one trial at a time; in practice
+    A trial whose ||B||_F^2 is not a normal number below `_NORM2_MAX` is
+    not iterated. A converged trial with lambda_2 > 0 is certified when
+    every eigenvalue of E = B - Y Lambda Y^T lies below (1 - _GAP)
+    lambda_2: by Weyl's inequality no eigenvalue of B other than the two
+    found then exceeds (1 - _GAP) lambda_2. The certificate has two
+    stages. The first, `_frobenius_certified`, bounds them all by
+    ||E||_F, whose square is ||B||_F^2 - theta_1^2 - theta_2^2 for
+    orthonormal Ritz vectors, from the ||B||_F^2 the iteration already
+    needs, with a rounding allowance of `_FROBENIUS_SLACK` T^2 ||B||_F^2
+    added. Only the trials it leaves take the second, a Cholesky factor
+    of (1 - _GAP) lambda_2 I - E, tried one trial at a time; in practice
     these are noisy trials, whose other eigenvalues, each far below
     lambda_2, add up in ||E||_F to more than it. Returns the (K, 2)
     eigenvalues in descending order, the (K, T, 2) eigenvectors and the
@@ -157,37 +174,73 @@ def _leading_pairs(b: np.ndarray):
     k, t = b.shape[:2]
     flat = b.reshape(k, 1, t * t)
     norm2 = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
-    lam, vec = np.zeros((k, 2)), np.zeros((k, t, 2))
+    # H and Q of each converged trial, rotated to its Ritz pairs at the end;
+    # the eigenvectors are filled as rows and returned as columns
+    lam, h_found, rows = np.zeros((k, 2)), np.zeros((k, 2, 2)), np.zeros((k, 2, t))
     found = np.zeros(k, dtype=bool)
-    live = np.flatnonzero(norm2 <= _NORM2_MAX)
+    live = np.flatnonzero((norm2 >= _NORM2_MIN) & (norm2 <= _NORM2_MAX))
     bl = b if len(live) == k else b[live]
-    tol_l, last = _RESIDUAL ** 2 * norm2[live], np.full(len(live), np.inf)
-    z = bl @ np.random.default_rng(0).standard_normal((t, _BLOCK))
+    # 2^-e with ||B||_F <= 2^e, from the exponent of ||B||_F^2, repeated to
+    # the shape of the columns so that scaling them is one plain product
+    e = np.zeros(k, dtype=int)
+    e[live] = (np.frexp(norm2[live])[1] + 1) // 2
+    scale = np.repeat(np.ldexp(1.0, -e[live]), 2 * t).reshape(-1, 2, t)
+    tol_l = _RESIDUAL ** 2 * np.ldexp(norm2[live], -2 * e[live])
+    last = np.full(len(live), np.inf)
+    # rows of `bl` whose trial still iterates; the others ride along until
+    # at most half are left, when the stack is compacted
+    going = np.ones(len(live), dtype=bool)
+    w = np.random.default_rng(0).standard_normal((2, t)) @ bl
+    w *= scale
     for step in range(1, _MAX_STEPS + 1):
+        # the products alternate between two buffers
+        q, spare = w, np.empty_like(w)
         for _ in range(_POWERS - 1):
-            z = bl @ z
-        q = np.linalg.qr(z)[0]
-        z = bl @ q
-        h = q.transpose(0, 2, 1) @ z
-        theta, s = np.linalg.eigh(0.5 * (h + h.transpose(0, 2, 1)))
-        theta, s = theta[:, :-3:-1], s[:, :, :-3:-1]
-        y = q @ s
-        r = z @ s - y * theta[:, None, :]
-        # squared column norms by one matrix product per trial, whose sums
-        # do not depend on the stack
-        res = np.diagonal(r.transpose(0, 2, 1) @ r, axis1=1, axis2=2).max(axis=1)
-        done = res <= tol_l
+            q, spare = np.matmul(q, bl, out=spare), q
+            q *= scale
+        q1, q2 = q[:, 0], q[:, 1]
+        # a column that collapses to zero makes its trial NaN, and NaN stops it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q1 /= np.sqrt(_dot(q1, q1))[:, None]
+            q2 -= _dot(q1, q2)[:, None] * q1
+            q2 /= np.sqrt(_dot(q2, q2))[:, None]
+        w = np.matmul(q, bl, out=spare)
+        w *= scale
+        # H = Q^T W, symmetrised: its diagonal, then q_1 w_2 and q_2 w_1
+        h = np.empty((len(live), 2, 2))
+        h[:, [0, 1], [0, 1]] = np.einsum("kci,kci->kc", q, w)
+        h[:, 0, 1] = h[:, 1, 0] = 0.5 * np.einsum("kci,kci->kc", q, w[:, ::-1]).sum(axis=1)
+        r = h @ q
+        r -= w
+        res = np.einsum("kci,kci->k", r, r)
+        del r
+        done = going & (res <= tol_l)
+        # H positive definite: both Ritz values above 0
+        h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        positive = (h11 + h22 > 0.0) & (h11 * h22 > h12 * h12)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # the residual after the steps left, shrinking as in the last step
-            stop = done | ~(res * (res / last) ** (_MAX_STEPS - step) <= tol_l)
-        if stop.any():
-            lam[live[done]], vec[live[done]] = theta[done], y[done]
-            found[live[done]] = True
-            go = ~stop
-            live, bl, tol_l, z, res = live[go], bl[go], tol_l[go], z[go], res[go]
-            if not len(live):
-                break
+            on_track = res * (res / last) ** (_MAX_STEPS - step) <= tol_l
+        stop = done | going & ~(positive & on_track)
+        if done.any():
+            i = live[done]
+            h_found[i], rows[i], found[i] = h[done], q[done], True
+        going &= ~stop
+        if not going.any():
+            break
+        if 2 * np.count_nonzero(going) <= len(going):
+            live, tol_l, w, res, scale = (live[going], tol_l[going], w[going], res[going],
+                                          scale[going])
+            going = going[going]
+            # from b, with the last copy and Q gone first, so that at most
+            # one copy of the stack is alive
+            del bl, q
+            bl = b[live]
         last = res
+    i = np.flatnonzero(found)
+    theta, rows[i] = _ritz_pairs(h_found[i], rows[i])
+    lam[i] = np.ldexp(theta, e[i, None])
+    vec = rows.transpose(0, 2, 1)
     found &= lam[:, 1] > 0.0
     diagonal = np.arange(t)
     for i in np.flatnonzero(found & ~_frobenius_certified(norm2, lam, t)):
@@ -198,6 +251,30 @@ def _leading_pairs(b: np.ndarray):
         except np.linalg.LinAlgError:
             found[i] = False
     return lam, vec, found
+
+
+def _ritz_pairs(h: np.ndarray, q: np.ndarray):
+    """Eigenpairs of (K, 2, 2) symmetric H, and the rotation of Q they give.
+
+    Returns the (K, 2) eigenvalues in descending order and, for the
+    (K, 2, T) orthonormal rows Q, the (K, 2, T) rows S^T Q, S the
+    eigenvectors. With half = (h11 - h22) / 2 and r = hypot(half, h12),
+    the eigenvalues are (h11 + h22) / 2 +- r, and the leading
+    eigenvector is (p, h12) for half >= 0 and (h12, p) below,
+    p = r + |half|, so that its larger component never comes from a
+    cancellation.
+    """
+    h11, h12, h22 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    half = 0.5 * (h11 - h22)
+    r = np.hypot(half, h12)
+    p = r + np.abs(half)
+    s = np.empty_like(h)
+    s[:, 0, 0] = s[:, 1, 1] = np.where(half >= 0.0, p, h12)
+    s[:, 0, 1] = np.where(half >= 0.0, h12, p)
+    s[:, 1, 0] = -s[:, 0, 1]
+    s /= np.hypot(s[:, 0, 0], s[:, 0, 1])[:, None, None]
+    mid = 0.5 * (h11 + h22)
+    return np.stack([mid + r, mid - r], axis=1), s @ q
 
 
 def _frobenius_certified(norm2: np.ndarray, lam: np.ndarray, t: int) -> np.ndarray:
@@ -212,9 +289,24 @@ def _frobenius_certified(norm2: np.ndarray, lam: np.ndarray, t: int) -> np.ndarr
 
 
 def _eigh_pairs(b: np.ndarray):
-    """The two leading eigenpairs of each matrix of a stack, from `eigh`."""
+    """The two leading eigenpairs of each matrix of a stack, from `eigh`.
+
+    A matrix that is not finite, which would make `eigh` raise for the
+    whole stack, is kept out of it and gets NaN pairs.
+    """
+    finite = np.isfinite(b).all(axis=(1, 2))
+    if not finite.all():
+        lam, vec = np.full((len(b), 2), np.nan), np.full((*b.shape[:2], 2), np.nan)
+        if finite.any():
+            lam[finite], vec[finite] = _eigh_pairs(b[finite])
+        return lam, vec
     w, u = np.linalg.eigh(b)
     return w[:, [-1, -2]], u[:, :, [-1, -2]]
+
+
+# doubles in `_gram`'s work array for r_i + r_j: one T x T matrix at
+# T = 96, 36 trials at T = 16
+_CENTRE_BLOCK = 96 * 96
 
 
 def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
@@ -224,8 +316,9 @@ def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     distances through flat pair indices into both triangles, every pair
     class at once; then, with r_i the mean of row i of D^2,
     B_ij = -(D^2_ij - (r_i + r_j) + mean(r)) / 2, which is exactly
-    symmetric. The r_i + r_j are formed one trial at a time, in a T x T
-    work array rather than a (K, T, T) one. Returns the (K, T, T) stack.
+    symmetric. The r_i + r_j are formed for a block of trials at a time,
+    in a work array of at most `_CENTRE_BLOCK` doubles rather than a
+    (K, T, T) one. Returns the (K, T, T) stack.
     """
     t = index.n_nodes
     b = np.zeros((len(distances), t, t))
@@ -233,8 +326,10 @@ def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     flat[:, index.first * t + index.second] = flat[:, index.second * t + index.first] = (
         distances * distances)
     r = b.mean(axis=2)
-    for bi, ri in zip(b, r):
-        bi -= ri[:, None] + ri
+    size = max(1, _CENTRE_BLOCK // (t * t))
+    for i in range(0, len(b), size):
+        ri = r[i:i + size]
+        b[i:i + size] -= ri[:, :, None] + ri[:, None, :]
     b += r.mean(axis=1)[:, None, None]
     b *= -0.5
     return b
@@ -244,21 +339,19 @@ def _embed(b: np.ndarray):
     """Classic MDS embeddings of a (K, T, T) stack of `_gram` matrices.
 
     The embedding takes the two leading eigenpairs of the double-centred
-    Gram matrix B. Below `_ITERATE_FROM` nodes they come from a full
-    `np.linalg.eigh`. From there on `_leading_pairs` finds them by block
-    subspace iteration and certifies that no other eigenvalue comes
-    within `_GAP` of lambda_2; a trial it cannot certify in `_MAX_STEPS`
-    steps (lambda_2 <= 0, lambda_3 close to lambda_2, or a slow
-    contraction) goes to `eigh`, so its failure code is `eigh`'s. Returns
-    the (K, T) complex embeddings sqrt(lambda_1) u_1 + j sqrt(lambda_2) u_2
-    and (K,) failure codes.
+    Gram matrix B. `_leading_pairs` finds them by two-column subspace
+    iteration and certifies that no other eigenvalue comes within `_GAP`
+    of lambda_2; a trial it cannot certify in `_MAX_STEPS` steps
+    (lambda_2 <= 0, lambda_3 close to lambda_2, or a slow contraction)
+    goes to a full `np.linalg.eigh`, so its failure code is `eigh`'s. A
+    trial whose B is not finite takes no `eigh` call, which would raise
+    for the whole stack, and gets NaN pairs instead. Returns the (K, T)
+    complex embeddings sqrt(lambda_1) u_1 + j sqrt(lambda_2) u_2 and (K,)
+    failure codes.
     """
-    if b.shape[-1] < _ITERATE_FROM:
-        lam, vec = _eigh_pairs(b)
-    else:
-        lam, vec, found = _leading_pairs(b)
-        if not found.all():
-            lam[~found], vec[~found] = _eigh_pairs(b[~found])
+    lam, vec, found = _leading_pairs(b)
+    if not found.all():
+        lam[~found], vec[~found] = _eigh_pairs(b[~found])
     lam1, lam2 = lam[:, 0], lam[:, 1]
     status = np.where(lam1 <= 0.0, NO_EMBEDDING,
                       np.where(lam2 < -1e-9 * lam1, NEGATIVE_GRAM, 0))

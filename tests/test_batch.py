@@ -205,8 +205,8 @@ def test_a_full_chunk_stays_within_four_budgets(monkeypatch, config):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * harness._CHUNK_BYTES
-    # at 96 nodes some trials, not all, take the eigh path
-    assert (0 < sum(fallback) < size) == (t >= solvers._ITERATE_FROM)
+    # some trials, not all, take the eigh path
+    assert 0 < sum(fallback) < size
 
 
 REAL_DRAW = geometry._draw_pose

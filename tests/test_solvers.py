@@ -6,9 +6,9 @@ from scipy.linalg import orthogonal_procrustes
 
 import rigidloc.solvers as solvers
 from rigidloc.edges import build_pair_index
-from rigidloc.errors import (COINCIDENT_EDGES, NO_EMBEDDING, NOT_FINITE, ConfigurationError,
-                             DegenerateGeometryError, NumericalFailureError,
-                             raise_failure)
+from rigidloc.errors import (COINCIDENT_EDGES, NO_EMBEDDING, NO_ORIENTATION, NOT_FINITE,
+                             ConfigurationError, DegenerateGeometryError,
+                             NumericalFailureError, raise_failure)
 from rigidloc.geometry import SceneConfig, random_scene
 from rigidloc.measurements import (Measurements, NoiseConfig, generate_measurements,
                                    zeta_to_rho)
@@ -217,30 +217,40 @@ def test_embed_distances_collinear():
     assert np.max(np.abs(got - d)) < 1e-9
 
 
+def eigh_only(monkeypatch):
+    """Make `_embed` take every trial's pairs from `_eigh_pairs`, the reference."""
+    monkeypatch.setattr(solvers, "_leading_pairs",
+                        lambda b: (*solvers._eigh_pairs(b), np.ones(len(b), dtype=bool)))
+
+
 def full_eigh_trials(monkeypatch):
-    """A list that gets the trial count of every full T x T `eigh` call."""
+    """A list that gets the trial count of every full T x T `eigh` call.
+
+    The iteration solves its 2 x 2 Rayleigh-Ritz steps in closed form, so
+    every `eigh` call is a full one.
+    """
     calls, real = [], np.linalg.eigh
 
     def spy(a, *args, **kwargs):
-        if a.shape[-1] > solvers._BLOCK:
-            calls.append(len(a))
+        calls.append(len(a))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
     return calls
 
 
-@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.5, 2.0, 4.0])
-def test_iterative_embedding_matches_eigh(monkeypatch, sigma):
-    # 96 nodes take the certified block iteration; the reference raises the
-    # threshold above them, so that every trial goes to the full eigh
+@pytest.mark.parametrize("size,sigma", [
+    pytest.param(size, sigma, id=f"{sigma}" if size == 48 else f"16-nodes-{sigma}")
+    for size in (48, 8) for sigma in (0.0, 0.1, 0.5, 2.0, 4.0)])
+def test_iterative_embedding_matches_eigh(monkeypatch, size, sigma):
+    # 16 and 96 nodes, the two benchmark scenes, take the certified
+    # two-column iteration; the reference takes every trial's pairs from
+    # `_eigh_pairs` in its place
     k = 6
-    scene = random_scene(SceneConfig(n_anchors=48, n_landmarks=48),
+    scene = random_scene(SceneConfig(n_anchors=size, n_landmarks=size),
                          [np.random.default_rng([31, i]) for i in range(k)])
     noise = NoiseConfig(sigma=sigma, rho=np.inf if sigma == 0.0 else 139.25)
     meas = generate_measurements(scene, noise, [np.random.default_rng([32, i]) for i in range(k)])
-    t = meas.index.n_nodes
-    assert t >= solvers._ITERATE_FROM
 
     def solve(method):  # on a fresh set, so that no embedding is shared
         return solve_landmarks(replace(meas), scene.anchors, config=SolverConfig(method))
@@ -252,7 +262,7 @@ def test_iterative_embedding_matches_eigh(monkeypatch, sigma):
         assert fell_back == 0  # every trial certified
     else:
         assert 0 < fell_back < 2 * k  # lambda_3 near lambda_2: some fall back
-    monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
+    eigh_only(monkeypatch)
     for method, est in got.items():
         want = solve(method)
         assert np.array_equal(est.status, want.status)
@@ -324,10 +334,26 @@ def test_cholesky_certificate_is_decided_per_trial(monkeypatch):
     # eigh, and the octagon rings of the test above, which converge with no
     # certificate. Each trial's Gram matrix, eigenpairs, certificate and
     # embedding must be those it gets alone
-    t = 96
+    sigmas = (0.5, 2.0, 2.0, 6.0, 6.0, 0.1, 1.0, 4.0, 0.5, 2.0, 6.0)
+    assert_decided_per_trial(monkeypatch, 96, sigmas, "TTTFFTTTTTFF", "TFFFFTTFTFFF")
+
+
+def test_cholesky_certificate_is_decided_per_trial_at_16_nodes(monkeypatch):
+    # the same kinds of trial at T = 16, the default room's node count
+    sigmas = (0.5, 3.0, 3.0, 6.0, 2.0, 0.1, 1.0, 4.0, 2.5, 6.0, 2.0)
+    assert_decided_per_trial(monkeypatch, 16, sigmas, "TTTFTTTFTFTF", "TFFFFTTFFFTF")
+
+
+def assert_decided_per_trial(monkeypatch, t, sigmas, want_found, want_frobenius):
+    """Check a stack of one trial per sigma and the octagon rings at T nodes.
+
+    The certified trials and the Frobenius stage's mask must read as the
+    wanted T/F strings, and each trial must get alone what it gets in the
+    stack.
+    """
     index = build_pair_index(t // 2, t // 2)
     rows = []
-    for seed, sigma in enumerate((0.5, 2.0, 2.0, 6.0, 6.0, 0.1, 1.0, 4.0, 0.5, 2.0, 6.0)):
+    for seed, sigma in enumerate(sigmas):
         scene = random_scene(SceneConfig(n_anchors=t // 2, n_landmarks=t // 2),
                              np.random.default_rng([38, seed]))
         meas = generate_measurements(scene, NoiseConfig(sigma=sigma, rho=139.25),
@@ -342,10 +368,8 @@ def test_cholesky_certificate_is_decided_per_trial(monkeypatch):
     kept = frobenius_spy(monkeypatch)
     b = _gram(distances, index)
     lam, vec, found = solvers._leading_pairs(b)
-    assert list(found) == [True, True, True, False, False, True, True, True, True, True,
-                           False, False]
-    assert list(kept.pop()) == [True, False, False, False, False, True, True, False, True,
-                                False, False, False]
+    assert "".join("TF"[not f] for f in found) == want_found
+    assert "".join("TF"[not f] for f in kept.pop()) == want_frobenius
     coords, status = _embed(b)
     for i, d in enumerate(distances):
         b_i = _gram(d[None], index)
@@ -359,29 +383,53 @@ def test_cholesky_certificate_is_decided_per_trial(monkeypatch):
 
 
 def test_uncertified_trials_fall_back_to_eigh(monkeypatch):
-    t = solvers._ITERATE_FROM
+    t = 16
     pts = np.random.default_rng(33).uniform(0.0, 10.0, (2, t))
     planar = np.hypot(*(pts[:, :, None] - pts[:, None, :]))
     simplex = 1.0 - np.eye(t)  # lambda_2 = lambda_3: no certificate
     zero = np.zeros((t, t))    # lambda_1 = 0: no embedding
-    far = 1e40 * planar        # B^4 would overflow: not iterated
-    broken = planar.copy()     # B is not finite: not iterated
+    far = 1e76 * planar        # ||B||_F^2 overflows: not iterated
+    huge = 1e40 * planar       # B^12 would overflow unscaled: iterated
+    broken = planar.copy()     # B is not finite: NaN pairs, kept out of eigh
     broken[0, 1] = broken[1, 0] = 1e200
-    dmats = np.stack([planar, simplex, zero, far, broken])
+    dmats = np.stack([planar, simplex, zero, far, huge, broken])
     calls = full_eigh_trials(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         b = gram(dmats, t // 2)
         coords, status = _embed(b)
-    assert calls == [4]  # every trial but the first, in one stack
-    assert list(status) == [0, 0, NO_EMBEDDING, 0, 0]
-    got = np.abs(coords[0][:, None] - coords[0][None, :])
-    assert np.max(np.abs(got - planar)) < 1e-9
+    assert calls == [3]  # the uncertified finite trials, in one stack
+    assert list(status) == [0, 0, NO_EMBEDDING, 0, 0, 0]
+    assert np.isnan(coords[5]).all()
+    for i, scale in ((0, 1.0), (4, 1e40)):
+        got = np.abs(coords[i][:, None] - coords[i][None, :])
+        assert np.max(np.abs(got - scale * planar)) < 1e-9 * scale
     # a trial that falls back gets exactly the eigh path's embedding
-    monkeypatch.setattr(solvers, "_ITERATE_FROM", t + 1)
+    eigh_only(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         want, want_status = _embed(b)
     assert np.array_equal(status, want_status)
-    assert np.array_equal(coords[1:], want[1:], equal_nan=True)
+    assert np.array_equal(coords[1:4], want[1:4])
+    assert np.array_equal(coords[5], want[5], equal_nan=True)
+
+
+@pytest.mark.parametrize("size", [8, 48])
+@pytest.mark.parametrize("method", ["mds", "smds_distance_only"])
+def test_a_non_finite_gram_matrix_fails_only_its_trial(size, method):
+    # a distance of 1e200 m squares to infinity; eigh on such a stack would
+    # raise for the whole batch, so the trial gets NaN pairs instead and is
+    # reported by the same code at every size
+    index = build_pair_index(size, size)
+    scene = random_scene(SceneConfig(n_anchors=size, n_landmarks=size),
+                         [np.random.default_rng([37, i]) for i in range(2)])
+    meas = generate_measurements(scene, NoiseConfig(sigma=0.5, rho=139.25),
+                                 [np.random.default_rng([38, i]) for i in range(2)])
+    distances = meas.distances.copy()
+    distances[1, 0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = solve_landmarks(Measurements(index, distances, meas.angles), scene.anchors,
+                              config=SolverConfig(method))
+    assert list(est.status) == [0, NO_ORIENTATION]
+    assert np.isfinite(est.coordinates[0]).all()
 
 
 def test_classic_mds_noiseless():
