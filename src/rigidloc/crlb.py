@@ -166,11 +166,14 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
     variance = np.square(sigma)
     # one pose under K sigma values broadcasts its gradients over them
     fim = np.zeros((max(len(u), len(variance)), 3, 3))
-    # each channel's gradient stack is dropped before the next is built
+    # one (K, 3, M, N) buffer takes each channel's gradients in turn
+    g = np.empty((len(u), 3, *u.shape[1:]))
     if use_distances:
         if np.any(sigma <= 0):
             raise ValueError("distance terms require sigma > 0")
-        g = np.stack([u.real, u.imag, uw.real], axis=1)
+        np.copyto(g[:, 0], u.real)
+        np.copyto(g[:, 1], u.imag)
+        np.copyto(g[:, 2], uw.real)
         # a sigma so small that its range information 1/sigma^2 overflows, or
         # its square underflows to 0, raises here, at no cost otherwise
         with np.errstate(over="raise", divide="raise"):
@@ -180,11 +183,12 @@ def compute_fim(scene: Scene, noise: NoiseConfig, use_distances: bool = True,
                 raise ConfigurationError(
                     f"sigma {sigma.min():g} is too small: the range information "
                     "1/sigma^2 of the bound overflows") from None
-        del g
     if use_bearings:
         lam = bearing_intensity(noise.rho)
         if lam > 0:
-            g = np.stack([-u.imag, u.real, uw.imag], axis=1)
+            np.negative(u.imag, out=g[:, 0])
+            np.copyto(g[:, 1], u.real)
+            np.copyto(g[:, 2], uw.imag)
             g /= d[:, None]
             fim += lam * np.einsum("Kimn,Kjmn->Kij", g, g)
     bounds = _pose_bounds(fim)

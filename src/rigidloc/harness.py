@@ -237,8 +237,8 @@ def reference_scene(config: ExperimentConfig) -> Scene:
 # 0.5-1 ms at T = 96, and a larger chunk more peak memory: 864 KiB holds
 # 12 trials at T = 96 (three 48 x 48 grid points of 4 trials) and 432 at
 # T = 16, for 1.1-1.9 MB more peak RSS than 384 KiB. The Gram stack
-# stands for all that a trial holds: a chunk's traced peak is 3.3-3.4
-# times it at both T = 16 and T = 96, and a test holds it below 4 times
+# stands for all that a trial holds: a chunk's traced peak is 3.3 times
+# it at T = 16 and 3.1 times at T = 96, and a test holds it below 4 times
 _CHUNK_BYTES = 864 << 10
 
 

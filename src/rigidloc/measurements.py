@@ -400,13 +400,17 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
                 "shape (d/sigma)^2 of its ranges overflows") from None
     gamma = np.zeros(shape.shape)
     n_at = index.n_at
-    for k, rng in enumerate(rngs):
-        if noisy[k]:
-            rng.standard_gamma(shape[k, :n_at], out=gamma[k, :n_at])
+    # the draws write into row views; rho as an array of the row's length
+    # and no `out=` for the gammas are the cheaper calls, draw for draw the same
+    rho = np.full(n_at, noise.rho)
+    for rng, noisy_k, shape_k, gamma_k, th_k in zip(rngs, noisy.tolist(), shape, gamma,
+                                                     th_out[:, at]):
+        if noisy_k:
+            gamma_k[:n_at] = rng.standard_gamma(shape_k[:n_at])
         if noisy_bearings:
-            th_out[k, at] = rng.vonmises(th_out[k, at], noise.rho)
-        if noisy[k] and noise.tt_noisy:
-            rng.standard_gamma(shape[k, n_at:], out=gamma[k, n_at:])
+            th_k[:] = rng.vonmises(th_k, rho)
+        if noisy_k and noise.tt_noisy:
+            gamma_k[n_at:] = rng.standard_gamma(shape_k[n_at:])
     gamma *= np.square(sigma) / d
     np.copyto(d, gamma, where=noisy[:, None])
     if noisy_bearings:

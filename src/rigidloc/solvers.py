@@ -46,10 +46,11 @@ from `errors`; one trial raises that code's typed error instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .edges import PairIndex
+from .edges import PairIndex, build_pair_index
 from .errors import (COINCIDENT_EDGES, NEGATIVE_GRAM, NO_EMBEDDING,
                      NO_ORIENTATION, NOT_FINITE, ConfigurationError,
                      raise_failure)
@@ -88,18 +89,28 @@ class Landmarks:
 
 
 def _anchored_mean(v_at: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """x_n = mean_m(a_m + v_mn) for (K, M, N) AT edges v_mn and (M,) anchors; (K, N)."""
-    return (anchors[:, None] + v_at).mean(axis=1)
+    """x_n = mean_m(a_m + v_mn) for (K, M, N) complex AT edges v_mn and (M,) anchors; (K, N).
+
+    Consumes `v_at`: the sums a_m + v_mn are formed in it, so a stage
+    that built it needs no second (K, M, N) array; each SMDS method then
+    peaks at 1.26 (`smds_full`) and 1.83 (`smds_distance_only`, embedding
+    cached) such arrays at 48 x 48, K = 12.
+    """
+    v_at += anchors[:, None]
+    return v_at.mean(axis=1)
 
 
 def _at_directions(targets: np.ndarray, anchors: np.ndarray):
     """Unit AT directions (x_n - a_m)/|x_n - a_m|, (K, M, N), of (K, N) targets.
 
     Also returns which trials put a target on an anchor, whose direction
-    is undefined (NaN)."""
+    is undefined (NaN). The directions are divided in place in the one
+    array of differences."""
     e = targets[:, None, :] - anchors[:, None]
+    coincident = np.any(e == 0.0, axis=(1, 2))
     with np.errstate(invalid="ignore"):  # 0/0 for a target on an anchor
-        return e / np.abs(e), np.any(e == 0.0, axis=(1, 2))
+        e /= np.abs(e)
+    return e, coincident
 
 
 # Products with B between Rayleigh-Ritz steps, and steps. Chosen by
@@ -133,14 +144,22 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->k", x, y)
 
 
+@lru_cache(maxsize=32)
+def _start_block(t: int) -> np.ndarray:
+    """The (2, T) start block of `_leading_pairs`, drawn once per T and read-only."""
+    w = np.random.default_rng(0).standard_normal((2, t))
+    w.flags.writeable = False
+    return w
+
+
 def _leading_pairs(b: np.ndarray):
     """Certified two leading eigenpairs of a (K, T, T) stack of symmetric B.
 
     Subspace iteration on two columns, held as the rows of a (K, 2, T)
-    array, from a fixed start block drawn from a generator of its own,
-    never a trial's: each step applies B `_POWERS` times,
-    orthonormalises the two columns by Gram-Schmidt into Q and forms
-    W = B Q and the 2 x 2 matrix H = Q^T W. Each product with B is
+    array, from a fixed start block drawn once per T from a generator of
+    its own, never a trial's (`_start_block`): each step applies B
+    `_POWERS` times, orthonormalises the two columns by Gram-Schmidt into
+    Q and forms W = B Q and the 2 x 2 matrix H = Q^T W. Each product with B is
     scaled by a power of two, 2^-e with ||B||_F <= 2^e, which is exact
     and keeps the columns within range whatever the scale of B. A trial
     stops at the first step where the block residual ||W - Q H||_F,
@@ -190,7 +209,7 @@ def _leading_pairs(b: np.ndarray):
     # rows of `bl` whose trial still iterates; the others ride along until
     # at most half are left, when the stack is compacted
     going = np.ones(len(live), dtype=bool)
-    w = np.random.default_rng(0).standard_normal((2, t)) @ bl
+    w = _start_block(t) @ bl
     w *= scale
     for step in range(1, _MAX_STEPS + 1):
         # the products alternate between two buffers
@@ -309,22 +328,43 @@ def _eigh_pairs(b: np.ndarray):
 _CENTRE_BLOCK = 96 * 96
 
 
+@lru_cache(maxsize=32)
+def _cell_pairs(m: int, n: int) -> np.ndarray:
+    """The pair of each cell of a T x T matrix, row-major, as a read-only (T^2,) array.
+
+    Cell (i, j) holds the index of pair {i, j} in canonical order, and a
+    diagonal cell the pair count P, where `_gram` pads the squared
+    distances with a zero.
+    """
+    index = build_pair_index(m, n)
+    t = index.n_nodes
+    cells = np.full(t * t, index.n_pairs)
+    pairs = np.arange(index.n_pairs)
+    cells[index.first * t + index.second] = cells[index.second * t + index.first] = pairs
+    cells.flags.writeable = False
+    return cells
+
+
 def _gram(distances: np.ndarray, index: PairIndex) -> np.ndarray:
     """Double-centred Gram matrices B = -H D^2 H / 2 of (K, P) pair distances.
 
-    Built in O(T^2) per trial: D^2 is filled by scattering the squared
-    distances through flat pair indices into both triangles, every pair
-    class at once; then, with r_i the mean of row i of D^2,
+    Built in O(T^2) per trial: D^2 is one gather of the squared
+    distances, padded with a zero for the diagonal, through the cached
+    `_cell_pairs` table; then, with r_i the mean of row i of D^2,
     B_ij = -(D^2_ij - (r_i + r_j) + mean(r)) / 2, which is exactly
     symmetric. The r_i + r_j are formed for a block of trials at a time,
     in a work array of at most `_CENTRE_BLOCK` doubles rather than a
-    (K, T, T) one. Returns the (K, T, T) stack.
+    (K, T, T) one. Returns the (K, T, T) stack; the padded squares, (K,
+    P + 1) doubles, about half of it, are freed before the centring, so
+    the traced peak is 1.58 times the stack at T = 96 and 1.47 at T = 16.
     """
     t = index.n_nodes
-    b = np.zeros((len(distances), t, t))
-    flat = b.reshape(len(b), t * t)
-    flat[:, index.first * t + index.second] = flat[:, index.second * t + index.first] = (
-        distances * distances)
+    k, p = distances.shape
+    sq = np.empty((k, p + 1))
+    np.multiply(distances, distances, out=sq[:, :p])
+    sq[:, p] = 0.0
+    b = sq.take(_cell_pairs(index.n_anchors, index.n_targets), axis=1).reshape(k, t, t)
+    del sq
     r = b.mean(axis=2)
     size = max(1, _CENTRE_BLOCK // (t * t))
     for i in range(0, len(b), size):
@@ -390,16 +430,21 @@ def _solve(meas: Measurements, anchors: np.ndarray, method: str):
     index = meas.index
     m, n = index.n_anchors, index.n_targets
     d_at = np.atleast_2d(meas.distances)[:, index.at].reshape(-1, m, n)
+    # each method's AT edges are formed in one complex (K, M, N) array, which
+    # `_anchored_mean` then consumes
     if method == "smds_full":
         th_at = np.atleast_2d(meas.angles)[:, index.at].reshape(-1, m, n)
-        # one expression, so that numpy reuses the exp temporary for the product
-        coords = _anchored_mean(d_at * np.exp(1j * th_at), anchors)
+        v_at = np.multiply(1j, th_at)
+        np.exp(v_at, out=v_at)
+        v_at *= d_at
+        coords = _anchored_mean(v_at, anchors)
         status = np.zeros(len(coords), dtype=int)
     else:
         coords, status = _mds(_embedding(meas), anchors, m)
         if method == "smds_distance_only":
-            u, coincident = _at_directions(coords, anchors)
-            coords = _anchored_mean(d_at * u, anchors)
+            v_at, coincident = _at_directions(coords, anchors)
+            v_at *= d_at
+            coords = _anchored_mean(v_at, anchors)
             status = np.where((status == 0) & coincident, COINCIDENT_EDGES, status)
     finite = np.all(np.isfinite(coords), axis=1)
     return coords, np.where((status == 0) & ~finite, NOT_FINITE, status)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy.linalg import orthogonal_procrustes
 
 import rigidloc.solvers as solvers
+from rigidloc.crlb import compute_fim
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import (COINCIDENT_EDGES, NO_EMBEDDING, NO_ORIENTATION, NOT_FINITE,
                              ConfigurationError, DegenerateGeometryError,
@@ -632,3 +634,69 @@ def test_results_do_not_depend_on_the_measurement_layout(monkeypatch, size, sigm
         for got, want in zip(other, c_order):
             assert np.array_equal(got.coordinates, want.coordinates, equal_nan=True)
             assert np.array_equal(got.status, want.status)
+
+
+@pytest.mark.parametrize("t", [6, 16, 96])
+def test_the_start_block_is_drawn_once_per_size(t):
+    block = solvers._start_block(t)
+    assert block is solvers._start_block(t)
+    assert np.array_equal(block, np.random.default_rng(0).standard_normal((2, t)))
+    assert not block.flags.writeable
+
+
+def test_in_place_stages_leave_their_inputs_unchanged():
+    k = 3
+    scene = random_scene(SceneConfig(n_anchors=48, n_landmarks=48),
+                         [np.random.default_rng([50, i]) for i in range(k)])
+    noise = NoiseConfig(sigma=(0.5, 2.0, 6.0), rho=139.25, tt_noisy=True)
+    inputs = (scene.landmarks, scene.anchors.positions, scene.conformation.points)
+    kept = [a.copy() for a in inputs]
+    meas = generate_measurements(scene, noise, [np.random.default_rng([51, i]) for i in range(k)])
+    d, th = meas.distances.copy(), meas.angles.copy()
+    compute_fim(scene, noise)
+    solved = {}
+    # smds_distance_only computes the embedding, which mds then reuses
+    for method in ("smds_full", "smds_distance_only", "mds"):
+        if method == "mds":
+            y, status = (a.copy() for a in meas.embedding)
+        solved[method] = solve_landmarks(meas, scene.anchors, config=SolverConfig(method))
+    for a, b in zip(inputs, kept):
+        assert a.tobytes() == b.tobytes()
+    assert meas.distances.tobytes() == d.tobytes() and meas.angles.tobytes() == th.tobytes()
+    assert meas.embedding[0].tobytes() == y.tobytes()
+    assert meas.embedding[1].tobytes() == status.tobytes()
+    fresh = solve_landmarks(Measurements(meas.index, d, th), scene.anchors,
+                            config=SolverConfig("mds"))
+    assert fresh.coordinates.tobytes() == solved["mds"].coordinates.tobytes()
+    assert fresh.status.tobytes() == solved["mds"].status.tobytes()
+
+
+def test_at_stages_peak_within_a_few_complex_at_blocks():
+    # one complex (K, M, N) array is the unit: the FIM holds u, conj(u) w,
+    # |e| and its (K, 3, M, N) gradient buffer; each SMDS method works in
+    # one complex array of AT edges (4.13, 1.26 and 1.83 units measured
+    # with numpy 2.4, against 4.51, 2.26 and 3.28 before these stages
+    # worked in place)
+    k, size = 12, 48
+    scene = random_scene(SceneConfig(n_anchors=size, n_landmarks=size),
+                         [np.random.default_rng([60, i]) for i in range(k)])
+    noise = NoiseConfig(sigma=np.repeat((0.1, 0.5, 2.0), 4), rho=139.25)
+    meas = generate_measurements(scene, noise, [np.random.default_rng([61, i]) for i in range(k)])
+    unit = k * size * size * np.dtype(complex).itemsize
+
+    def peak(run):
+        run()  # fills the caches of one-time values, and the embedding
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    def solve(method):
+        return lambda: solve_landmarks(meas, scene.anchors, config=SolverConfig(method))
+
+    assert peak(lambda: compute_fim(scene, noise)) <= 4.3
+    assert peak(solve("smds_full")) <= 1.5
+    assert meas.embedding is None
+    assert peak(solve("smds_distance_only")) <= 2.25
