@@ -37,7 +37,7 @@ import numpy as np
 
 from .edges import PairIndex, build_pair_index
 from .errors import ConfigurationError, DegenerateGeometryError
-from .geometry import Scene, _generators, _is_real
+from .geometry import Scene, _complex, _generators, _is_real
 
 ZETA_MAX = 0.9 * np.pi
 
@@ -352,30 +352,28 @@ def generate_measurements(scene: Scene, noise: NoiseConfig, rng) -> Measurements
         hold one value per generator (one for a single seed).
     """
     index = build_pair_index(scene.n_anchors, scene.n_landmarks)
-    x = scene.complex_positions()
+    a, lm = _complex(scene.anchors.positions), scene.landmarks
     rngs, batched = _generators(rng)
     n = len(rngs)
-    if x.ndim > 1 and not batched:
-        raise ValueError("a scene of K poses needs a list of K numpy generators")
-    if x.ndim > 1 and n != len(x):
-        raise ValueError(f"a scene of {len(x)} poses needs {len(x)} generators, got {n}")
+    if lm.ndim > 1 and (not batched or n != len(lm)):
+        raise ValueError(f"a scene of {len(lm)} poses needs a list of {len(lm)} numpy generators")
     if np.ndim(noise.sigma) and len(noise.sigma) != n:
         raise ValueError(f"{len(noise.sigma)} sigma values for {n} trials")
-    x = np.atleast_2d(x)
+    lm = np.atleast_2d(lm)
     aa, at, tt = index.aa, index.at, index.tt
     first, second = index.first, index.second
     d_out, th_out = np.empty((n, index.n_pairs)), np.empty((n, index.n_pairs))
     # the anchors are the same in every trial, so the AA block is computed
     # once; the AT block gets a distance and an angle per trial, the TT
-    # block a distance only. AT pair (i, j) is x_{M+j} - x_i, row-major in
-    # (i, j), so the block is one broadcast difference; it has len(x) rows,
-    # one for a shared scene whatever the number of generators
+    # block a distance only. AT pair (i, j) is s_j - a_i, row-major in (i, j),
+    # spelled as the bound and the placement check spell it; it has len(lm)
+    # rows, one for a shared scene whatever the number of generators
     m = index.n_anchors
-    v_aa = x[:1, second[aa]] - x[:1, first[aa]]
-    v_at = (x[:, None, m:] - x[:, :m, None]).reshape(len(x), -1)
+    v_aa = a[second[aa]] - a[first[aa]]
+    v_at = (lm[:, None, :] - a[:, None]).reshape(len(lm), -1)
     for block, v in ((aa, v_aa), (at, v_at)):
         d_out[:, block], th_out[:, block] = np.abs(v), wrap_angle(np.angle(v))
-    d_out[:, tt] = np.abs(x[:, second[tt]] - x[:, first[tt]])
+    d_out[:, tt] = np.abs(lm[:, second[tt] - m] - lm[:, first[tt] - m])
     th_out[:, tt] = np.nan
     if np.any(d_out == 0.0):
         raise DegenerateGeometryError("scene contains coincident nodes")

@@ -308,19 +308,17 @@ def _frobenius_certified(norm2: np.ndarray, lam: np.ndarray, t: int) -> np.ndarr
 
 
 def _eigh_pairs(b: np.ndarray):
-    """The two leading eigenpairs of each matrix of a stack, from `eigh`.
+    """The two leading eigenpairs of each matrix of a stack, from one `eigh` call.
 
     A matrix that is not finite, which would make `eigh` raise for the
-    whole stack, is kept out of it and gets NaN pairs.
+    whole stack, is masked out of that call and gets NaN pairs.
     """
     finite = np.isfinite(b).all(axis=(1, 2))
-    if not finite.all():
-        lam, vec = np.full((len(b), 2), np.nan), np.full((*b.shape[:2], 2), np.nan)
-        if finite.any():
-            lam[finite], vec[finite] = _eigh_pairs(b[finite])
-        return lam, vec
-    w, u = np.linalg.eigh(b)
-    return w[:, [-1, -2]], u[:, :, [-1, -2]]
+    lam, vec = np.full((len(b), 2), np.nan), np.full((*b.shape[:2], 2), np.nan)
+    if finite.any():
+        w, u = np.linalg.eigh(b if finite.all() else b[finite])
+        lam[finite], vec[finite] = w[:, [-1, -2]], u[:, :, [-1, -2]]
+    return lam, vec
 
 
 # doubles in `_gram`'s work array for r_i + r_j: one T x T matrix at

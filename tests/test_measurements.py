@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0e, iv
 
+from rigidloc.crlb import _pose_gradients
 from rigidloc.edges import build_pair_index
 from rigidloc.errors import ConfigurationError, DegenerateGeometryError
-from rigidloc.geometry import Scene, SceneConfig, random_scene
+from rigidloc.geometry import Scene, SceneConfig, _complex, random_scene
 from rigidloc.harness import run_experiment
 from rigidloc.measurements import (ZETA_MAX, Measurements, NoiseConfig,
                                    generate_measurements, rho_to_zeta,
@@ -218,17 +219,42 @@ def test_noise_config_validation():
 
 
 def test_generate_measurements_noiseless():
-    scene = random_scene(SceneConfig(), seed=6)
-    meas = generate_measurements(scene, NoiseConfig(sigma=0.0, rho=np.inf), 0)
-    idx = meas.index
-    x = scene.complex_positions()
-    v = x[idx.second] - x[idx.first]
-    assert np.max(np.abs(meas.distances - np.abs(v))) < 1e-12
-    # AA and AT angles are exact; no TT bearing is simulated
-    known = slice(idx.aa.start, idx.at.stop)
-    assert np.max(np.abs(meas.angles[known] - wrap_angle(np.angle(v))[known])) < 1e-12
-    assert np.all(np.isnan(meas.angles[idx.tt]))
-    assert meas.index.n_pairs == 120
+    # sigma 0 and rho = inf give every pair its true distance, and the AA
+    # and AT pairs their true angles, bit for bit: for one seed, for a
+    # batch of K poses and for one pose shared by K generators
+    noise = NoiseConfig(sigma=0.0, rho=np.inf)
+    for count in (8, 48):
+        config = SceneConfig(n_anchors=count, n_landmarks=count)
+        shared = random_scene(config, seed=6)
+        batch = random_scene(config, [np.random.default_rng(k) for k in range(3)])
+        for scene, rng in ((shared, 0), (batch, [np.random.default_rng(k) for k in range(3)]),
+                           (shared, [np.random.default_rng(k) for k in range(3)])):
+            meas = generate_measurements(scene, noise, rng)
+            idx = meas.index
+            assert idx.n_pairs == 2 * count * (2 * count - 1) // 2
+            assert meas.distances.shape == ((3,) if isinstance(rng, list) else ()) + (idx.n_pairs,)
+            x = np.atleast_2d(scene.complex_positions())
+            v = x[:, idx.second] - x[:, idx.first]
+            rows = np.atleast_2d(meas.distances)
+            assert np.array_equal(rows, np.broadcast_to(np.abs(v), rows.shape))
+            # AA and AT angles are exact; no TT bearing is simulated
+            known = slice(idx.aa.start, idx.at.stop)
+            angles = np.atleast_2d(meas.angles)
+            assert np.array_equal(angles[:, known],
+                                  np.broadcast_to(wrap_angle(np.angle(v[:, known])),
+                                                  angles[:, known].shape))
+            assert np.all(np.isnan(angles[:, idx.tt]))
+            # the AT block is the landmark - anchor difference that the bound
+            # forms, with its modulus |e| from `crlb._pose_gradients`
+            anchors, landmarks = _complex(scene.anchors.positions), np.atleast_2d(scene.landmarks)
+            e = landmarks[:, None, :] - anchors[:, None]
+            _, _, d = _pose_gradients(anchors, _complex(scene.conformation.points), landmarks,
+                                      np.atleast_1d(scene.pose.rotation.q))
+            at = rows[:, idx.at].reshape(len(rows), count, count)
+            for truth in (np.abs(e), d):
+                assert np.array_equal(at, np.broadcast_to(truth, at.shape))
+            assert np.array_equal(angles[:, idx.at].reshape(at.shape),
+                                  np.broadcast_to(wrap_angle(np.angle(e)), at.shape))
 
 
 def test_generate_measurements_aa_exact():
